@@ -64,7 +64,7 @@ var (
 	f1Flag = flag.String("f1", "", "sweep stop frequency (ac/pac, SPICE value)")
 	npts   = flag.Int("npts", 0, "sweep points (ac/pac)")
 
-	linear = flag.String("linear", "", "Newton linear solver: direct | gmres | matfree (default: the analysis's choice)")
+	linear = flag.String("linear", "", "Newton linear solver: direct | matfree (default: the analysis's choice)")
 
 	relTol   = flag.String("reltol", "", "adaptive accuracy target: LTE tolerance (envelope) / spectral-tail ratio (qpss, hb, transient); empty = fixed grids")
 	absTol   = flag.String("abstol", "", "absolute error/amplitude floor of the adaptive control (SPICE value)")

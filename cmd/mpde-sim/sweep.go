@@ -48,7 +48,7 @@ func sweepMain(args []string) {
 		timing      = fs.Bool("timing", true, "include per-job wall-clock times in the output")
 		outPath     = fs.String("out", "", "output file (default stdout)")
 		top         = fs.Int("top", 5, "dominant spectrum mixes reported per qpss job")
-		linearSel   = fs.String("linear", "", "Newton linear solver for every job: direct | gmres | matfree")
+		linearSel   = fs.String("linear", "", "Newton linear solver for every job: direct | matfree")
 		relTol      = fs.String("reltol", "", "adaptive accuracy target for every job (empty = fixed grids)")
 		absTol      = fs.String("abstol", "", "absolute error/amplitude floor of the adaptive control (SPICE value)")
 	)

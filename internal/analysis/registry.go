@@ -60,7 +60,7 @@ type Tuning struct {
 	// assembler default).
 	AssemblyWorkers int
 	// Linear selects the Newton linear solver for methods that support it
-	// ("direct", "gmres", "matfree"; empty = direct).
+	// ("direct", "matfree"; empty = direct).
 	Linear string
 	// Accuracy is the uniform adaptive-control tolerance pair; descriptors
 	// of adaptive analyses copy it into their typed parameters.

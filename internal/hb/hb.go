@@ -166,13 +166,13 @@ func Solve(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Solution, e
 			sol.X = x
 			return sol, nil
 		}
-		// Build the finite-difference preconditioner at the current iterate.
+		// Build the finite-difference preconditioner at the current iterate;
+		// the C, G stamps it captures also serve the matrix-free
+		// Jacobian-vector products below.
 		prec, err := w.fdPreconditioner(x)
 		if err != nil {
 			return nil, fmt.Errorf("hb: preconditioner failed: %w", err)
 		}
-		// Matrix-free Jacobian-vector products via the current C, G stamps.
-		w.captureJacobians(x)
 		op := &hbOperator{w: w}
 		neg := make([]float64, nTot)
 		for i := range neg {
@@ -324,10 +324,6 @@ func (w *workspace) residual(x []float64) []float64 {
 	return out
 }
 
-// captureJacobians stamps and stores C, G at the iterate for matrix-free
-// Jacobian application.
-func (w *workspace) captureJacobians(x []float64) { w.evalGrid(x, true) }
-
 // hbOperator applies J·v = D(C·v) + G·v using the captured blocks.
 type hbOperator struct {
 	w   *workspace
@@ -358,7 +354,8 @@ func (o *hbOperator) Apply(v, out []float64) {
 	}
 }
 
-// fdPreconditioner factors the backward-difference companion Jacobian: the
+// fdPreconditioner stamps and stores C, G at x (which hbOperator then
+// applies) and factors the backward-difference companion Jacobian: the
 // spectral derivative is replaced by first-order differences on the same
 // grid, giving a sparse, bandable matrix whose LU is an excellent
 // preconditioner for the dense spectral operator.

@@ -1,7 +1,7 @@
 // Package la provides the dense and sparse linear-algebra kernels used by the
 // simulator: dense LU with partial pivoting (real and complex), sparse
 // matrices in triplet and compressed-sparse-row form, a left-looking sparse LU
-// (Gilbert–Peierls), restarted GMRES, and ILU(0) / block preconditioners.
+// (Gilbert–Peierls), restarted GMRES, and block preconditioners.
 //
 // Everything is written against float64 slices so the hot loops stay free of
 // interface dispatch; matrices are small-to-medium (MNA systems and MPDE grid

@@ -229,33 +229,6 @@ func TestGMRESSolvesSparseSystem(t *testing.T) {
 	}
 }
 
-func TestGMRESWithILU0ConvergesFaster(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := 120
-	m := randomSparse(rng, n, 0.05)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x0 := make([]float64, n)
-	plain, err := GMRES(AsOperator(m), b, x0, GMRESOptions{Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ilu, err := NewILU0(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x1 := make([]float64, n)
-	pre, err := GMRES(AsOperator(m), b, x1, GMRESOptions{Tol: 1e-10, M: ilu})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pre.Iterations > plain.Iterations {
-		t.Fatalf("ILU0 did not help: %d vs %d iterations", pre.Iterations, plain.Iterations)
-	}
-}
-
 func TestGMRESZeroRHS(t *testing.T) {
 	m := randomSparse(rand.New(rand.NewSource(1)), 10, 0.3)
 	x := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
@@ -281,40 +254,6 @@ func TestGMRESNonConvergenceReported(t *testing.T) {
 	_, err := GMRES(AsOperator(m), b, x, GMRESOptions{MaxIter: 2, Restart: 2, Tol: 1e-15})
 	if err == nil {
 		t.Fatal("expected ErrNoConvergence with MaxIter=2")
-	}
-}
-
-func TestILU0ExactForTriangularPattern(t *testing.T) {
-	// For a lower-triangular matrix ILU(0) is exact, so one application solves.
-	tr := NewTriplet(3, 3)
-	tr.Append(0, 0, 2)
-	tr.Append(1, 0, 1)
-	tr.Append(1, 1, 3)
-	tr.Append(2, 1, -1)
-	tr.Append(2, 2, 4)
-	m := tr.Compress()
-	p, err := NewILU0(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := []float64{2, 4, 3}
-	z := make([]float64, 3)
-	p.Precondition(b, z)
-	r := make([]float64, 3)
-	m.MulVec(z, r)
-	for i := range r {
-		if !almostEqual(r[i], b[i], 1e-14) {
-			t.Fatalf("ILU0 not exact on triangular: r=%v b=%v", r, b)
-		}
-	}
-}
-
-func TestILU0RequiresDiagonal(t *testing.T) {
-	tr := NewTriplet(2, 2)
-	tr.Append(0, 1, 1)
-	tr.Append(1, 0, 1)
-	if _, err := NewILU0(tr.Compress()); err == nil {
-		t.Fatal("expected error for missing diagonal")
 	}
 }
 

@@ -63,7 +63,7 @@ type Request struct {
 	RelTol float64 `json:"reltol,omitempty"`
 	AbsTol float64 `json:"abstol,omitempty"`
 	// Linear selects the Newton linear solver for QPSS jobs: "direct"
-	// (default), "gmres", or "matfree". A deck directive carrying
+	// (default) or "matfree". A deck directive carrying
 	// linear= applies sweep-wide; this explicit field beats it.
 	Linear string `json:"linear,omitempty"`
 	// JobTimeoutMS bounds each analysis job. Timeouts make outcomes

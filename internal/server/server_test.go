@@ -577,6 +577,28 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestRetiredGMRESLinearRejected: the retired "gmres" linear solver is a
+// 400 whether it arrives as the request's linear field or as a deck
+// directive's linear= parameter.
+func TestRetiredGMRESLinearRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	gmresDeck := strings.Replace(fastDeck, ".qpss n1=12 n2=8", ".qpss n1=12 n2=8 linear=gmres", 1)
+	if gmresDeck == fastDeck {
+		t.Fatal("fixture deck lost its .qpss directive")
+	}
+	for name, body := range map[string]any{
+		"field":     map[string]any{"deck": fastDeck, "linear": "gmres"},
+		"directive": map[string]any{"deck": gmresDeck},
+	} {
+		resp := postJSON(t, ts.URL+"/v1/jobs", body)
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `unknown linear solver \"gmres\"`) {
+			t.Fatalf("%s: %d %s, want 400 naming the solver", name, resp.StatusCode, msg)
+		}
+	}
+}
+
 // TestResultCacheLRU covers the byte-bound and recency order directly.
 func TestResultCacheLRU(t *testing.T) {
 	c := newResultCache(100)

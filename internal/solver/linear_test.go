@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,8 +14,7 @@ func TestParseLinearSolver(t *testing.T) {
 		in   string
 		want LinearSolverKind
 	}{
-		{"", DirectSparse}, {"direct", DirectSparse},
-		{"gmres", IterativeGMRES}, {"matfree", MatrixFree},
+		{"", DirectSparse}, {"direct", DirectSparse}, {"matfree", MatrixFree},
 	} {
 		got, err := ParseLinearSolver(tc.in)
 		if err != nil || got != tc.want {
@@ -24,8 +24,36 @@ func TestParseLinearSolver(t *testing.T) {
 			t.Fatalf("String() = %q, want %q", got.String(), tc.in)
 		}
 	}
-	if _, err := ParseLinearSolver("cholesky"); err == nil {
-		t.Fatal("unknown spelling accepted")
+	for _, in := range []string{"cholesky", "gmres"} {
+		if _, err := ParseLinearSolver(in); err == nil {
+			t.Fatalf("ParseLinearSolver(%q) accepted", in)
+		}
+	}
+	if MatrixFree != 2 {
+		t.Fatalf("MatrixFree = %d, want 2 (the value on the wire)", MatrixFree)
+	}
+}
+
+// TestSolveRejectsUnknownLinearKind: a kind outside the enum — including
+// the retired value 1 — must fail before any evaluation instead of
+// silently running direct LU.
+func TestSolveRejectsUnknownLinearKind(t *testing.T) {
+	for _, kind := range []LinearSolverKind{1, 7} {
+		evals := 0
+		sys := FuncSystem{N: 2, F: func(x []float64, jac bool) ([]float64, *la.CSR, error) {
+			evals++
+			return coupledCircle().F(x, jac)
+		}}
+		opt := NewOptions()
+		opt.Linear = kind
+		_, err := Solve(context.Background(), sys, []float64{2, 1}, opt)
+		want := fmt.Sprintf("solver: unknown linear solver kind %d", kind)
+		if err == nil || err.Error() != want {
+			t.Fatalf("kind %d: err = %v, want %q", kind, err, want)
+		}
+		if evals != 0 {
+			t.Fatalf("kind %d: %d evaluations before the rejection", kind, evals)
+		}
 	}
 }
 
@@ -92,53 +120,43 @@ func coupledCircle() FuncSystem {
 	}}
 }
 
-// TestNewtonIterativeStats: the GMRES path must count its ILU0 builds and
-// must not report a direct-solver fill factor.
-func TestNewtonIterativeStats(t *testing.T) {
-	x := []float64{2, 1}
-	opt := NewOptions()
-	opt.Linear = IterativeGMRES
-	st, err := Solve(context.Background(), coupledCircle(), x, opt)
-	if err != nil {
-		t.Fatal(err)
+// permMFS is a MatrixFreeSystem whose Jacobian is a cyclic permutation:
+// unpreconditioned GMRES needs three Krylov steps for it. Eval assembles the
+// Jacobian so a failed GMRES solve can be rescued by factoring it.
+type permMFS struct{ r []float64 }
+
+func (s *permMFS) Size() int { return 3 }
+func (s *permMFS) Eval(x []float64, jac bool) ([]float64, *la.CSR, error) {
+	s.r[0], s.r[1], s.r[2] = x[1]-1, x[2]-2, x[0]-3
+	if !jac {
+		return s.r, nil, nil
 	}
-	if st.PrecondBuilds == 0 {
-		t.Fatal("ILU0 preconditioner builds not counted")
-	}
-	if st.PrecondBuilds != st.JacobianEvals {
-		t.Fatalf("PrecondBuilds = %d, JacobianEvals = %d: want one build per refresh",
-			st.PrecondBuilds, st.JacobianEvals)
-	}
-	if st.FillFactor != 0 {
-		t.Fatalf("FillFactor = %v on the iterative path, want 0", st.FillFactor)
-	}
-	if st.GMRESFallbacks != 0 || st.Factorizations != 0 {
-		t.Fatalf("healthy GMRES path fell back: fallbacks=%d factorizations=%d",
-			st.GMRESFallbacks, st.Factorizations)
-	}
+	return s.r, permJacobian(), nil
+}
+func (s *permMFS) Linearize(x []float64) ([]float64, la.Operator, error) {
+	r, _, err := s.Eval(x, false)
+	return r, la.AsOperator(permJacobian()), err
+}
+func (s *permMFS) BuildPreconditioner() (la.Preconditioner, error) { return nil, nil }
+
+func permJacobian() *la.CSR {
+	tr := la.NewTriplet(3, 3)
+	tr.Append(0, 1, 1)
+	tr.Append(1, 2, 1)
+	tr.Append(2, 0, 1)
+	return tr.Compress()
 }
 
-// TestNewtonGMRESFallbackCounted starves GMRES so the linear solve fails
-// over to the direct factorisation: the Jacobian is a cyclic permutation
-// (no structural diagonal, so ILU0 cannot build and GMRES runs
-// unpreconditioned) and the iteration budget is below the Krylov degree.
-// Newton must still converge via the rescue, and the events must be counted.
+// TestNewtonGMRESFallbackCounted starves matrix-free GMRES so the linear
+// solve fails over to the direct factorisation: the operator is a cyclic
+// permutation, GMRES runs unpreconditioned, and the iteration budget is
+// below the Krylov degree. Newton must still converge via the rescue, and
+// the events must be counted.
 func TestNewtonGMRESFallbackCounted(t *testing.T) {
-	perm := FuncSystem{N: 3, F: func(x []float64, jac bool) ([]float64, *la.CSR, error) {
-		r := []float64{x[1] - 1, x[2] - 2, x[0] - 3}
-		var j *la.CSR
-		if jac {
-			tr := la.NewTriplet(3, 3)
-			tr.Append(0, 1, 1)
-			tr.Append(1, 2, 1)
-			tr.Append(2, 0, 1)
-			j = tr.Compress()
-		}
-		return r, j, nil
-	}}
+	perm := &permMFS{r: make([]float64, 3)}
 	x := []float64{0, 0, 0}
 	opt := NewOptions()
-	opt.Linear = IterativeGMRES
+	opt.Linear = MatrixFree
 	opt.GMRESIter = 2 // the cyclic operator needs 3 Krylov steps
 	st, err := Solve(context.Background(), perm, x, opt)
 	if err != nil {

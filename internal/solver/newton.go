@@ -40,47 +40,45 @@ func (s FuncSystem) Eval(x []float64, jac bool) ([]float64, *la.CSR, error) {
 	return s.F(x, jac)
 }
 
-// LinearSolverKind selects how Newton updates are solved.
+// LinearSolverKind selects how Newton updates are solved. The values are
+// part of the dispatch wire schema and of every cache key that embeds
+// Newton options, so they are explicit and never renumbered: 1 was the
+// retired assembled-Jacobian ILU(0)-GMRES mode and is rejected by Solve.
 type LinearSolverKind int
 
 const (
 	// DirectSparse uses the Gilbert–Peierls sparse LU (default).
-	DirectSparse LinearSolverKind = iota
-	// IterativeGMRES uses ILU(0)-preconditioned restarted GMRES; this is the
-	// "iterative linear solution methods" configuration from the paper's
-	// speedup discussion.
-	IterativeGMRES
+	DirectSparse LinearSolverKind = 0
 	// MatrixFree uses GMRES with a Jacobian-vector product supplied by the
-	// system (directional residual differencing) instead of an assembled
-	// Jacobian; the system must implement MatrixFreeSystem. Large adaptive
-	// MPDE grids use it to stop paying LU fill entirely.
-	MatrixFree
+	// system instead of an assembled Jacobian; the system must implement
+	// MatrixFreeSystem. This is the paper's "iterative linear solution
+	// methods" configuration: large MPDE grids use it to stop paying LU
+	// fill entirely.
+	MatrixFree LinearSolverKind = 2
 )
 
 // String returns the registry spelling of the kind.
 func (k LinearSolverKind) String() string {
 	switch k {
-	case IterativeGMRES:
-		return "gmres"
+	case DirectSparse:
+		return "direct"
 	case MatrixFree:
 		return "matfree"
 	default:
-		return "direct"
+		return fmt.Sprintf("LinearSolverKind(%d)", int(k))
 	}
 }
 
-// ParseLinearSolver maps the registry spelling ("direct", "gmres",
-// "matfree") to its kind. The empty string selects the default (direct).
+// ParseLinearSolver maps the registry spelling ("direct", "matfree") to its
+// kind. The empty string selects the default (direct).
 func ParseLinearSolver(s string) (LinearSolverKind, error) {
 	switch s {
 	case "", "direct":
 		return DirectSparse, nil
-	case "gmres":
-		return IterativeGMRES, nil
 	case "matfree":
 		return MatrixFree, nil
 	default:
-		return DirectSparse, fmt.Errorf("solver: unknown linear solver %q (want direct, gmres, or matfree)", s)
+		return DirectSparse, fmt.Errorf("solver: unknown linear solver %q (want direct or matfree)", s)
 	}
 }
 
@@ -182,7 +180,7 @@ type Stats struct {
 	StepNorm    float64 // final weighted step norm (≤ 1 at convergence)
 	Converged   bool
 	Halvings    int // total damping halvings
-	LinearIters int // total GMRES iterations (iterative mode)
+	LinearIters int // total GMRES iterations (matrix-free mode)
 	// JacobianEvals counts full (residual + Jacobian) system evaluations;
 	// with JacobianRefresh > 1 it runs below Iterations.
 	JacobianEvals int
@@ -195,8 +193,8 @@ type Stats struct {
 	// to the Jacobian's nonzeros (0 in pure GMRES solves).
 	FillFactor float64
 	// OperatorApplies counts matrix-free Jacobian-vector products;
-	// PrecondBuilds counts preconditioner constructions (ILU0 or
-	// matrix-free); GMRESFallbacks counts GMRES failures that were rescued
+	// PrecondBuilds counts matrix-free preconditioner constructions;
+	// GMRESFallbacks counts GMRES failures that were rescued
 	// by a direct solve — a thrashing iterative path shows up here.
 	// BatchReuse counts factorisations that started from a shared symbolic
 	// analysis published by another solve (Options.ShareLU hits).
@@ -387,6 +385,9 @@ func Solve(ctx context.Context, sys System, x []float64, opt Options) (Stats, er
 //mpde:hotpath
 func solve(ctx context.Context, sys System, x []float64, opt Options, trace bool) (Stats, error) {
 	opt.Fill()
+	if opt.Linear != DirectSparse && opt.Linear != MatrixFree { //mpde:coldpath an unknown kind rejects the solve up front
+		return Stats{}, fmt.Errorf("solver: unknown linear solver kind %d", opt.Linear)
+	}
 	n := sys.Size()
 	if len(x) != n { //mpde:coldpath size mismatch rejects the solve up front
 		return Stats{}, fmt.Errorf("solver: initial guess size %d, want %d", len(x), n)
@@ -432,7 +433,6 @@ func solve(ctx context.Context, sys System, x []float64, opt Options, trace bool
 	rNorm, residCap := math.NaN(), 0.0
 
 	var direct directFactor
-	var j *la.CSR       // current (possibly stale) Jacobian, GMRES operator
 	var op la.Operator  // matrix-free Jacobian operator at the refresh point
 	var cop la.Operator // op wrapped with the OperatorApplies counter; boxed
 	// once per Jacobian refresh rather than re-boxed every iteration
@@ -474,29 +474,15 @@ func solve(ctx context.Context, sys System, x []float64, opt Options, trace bool
 				}
 				st.FactorTime += time.Since(t0)
 			} else {
-				jj, err := evalInto(x, r, true)
+				j, err := evalInto(x, r, true)
 				if err != nil {
 					return st, err
 				}
-				j = jj
 				t0 := time.Now()
-				switch opt.Linear {
-				case IterativeGMRES:
-					if p, perr := la.NewILU0(j); perr == nil {
-						prec = p
-						st.PrecondBuilds++
-						// The iterative path has no direct fill; clear any
-						// stale value a prior direct fallback left behind.
-						st.FillFactor = 0
-					} else {
-						prec = nil
-					}
-				default:
-					if err := direct.factor(j, &st, opt); err != nil {
-						st.FactorTime += time.Since(t0)
-						//mpde:coldpath a failed factorisation aborts the solve
-						return st, fmt.Errorf("solver: Jacobian factorisation failed at iter %d: %w", it, err)
-					}
+				if err := direct.factor(j, &st, opt); err != nil {
+					st.FactorTime += time.Since(t0)
+					//mpde:coldpath a failed factorisation aborts the solve
+					return st, fmt.Errorf("solver: Jacobian factorisation failed at iter %d: %w", it, err)
 				}
 				st.FactorTime += time.Since(t0)
 			}
@@ -513,8 +499,7 @@ func solve(ctx context.Context, sys System, x []float64, opt Options, trace bool
 		for i := range neg {
 			neg[i] = -r[i]
 		}
-		switch opt.Linear {
-		case MatrixFree:
+		if opt.Linear == MatrixFree {
 			la.Fill(dx, 0)
 			res, gerr := gmres.Solve(cop, neg, dx, la.GMRESOptions{
 				Tol: opt.GMRESTol, MaxIter: opt.GMRESIter, M: prec})
@@ -535,23 +520,7 @@ func solve(ctx context.Context, sys System, x []float64, opt Options, trace bool
 				}
 				direct.f.Solve(neg, dx)
 			}
-		case IterativeGMRES:
-			la.Fill(dx, 0)
-			res, gerr := gmres.Solve(la.AsOperator(j), neg, dx, la.GMRESOptions{
-				Tol: opt.GMRESTol, MaxIter: opt.GMRESIter, M: prec})
-			st.LinearIters += res.Iterations
-			if gerr != nil {
-				// Fall back to a direct solve rather than failing Newton.
-				st.GMRESFallbacks++
-				t0 := time.Now()
-				err := direct.factor(j, &st, opt)
-				st.FactorTime += time.Since(t0)
-				if err != nil {
-					return st, fmt.Errorf("solver: linear solve failed: %w", err)
-				}
-				direct.f.Solve(neg, dx)
-			}
-		default:
+		} else {
 			direct.f.Solve(neg, dx)
 		}
 		// Optional ∞-norm clamp (device-voltage limiting in the large).

@@ -37,12 +37,12 @@ func TestFillPreservesSetFields(t *testing.T) {
 	o := Options{
 		MaxIter:   7,
 		PivotTol:  0.5,
-		Linear:    IterativeGMRES,
+		Linear:    MatrixFree,
 		GMRESIter: 33,
 		Progress:  func(int, float64) { called = true },
 	}
 	o.Fill()
-	if o.MaxIter != 7 || o.PivotTol != 0.5 || o.Linear != IterativeGMRES || o.GMRESIter != 33 {
+	if o.MaxIter != 7 || o.PivotTol != 0.5 || o.Linear != MatrixFree || o.GMRESIter != 33 {
 		t.Fatalf("Fill clobbered set fields: %+v", o)
 	}
 	if o.Progress == nil {

@@ -127,36 +127,6 @@ func TestNewtonBadGuessSizeRejected(t *testing.T) {
 	}
 }
 
-func TestNewtonIterativeLinearSolver(t *testing.T) {
-	// Same coupled system, but via GMRES+ILU0.
-	sys := FuncSystem{N: 2, F: func(x []float64, jac bool) ([]float64, *la.CSR, error) {
-		r := []float64{x[0]*x[0] + x[1]*x[1] - 4, x[0] - x[1]}
-		var j *la.CSR
-		if jac {
-			tr := la.NewTriplet(2, 2)
-			tr.Append(0, 0, 2*x[0])
-			tr.Append(0, 1, 2*x[1])
-			tr.Append(1, 0, 1)
-			tr.Append(1, 1, -1)
-			j = tr.Compress()
-		}
-		return r, j, nil
-	}}
-	x := []float64{2, 1}
-	opt := NewOptions()
-	opt.Linear = IterativeGMRES
-	st, err := Solve(context.Background(), sys, x, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.LinearIters == 0 {
-		t.Fatal("expected GMRES iterations to be counted")
-	}
-	if math.Abs(x[0]-math.Sqrt2) > 1e-8 {
-		t.Fatalf("solution %v", x)
-	}
-}
-
 // hardHomotopy is a system Newton cannot solve cold from x=0 but continuation
 // can: H(x,λ) = x³ − 3x + 3λ·tanh-free... we use f(x) = atan(10(x−3)) + λ−1
 // style: root drifts with λ.

@@ -174,7 +174,7 @@ type Spec struct {
 	// (zero values → first order, matching core.Options).
 	DiffT1, DiffT2 core.DiffOrder
 	// Linear selects the Newton linear solver for QPSS jobs: "direct"
-	// (default), "gmres", or "matfree".
+	// (default) or "matfree".
 	Linear string
 	// SpectrumTop is the number of dominant mixes reported per job for
 	// methods with a spectrum (default 5; negative disables).
