@@ -214,10 +214,10 @@ func BenchmarkEnvelopeFollowing(b *testing.B) {
 }
 
 // BenchmarkAdaptiveVsFixedQPSS compares the paper's fixed 40×30 seed grid
-// against reltol=1e-3 automatic grid sizing on the balanced-mixer deck —
-// the BENCH_adaptive.json artifact. The adaptive run solves coarse 16×12,
-// measures the spectral tail, and warm-starts one refined 32×24 solve: same
-// figure accuracy on 768 instead of 1200 grid points.
+// against reltol=1e-3 automatic grid sizing on the balanced-mixer deck.
+// The adaptive run solves coarse 16×12, measures the spectral tail, and
+// warm-starts one refined 32×24 solve: same figure accuracy on 768 instead
+// of 1200 grid points.
 func BenchmarkAdaptiveVsFixedQPSS(b *testing.B) {
 	bits := repro.PRBS7(0x4D, 8)
 	b.Run("fixed-40x30", func(b *testing.B) {

@@ -8,9 +8,9 @@ import (
 )
 
 // BenchmarkQPSSTracingDisabled is the tracing-overhead guard: the same QPSS
-// solve as BenchmarkQPSSTracingEnabled, minus the recorder. CI uploads both
-// as BENCH_obs.json so a span leaking onto the disabled hot path shows up as
-// an allocs/op or ns/op regression PR-over-PR.
+// solve as BenchmarkQPSSTracingEnabled, minus the recorder, so a span
+// leaking onto the disabled hot path shows up as an allocs/op or ns/op gap
+// between the pair.
 func BenchmarkQPSSTracingDisabled(b *testing.B) {
 	sh := Shear{F1: 1e6, F2: 0.875e6, K: 1}
 	b.ReportAllocs()

@@ -134,3 +134,101 @@ func Fill32(x []int32, v int32) {
 		x[i] = v
 	}
 }
+
+// Combiner forms J = s·C + G from two same-shape CSR matrices into a CSR it
+// owns: the Jacobian of an implicit integration step (s = 1/h for backward
+// Euler, the BDF leading coefficient in general). The union pattern and the
+// entry→slot maps are built on first use and rebuilt only when C's or G's
+// pattern changes, so a time march whose device Jacobians keep their
+// pattern stamps J in O(nnz) per call without allocating — and hands the
+// Newton loop a matrix whose unchanged pattern lets its LU refactorise.
+//
+// G is written before s·C is added, the order in which a Triplet holding G's
+// entries followed by C's sums duplicates, so J is bit-identical to that
+// Triplet's compression.
+type Combiner struct {
+	j CSR
+	// Pattern snapshots the slot maps were built for (copies: callers
+	// re-evaluate C and G in place).
+	cRowPtr, cColIdx []int
+	gRowPtr, gColIdx []int
+	// cSlot/gSlot map entry k of C/G to its index in j.Val; cShared marks
+	// the C entries whose slot G also writes.
+	cSlot, gSlot []int
+	cShared      []bool
+}
+
+// Combine returns s·C + G. The result is owned by the Combiner and
+// overwritten by the next call; its pattern slices are reused while the
+// inputs' patterns are unchanged.
+//
+//mpde:hotpath
+func (b *Combiner) Combine(c, g *CSR, s float64) *CSR {
+	if c.Cols != b.j.Cols || g.Cols != b.j.Cols ||
+		!sameInts(c.RowPtr, b.cRowPtr) || !sameInts(c.ColIdx, b.cColIdx) ||
+		!sameInts(g.RowPtr, b.gRowPtr) || !sameInts(g.ColIdx, b.gColIdx) {
+		b.rebuild(c, g)
+	}
+	v := b.j.Val
+	for k, gv := range g.Val {
+		v[b.gSlot[k]] = gv
+	}
+	for k, cv := range c.Val {
+		// The explicit conversion rounds s·cv on its own, as the Triplet
+		// path does, so no fused multiply-add can change J's bits.
+		if b.cShared[k] {
+			v[b.cSlot[k]] += float64(s * cv)
+		} else {
+			v[b.cSlot[k]] = float64(s * cv)
+		}
+	}
+	return &b.j
+}
+
+// rebuild merges C's and G's row patterns (each sorted and duplicate-free)
+// into J's and records where every entry of each lands.
+func (b *Combiner) rebuild(c, g *CSR) {
+	if c.Rows != g.Rows || c.Cols != g.Cols {
+		panic(ErrShape)
+	}
+	b.cRowPtr = append(b.cRowPtr[:0], c.RowPtr...)
+	b.cColIdx = append(b.cColIdx[:0], c.ColIdx...)
+	b.gRowPtr = append(b.gRowPtr[:0], g.RowPtr...)
+	b.gColIdx = append(b.gColIdx[:0], g.ColIdx...)
+	b.cSlot = growInts(b.cSlot, len(c.ColIdx))
+	b.gSlot = growInts(b.gSlot, len(g.ColIdx))
+	if cap(b.cShared) < len(c.ColIdx) {
+		b.cShared = make([]bool, len(c.ColIdx))
+	}
+	b.cShared = b.cShared[:len(c.ColIdx)]
+	j := &b.j
+	j.Rows, j.Cols = g.Rows, g.Cols
+	j.RowPtr = growInts(j.RowPtr, g.Rows+1)
+	j.ColIdx = j.ColIdx[:0]
+	j.RowPtr[0] = 0
+	for i := 0; i < g.Rows; i++ {
+		p, pEnd := g.RowPtr[i], g.RowPtr[i+1]
+		q, qEnd := c.RowPtr[i], c.RowPtr[i+1]
+		for p < pEnd || q < qEnd {
+			slot := len(j.ColIdx)
+			switch {
+			case q == qEnd || (p < pEnd && g.ColIdx[p] < c.ColIdx[q]):
+				j.ColIdx = append(j.ColIdx, g.ColIdx[p])
+				b.gSlot[p] = slot
+				p++
+			case p == pEnd || c.ColIdx[q] < g.ColIdx[p]:
+				j.ColIdx = append(j.ColIdx, c.ColIdx[q])
+				b.cSlot[q], b.cShared[q] = slot, false
+				q++
+			default: // same column in both
+				j.ColIdx = append(j.ColIdx, g.ColIdx[p])
+				b.gSlot[p] = slot
+				b.cSlot[q], b.cShared[q] = slot, true
+				p++
+				q++
+			}
+		}
+		j.RowPtr[i+1] = len(j.ColIdx)
+	}
+	j.Val = growFloats(j.Val, len(j.ColIdx))
+}

@@ -254,3 +254,78 @@ func TestSparseLURefactorMatchesFreshFactor(t *testing.T) {
 		}
 	}
 }
+
+// tripletSum is the reference J = s·C + G: G's entries stamped before C's
+// into one Triplet and compressed.
+func tripletSum(c, g *CSR, s float64) *CSR {
+	tr := NewTriplet(g.Rows, g.Cols)
+	for i := 0; i < g.Rows; i++ {
+		for k := g.RowPtr[i]; k < g.RowPtr[i+1]; k++ {
+			tr.Append(i, g.ColIdx[k], g.Val[k])
+		}
+	}
+	for i := 0; i < c.Rows; i++ {
+		for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
+			tr.Append(i, c.ColIdx[k], s*c.Val[k])
+		}
+	}
+	return tr.Compress()
+}
+
+func csrBitsEqual(t *testing.T, got, want *CSR) {
+	t.Helper()
+	csrEqual(t, got, want, math.Inf(1))
+	for k := range want.Val {
+		if math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
+			t.Fatalf("slot %d: %v (%#x) vs triplet %v (%#x)", k,
+				got.Val[k], math.Float64bits(got.Val[k]), want.Val[k], math.Float64bits(want.Val[k]))
+		}
+	}
+}
+
+// TestCombinerMatchesTriplet pins Combine to the Triplet sum bit for bit —
+// shared, G-only and C-only slots, signed zeros included — across scale
+// changes, value-only re-evaluations and a pattern change.
+func TestCombinerMatchesTriplet(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n = 25
+	sparse := func(nnz int) *CSR {
+		tr := NewTriplet(n, n)
+		for k := 0; k < nnz; k++ {
+			tr.Append(rng.Intn(n), rng.Intn(n), rng.NormFloat64())
+		}
+		return tr.Compress()
+	}
+	c, g := sparse(60), sparse(90)
+	c.Val[0], g.Val[1] = math.Copysign(0, -1), math.Copysign(0, -1)
+	var b Combiner
+	j := b.Combine(c, g, 1e9)
+	csrBitsEqual(t, j, tripletSum(c, g, 1e9))
+	rowPtr := &j.RowPtr[0]
+	for _, s := range []float64{3.7e-3, 1 / 7.0, -2} {
+		for k := range c.Val {
+			c.Val[k] = rng.NormFloat64()
+		}
+		for k := range g.Val {
+			g.Val[k] = rng.NormFloat64()
+		}
+		got := b.Combine(c, g, s)
+		csrBitsEqual(t, got, tripletSum(c, g, s))
+		if &got.RowPtr[0] != rowPtr {
+			t.Fatal("unchanged patterns rebuilt J's pattern storage")
+		}
+	}
+	// A pattern change rebuilds the slot maps.
+	c2 := sparse(70)
+	csrBitsEqual(t, b.Combine(c2, g, 0.5), tripletSum(c2, g, 0.5))
+}
+
+func TestCombinerNoAllocs(t *testing.T) {
+	skipUnderRace(t)
+	fam := batchFamily(100, 2, 41)
+	var b Combiner
+	b.Combine(fam[0], fam[1], 1e9) // warm-up builds the slot maps
+	if allocs := testing.AllocsPerRun(100, func() { b.Combine(fam[0], fam[1], 2e9) }); allocs != 0 {
+		t.Fatalf("Combiner.Combine allocates %v/op, want 0", allocs)
+	}
+}

@@ -106,11 +106,55 @@ type integrator struct {
 	h     float64
 	steps int
 	opt   solver.Options
+
+	// Per-run storage shared by every step of every period: the device
+	// Jacobians (re-evaluated in place), the step Jacobian J = C/h + G, the
+	// Newton loop's carried LU, and the step residual.
+	c, g  la.CSR
+	jac   la.Combiner
+	ws    solver.Workspace
+	resid []float64
+	// The current step's system: tNew and the charge at the previous point.
+	tNew  float64
+	qPrev []float64
+
+	// Dense sensitivity workspace: the step factorisation of C/h + G
+	// (refactored in the previous step's pivot order), C at the previous
+	// point, and the (Cprev/h)·M product with its column scratch.
+	sens     *la.SparseLU
+	cPrev    la.CSR
+	w        *la.Dense
+	col, out []float64
+}
+
+func newIntegrator(ctx context.Context, ckt *circuit.Circuit, h float64, steps int, opt solver.Options) *integrator {
+	n := ckt.Size()
+	return &integrator{ctx: ctx, ckt: ckt, ev: ckt.NewEval(), n: n, h: h, steps: steps, opt: opt,
+		resid: make([]float64, n), qPrev: make([]float64, n)}
+}
+
+// Size and Eval make the integrator the solver.System of its current BE
+// step: F(x) = (q(x) − qPrev)/h + f(x) + b(tNew).
+func (g *integrator) Size() int { return g.n }
+
+// Eval returns the step residual and, when jac is set, J = C/h + G; both
+// live in the integrator's per-run storage.
+//
+//mpde:hotpath
+func (g *integrator) Eval(x []float64, jac bool) ([]float64, *la.CSR, error) {
+	r := g.ev.EvalAtInto(x, device.EvalCtx{T: g.tNew, Lambda: 1}, jac, &g.c, &g.g)
+	for i := range g.resid {
+		g.resid[i] = (r.Q[i]-g.qPrev[i])/g.h + r.F[i] + r.B[i]
+	}
+	if !jac {
+		return g.resid, nil, nil
+	}
+	return g.resid, g.jac.Combine(r.C, r.G, 1/g.h), nil
 }
 
 // propagate integrates one period from x0. When wantM is set it also
 // accumulates the dense monodromy matrix; when record is set it stores the
-// trajectory.
+// trajectory. It returns the number of BE steps taken, also on failure.
 func (g *integrator) propagate(x0 []float64, wantM, record bool, t0 float64) ([]float64, *la.Dense, *transient.Result, int, error) {
 	n := g.n
 	x := append([]float64(nil), x0...)
@@ -124,90 +168,89 @@ func (g *integrator) propagate(x0 []float64, wantM, record bool, t0 float64) ([]
 		orbit.T = append(orbit.T, t0)
 		orbit.X = append(orbit.X, append([]float64(nil), x...))
 	}
-	// Evaluate C at the starting point for the first sensitivity step.
-	res := g.ev.EvalAt(x, device.EvalCtx{T: t0, Lambda: 1}, wantM)
-	qPrev := append([]float64(nil), res.Q...)
-	var cPrev *la.CSR
+	// Evaluate q (and C for the first sensitivity step) at the start.
+	res := g.ev.EvalAtInto(x, device.EvalCtx{T: t0, Lambda: 1}, wantM, &g.c, &g.g)
+	copy(g.qPrev, res.Q)
 	if wantM {
-		cPrev = res.C
+		copyCSR(&g.cPrev, res.C)
 	}
 	totalSteps := 0
 	for k := 1; k <= g.steps; k++ {
-		tNew := t0 + float64(k)*g.h
-		qp := qPrev
-		sys := solver.FuncSystem{N: n, F: func(xx []float64, jac bool) ([]float64, *la.CSR, error) {
-			r := g.ev.EvalAt(xx, device.EvalCtx{T: tNew, Lambda: 1}, jac)
-			out := make([]float64, n)
-			for i := range out {
-				out[i] = (r.Q[i]-qp[i])/g.h + r.F[i] + r.B[i]
-			}
-			var j *la.CSR
-			if jac {
-				j = combine(r.C, r.G, 1/g.h)
-			}
-			return out, j, nil
-		}}
-		if _, err := solver.Solve(g.ctx, sys, x, g.opt); err != nil {
-			return nil, nil, nil, totalSteps, fmt.Errorf("shooting: step %d (t=%.3e) failed: %w", k, tNew, err)
+		g.tNew = t0 + float64(k)*g.h
+		if _, err := g.ws.Solve(g.ctx, g, x, g.opt); err != nil {
+			return nil, nil, nil, totalSteps, fmt.Errorf("shooting: step %d (t=%.3e) failed: %w", k, g.tNew, err)
 		}
 		totalSteps++
 		// Post-solve evaluation for q, C, G at the accepted point.
-		r := g.ev.EvalAt(x, device.EvalCtx{T: tNew, Lambda: 1}, wantM)
-		qPrev = append(qPrev[:0], r.Q...)
+		r := g.ev.EvalAtInto(x, device.EvalCtx{T: g.tNew, Lambda: 1}, wantM, &g.c, &g.g)
+		copy(g.qPrev, r.Q)
 		if wantM {
-			// M ← (C/h + G)⁻¹ · (Cprev/h) · M.
-			a := combine(r.C, r.G, 1/g.h)
-			f, err := la.SparseLUFactor(a, 0.001)
-			if err != nil {
+			if err := g.sensitivityStep(m, r.C, r.G); err != nil {
 				return nil, nil, nil, totalSteps, fmt.Errorf("shooting: sensitivity factorisation failed at step %d: %w", k, err)
 			}
-			w := la.NewDense(n, n)
-			// w = (Cprev/h)·M  (sparse × dense, row by row).
-			for i := 0; i < n; i++ {
-				for p := cPrev.RowPtr[i]; p < cPrev.RowPtr[i+1]; p++ {
-					cij := cPrev.Val[p] / g.h
-					mrow := m.Row(cPrev.ColIdx[p])
-					wrow := w.Row(i)
-					for c := 0; c < n; c++ {
-						wrow[c] += cij * mrow[c]
-					}
-				}
-			}
-			// Solve column-wise into the new M.
-			col := make([]float64, n)
-			out := make([]float64, n)
-			for c := 0; c < n; c++ {
-				for i := 0; i < n; i++ {
-					col[i] = w.At(i, c)
-				}
-				f.Solve(col, out)
-				for i := 0; i < n; i++ {
-					m.Set(i, c, out[i])
-				}
-			}
-			cPrev = r.C
 		}
 		if record {
-			orbit.T = append(orbit.T, tNew)
+			orbit.T = append(orbit.T, g.tNew)
 			orbit.X = append(orbit.X, append([]float64(nil), x...))
 		}
 	}
 	return x, m, orbit, totalSteps, nil
 }
 
-func combine(c, g *la.CSR, cScale float64) *la.CSR {
-	tr := la.NewTriplet(g.Rows, g.Cols)
-	for i := 0; i < g.Rows; i++ {
-		for k := g.RowPtr[i]; k < g.RowPtr[i+1]; k++ {
-			tr.Append(i, g.ColIdx[k], g.Val[k])
+// sensitivityStep advances the monodromy M ← (C/h + G)⁻¹ · (Cprev/h) · M
+// with C and G evaluated at the accepted point, then keeps a copy of C as
+// the next step's Cprev.
+//
+//mpde:hotpath
+func (g *integrator) sensitivityStep(m *la.Dense, c, gm *la.CSR) error {
+	n := g.n
+	a := g.jac.Combine(c, gm, 1/g.h)
+	if g.sens == nil || !g.sens.SamePattern(a) || g.sens.Refactor(a) != nil {
+		f, err := la.SparseLUFactor(a, 0.001)
+		if err != nil { //mpde:coldpath a singular step matrix aborts the period
+			return err
+		}
+		g.sens = f
+	}
+	if g.w == nil { //mpde:alloc-ok per-run scratch, sized once
+		g.w = la.NewDense(n, n)
+		g.col = make([]float64, n)
+		g.out = make([]float64, n)
+	}
+	w := g.w
+	// w = (Cprev/h)·M  (sparse × dense, row by row).
+	cp := &g.cPrev
+	for i := 0; i < n; i++ {
+		wrow := w.Row(i)
+		la.Fill(wrow, 0)
+		for p := cp.RowPtr[i]; p < cp.RowPtr[i+1]; p++ {
+			cij := cp.Val[p] / g.h
+			mrow := m.Row(cp.ColIdx[p])
+			for j := 0; j < n; j++ {
+				wrow[j] += cij * mrow[j]
+			}
 		}
 	}
-	for i := 0; i < c.Rows; i++ {
-		for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
-			tr.Append(i, c.ColIdx[k], cScale*c.Val[k])
+	// Solve column-wise into the new M.
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ {
+			g.col[i] = w.At(i, j)
+		}
+		g.sens.Solve(g.col, g.out)
+		for i := 0; i < n; i++ {
+			m.Set(i, j, g.out[i])
 		}
 	}
-	return tr.Compress()
+	copyCSR(cp, c)
+	return nil
+}
+
+// copyCSR copies src into dst, reusing dst's storage.
+func copyCSR(dst, src *la.CSR) {
+	dst.Rows, dst.Cols = src.Rows, src.Cols
+	dst.RowPtr = append(dst.RowPtr[:0], src.RowPtr...)
+	dst.ColIdx = append(dst.ColIdx[:0], src.ColIdx...)
+	dst.Val = append(dst.Val[:0], src.Val...)
 }
 
 // PSS computes the periodic steady state. Cancelling ctx aborts the
@@ -256,8 +299,7 @@ func PSS(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 		copy(x0, xdc)
 	}
 
-	g := &integrator{ctx: ctx, ckt: ckt, ev: ckt.NewEval(), n: n,
-		h: opt.Period / float64(opt.Steps), steps: opt.Steps, opt: opt.Newton}
+	g := newIntegrator(ctx, ckt, opt.Period/float64(opt.Steps), opt.Steps, opt.Newton)
 
 	res := &Result{}
 	for it := 0; it < opt.MaxIter; it++ {
@@ -288,8 +330,9 @@ func PSS(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 		}
 		var dx []float64
 		if opt.MatrixFree {
-			dx, err = matrixFreeUpdate(g, x0, xT, r, opt)
-			res.TotalTimeSteps += opt.Steps * 12 // approximate matvec cost bookkeeping
+			var fdSteps int
+			dx, fdSteps, err = matrixFreeUpdate(g, x0, xT, r)
+			res.TotalTimeSteps += fdSteps
 		} else {
 			// Solve (M − I)·dx = −r with dense LU.
 			a := m.Clone()
@@ -312,8 +355,11 @@ func PSS(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 }
 
 // matrixFreeUpdate solves (M − I)·dx = −r by GMRES with finite-difference
-// monodromy application: M·v ≈ (Φ(x0+εv) − Φ(x0))/ε.
-func matrixFreeUpdate(g *integrator, x0, phi, r []float64, opt Options) ([]float64, error) {
+// monodromy application: M·v ≈ (Φ(x0+εv) − Φ(x0))/ε. It also returns the
+// BE steps its re-integrations took. A failed re-integration fails the
+// update: GMRES on the fabricated operator would otherwise return garbage
+// without an error.
+func matrixFreeUpdate(g *integrator, x0, phi, r []float64) ([]float64, int, error) {
 	n := g.n
 	op := &fdOperator{g: g, x0: x0, phi: phi}
 	rhs := make([]float64, n)
@@ -322,16 +368,23 @@ func matrixFreeUpdate(g *integrator, x0, phi, r []float64, opt Options) ([]float
 	}
 	dx := make([]float64, n)
 	_, err := la.GMRES(op, rhs, dx, la.GMRESOptions{Tol: 1e-8, Restart: min(n, 40), MaxIter: 4 * n})
-	if err != nil {
-		return nil, err
+	if op.err != nil {
+		return nil, op.steps, fmt.Errorf("shooting: finite-difference re-integration failed: %w", op.err)
 	}
-	return dx, nil
+	if err != nil {
+		return nil, op.steps, err
+	}
+	return dx, op.steps, nil
 }
 
 type fdOperator struct {
 	g   *integrator
 	x0  []float64
 	phi []float64
+	// steps totals the BE steps of every re-integration; err holds the
+	// first failed one, after which Apply stops integrating.
+	steps int
+	err   error
 }
 
 func (o *fdOperator) Size() int { return o.g.n }
@@ -339,7 +392,7 @@ func (o *fdOperator) Size() int { return o.g.n }
 func (o *fdOperator) Apply(v, out []float64) {
 	n := o.g.n
 	nv := la.Norm2(v)
-	if nv == 0 {
+	if nv == 0 || o.err != nil {
 		la.Fill(out, 0)
 		return
 	}
@@ -348,10 +401,10 @@ func (o *fdOperator) Apply(v, out []float64) {
 	for i := range xp {
 		xp[i] = o.x0[i] + eps*v[i]
 	}
-	phiP, _, _, _, err := o.g.propagate(xp, false, false, 0)
+	phiP, _, _, steps, err := o.g.propagate(xp, false, false, 0)
+	o.steps += steps
 	if err != nil {
-		// Signal failure through a zero application; GMRES will stagnate
-		// and the caller surfaces the non-convergence.
+		o.err = err
 		la.Fill(out, 0)
 		return
 	}

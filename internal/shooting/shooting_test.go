@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/solver"
 	"repro/internal/transient"
 )
 
@@ -259,5 +260,55 @@ func TestPSSHonorsCanceledContext(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+}
+
+// TestPSSMatrixFreeCountsReintegrationSteps: matrix-free shooting's
+// TotalTimeSteps counts the BE steps its finite-difference re-integrations
+// take — whole periods, one per GMRES operator application, at most n+1 per
+// update on this n-unknown linear circuit — besides the shooting periods
+// and the recorded orbit.
+func TestPSSMatrixFreeCountsReintegrationSteps(t *testing.T) {
+	f := 1e3
+	ckt, _, _ := rcDriven(f)
+	const steps = 64
+	res, err := PSS(context.Background(), ckt, Options{Period: 1 / f, Steps: steps, MatrixFree: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	updates := res.Iterations - 1
+	if updates < 1 {
+		t.Fatalf("converged without an update (%d iterations); the test needs one", res.Iterations)
+	}
+	if res.TotalTimeSteps%steps != 0 {
+		t.Fatalf("TotalTimeSteps = %d is not a whole number of %d-step periods", res.TotalTimeSteps, steps)
+	}
+	fd := res.TotalTimeSteps/steps - (res.Iterations + 1)
+	if n := ckt.Size(); fd < updates || fd > (n+1)*updates {
+		t.Fatalf("%d re-integrated periods over %d updates (TotalTimeSteps %d), want %d..%d",
+			fd, updates, res.TotalTimeSteps, updates, (n+1)*updates)
+	}
+}
+
+// TestMatrixFreeUpdateSurfacesInterrupt: a failed re-integration must fail
+// the update instead of feeding GMRES a zeroed operator, which took its
+// breakdown exit with a fabricated update and no error.
+func TestMatrixFreeUpdateSurfacesInterrupt(t *testing.T) {
+	f := 1e3
+	ckt, _, _ := rcDriven(f)
+	ckt.Finalize()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opt := solver.NewOptions()
+	g := newIntegrator(ctx, ckt, 1/f/64, 64, opt)
+	n := ckt.Size()
+	x0, phi, r := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range r {
+		phi[i] = 0.1 * float64(i+1)
+		r[i] = phi[i] - x0[i]
+	}
+	dx, _, err := matrixFreeUpdate(g, x0, phi, r)
+	if !solver.Interrupted(err) {
+		t.Fatalf("matrixFreeUpdate on a canceled context: dx = %v, err = %v; want an interrupt error", dx, err)
 	}
 }

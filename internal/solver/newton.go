@@ -345,7 +345,27 @@ type countingOp struct {
 func (c countingOp) Apply(x, y []float64) { *c.n++; c.op.Apply(x, y) }
 func (c countingOp) Size() int            { return c.op.Size() }
 
-// Solve runs damped Newton from x (updated in place to the solution).
+// Workspace carries the Newton loop's LU factorisation across consecutive
+// solves. A time march solves one same-pattern system per step; solving
+// every step through one Workspace starts each step with a numeric-only
+// Refactor in the previous step's pivot order instead of a full symbolic
+// factorisation, and falls back to a fresh pivoted factorisation when that
+// order turns unstable or the pattern changes. The zero value is ready to
+// use; a Workspace must not serve two solves at once. It also keeps the
+// loop's vectors, so a march allocates them once.
+type Workspace struct {
+	direct directFactor
+	vec    []float64 // the loop's five n-vectors: dx, xTrial, neg, r, rNew
+}
+
+// Solve runs damped Newton from x (updated in place to the solution); it is
+// a one-shot Workspace's Solve.
+func Solve(ctx context.Context, sys System, x []float64, opt Options) (Stats, error) {
+	return new(Workspace).Solve(ctx, sys, x, opt)
+}
+
+// Solve runs damped Newton from x (updated in place to the solution),
+// starting from the factorisation the previous solve through w left behind.
 // Cancelling ctx aborts the iteration cooperatively: the cancellation is
 // polled before every iteration (including the first, so an already-canceled
 // context returns before any assembly or factorisation work) and the
@@ -355,12 +375,12 @@ func (c countingOp) Size() int            { return c.op.Size() }
 // span and records a per-iteration convergence trace into Stats.Trace (also
 // attached to the span as its data payload); without one the instrumentation
 // is a single context lookup — no allocation, no timestamps.
-func Solve(ctx context.Context, sys System, x []float64, opt Options) (Stats, error) {
+func (w *Workspace) Solve(ctx context.Context, sys System, x []float64, opt Options) (Stats, error) {
 	ctx, span := obs.Start(ctx, "newton.solve")
 	if span == nil {
-		return solve(ctx, sys, x, opt, false)
+		return w.solve(ctx, sys, x, opt, false)
 	}
-	st, err := solve(ctx, sys, x, opt, true)
+	st, err := w.solve(ctx, sys, x, opt, true)
 	span.SetInt("unknowns", int64(sys.Size()))
 	span.SetStr("linear", opt.Linear.String())
 	span.SetInt("iterations", int64(st.Iterations))
@@ -383,7 +403,7 @@ func Solve(ctx context.Context, sys System, x []float64, opt Options) (Stats, er
 // records on (the caller owns the enclosing span).
 //
 //mpde:hotpath
-func solve(ctx context.Context, sys System, x []float64, opt Options, trace bool) (Stats, error) {
+func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Options, trace bool) (Stats, error) {
 	opt.Fill()
 	if opt.Linear != DirectSparse && opt.Linear != MatrixFree { //mpde:coldpath an unknown kind rejects the solve up front
 		return Stats{}, fmt.Errorf("solver: unknown linear solver kind %d", opt.Linear)
@@ -402,11 +422,11 @@ func solve(ctx context.Context, sys System, x []float64, opt Options, trace bool
 	interrupt := interruptShim(ctx)
 	var st Stats
 	var gmres la.GMRESSolver
-	dx := make([]float64, n)     //mpde:alloc-ok per-solve setup, before the loop
-	xTrial := make([]float64, n) //mpde:alloc-ok per-solve setup, before the loop
-	neg := make([]float64, n)    //mpde:alloc-ok per-solve setup, before the loop
-	r := make([]float64, n)      //mpde:alloc-ok per-solve setup, before the loop
-	rNew := make([]float64, n)   //mpde:alloc-ok per-solve setup, before the loop
+	if len(w.vec) != 5*n {
+		w.vec = make([]float64, 5*n) //mpde:alloc-ok sized once per workspace, before the loop
+	}
+	dx, xTrial, neg := w.vec[:n], w.vec[n:2*n], w.vec[2*n:3*n]
+	r, rNew := w.vec[3*n:4*n], w.vec[4*n:]
 
 	//mpde:alloc-ok one closure per solve, shared by every iteration
 	evalInto := func(xx, dst []float64, jac bool) (*la.CSR, error) {
@@ -432,7 +452,7 @@ func solve(ctx context.Context, sys System, x []float64, opt Options, trace bool
 	// which the envelope march pays once per slow timestep.
 	rNorm, residCap := math.NaN(), 0.0
 
-	var direct directFactor
+	direct := &w.direct
 	var op la.Operator  // matrix-free Jacobian operator at the refresh point
 	var cop la.Operator // op wrapped with the OperatorApplies counter; boxed
 	// once per Jacobian refresh rather than re-boxed every iteration

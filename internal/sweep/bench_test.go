@@ -52,7 +52,7 @@ func BenchmarkSweepWorkersNumCPU(b *testing.B) { benchSweep(b, runtime.NumCPU())
 // instead of serializing QPSS assembly. Compare against GOMAXPROCS=1 to see
 // the headroom; on an 8-core host the 40×30 balanced-mixer job drops from
 // ~serial assembly time to the internal/core parallel-assembly numbers
-// (see BENCH_qpss.json).
+// (BenchmarkQPSSSolve).
 func BenchmarkSingleJobSpecAssembly(b *testing.B) {
 	spec := sweep.Spec{
 		Name:    "single-job",

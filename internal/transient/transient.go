@@ -167,26 +167,27 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 	}
 	record(opt.TStart, x)
 
-	// History for multi-step formulas: charge vectors and derivative.
-	qOf := func(xx []float64, t float64) ([]float64, []float64, []float64) {
-		r := ev.EvalAt(xx, device.EvalCtx{T: t, Lambda: 1}, false)
-		q := append([]float64(nil), r.Q...)
-		f := append([]float64(nil), r.F...)
-		b := append([]float64(nil), r.B...)
-		return q, f, b
+	// Per-run step system: device Jacobian storage, the combined step
+	// Jacobian, the residual and the charge history all live for the whole
+	// march, and one Newton workspace carries the LU from step to step.
+	sys := &stepSystem{ev: ev,
+		qPrev: make([]float64, n), qPrev2: make([]float64, n), qdotPrev: make([]float64, n),
+		resid: make([]float64, n)}
+	var ws solver.Workspace
+	// History for multi-step formulas: charge vectors and derivative
+	// dq/dt ≈ −(f+b) at the previous point.
+	r0 := ev.EvalAt(x, device.EvalCtx{T: opt.TStart, Lambda: 1}, false)
+	copy(sys.qPrev, r0.Q)
+	for i := range sys.qdotPrev {
+		sys.qdotPrev[i] = -(r0.F[i] + r0.B[i])
 	}
-	qPrev, fPrev, bPrev := qOf(x, opt.TStart)
-	qdotPrev := make([]float64, n) // dq/dt at previous point ≈ −(f+b)
-	for i := range qdotPrev {
-		qdotPrev[i] = -(fPrev[i] + bPrev[i])
-	}
-	var qPrev2 []float64
-	hPrev := 0.0
+	qNew := make([]float64, n)
 
 	t := opt.TStart
 	h := opt.Step
 	xPrev := append([]float64(nil), x...)
-	var xPrev2 []float64
+	xNew := make([]float64, n)
+	pred := make([]float64, n)
 
 	for t < opt.TStop-1e-15*(opt.TStop-opt.TStart) {
 		if len(res.T) > opt.MaxPoints {
@@ -199,49 +200,16 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 		tNew := t + hTaken
 
 		method := opt.Method
-		if method == GEAR2 && qPrev2 == nil {
+		if method == GEAR2 && res.Steps == 0 {
 			method = BE // bootstrap the two-step formula
 		}
 		if method == TRAP && res.Steps == 0 {
 			method = BE // damp the initial-derivative transient
 		}
+		sys.method, sys.t, sys.h = method, tNew, h
 
-		// Residual closure for this step.
-		hh := h
-		sys := solver.FuncSystem{N: n, F: func(xx []float64, jac bool) ([]float64, *la.CSR, error) {
-			r := ev.EvalAt(xx, device.EvalCtx{T: tNew, Lambda: 1}, jac)
-			out := make([]float64, n)
-			var cScale float64
-			switch method {
-			case TRAP:
-				cScale = 2 / hh
-				for i := range out {
-					out[i] = 2*(r.Q[i]-qPrev[i])/hh - qdotPrev[i] + r.F[i] + r.B[i]
-				}
-			case GEAR2:
-				hn, hm := hh, hPrev
-				a0 := (2*hn + hm) / (hn * (hn + hm))
-				a1 := -(hn + hm) / (hn * hm)
-				a2 := hn / (hm * (hn + hm))
-				cScale = a0
-				for i := range out {
-					out[i] = a0*r.Q[i] + a1*qPrev[i] + a2*qPrev2[i] + r.F[i] + r.B[i]
-				}
-			default: // BE
-				cScale = 1 / hh
-				for i := range out {
-					out[i] = (r.Q[i]-qPrev[i])/hh + r.F[i] + r.B[i]
-				}
-			}
-			var j *la.CSR
-			if jac {
-				j = combineJac(r.C, r.G, cScale)
-			}
-			return out, j, nil
-		}}
-
-		xNew := append([]float64(nil), x...)
-		st, err := solver.Solve(ctx, sys, xNew, opt.Newton)
+		copy(xNew, x)
+		st, err := ws.Solve(ctx, sys, xNew, opt.Newton)
 		res.NewtonIters += st.Iterations
 		if err != nil {
 			if solver.Interrupted(err) {
@@ -255,12 +223,11 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 			continue
 		}
 
-		if !opt.FixedStep && xPrev2 != nil {
+		if !opt.FixedStep && res.Steps > 0 {
 			// LTE estimate: compare the corrector against a linear
 			// extrapolation through the last two accepted points; the ratio
 			// is normalised so lte ≈ 1 means "error at the LTE target".
-			pred := make([]float64, n)
-			extrapolate(pred, xPrev2, xPrev, x, hPrev, hTaken)
+			extrapolate(pred, xPrev, x, sys.hPrev, hTaken)
 			lte := 0.0
 			for i := range pred {
 				e := math.Abs(xNew[i] - pred[i])
@@ -286,23 +253,22 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 		}
 
 		// Accept.
-		qNew, fNew, bNew := qOf(xNew, tNew)
+		rNew := ev.EvalAt(xNew, device.EvalCtx{T: tNew, Lambda: 1}, false)
+		copy(qNew, rNew.Q)
 		switch method {
 		case TRAP:
-			for i := range qdotPrev {
-				qdotPrev[i] = 2*(qNew[i]-qPrev[i])/hTaken - qdotPrev[i]
+			for i := range sys.qdotPrev {
+				sys.qdotPrev[i] = 2*(qNew[i]-sys.qPrev[i])/hTaken - sys.qdotPrev[i]
 			}
 		default:
-			for i := range qdotPrev {
-				qdotPrev[i] = -(fNew[i] + bNew[i])
+			for i := range sys.qdotPrev {
+				sys.qdotPrev[i] = -(rNew.F[i] + rNew.B[i])
 			}
 		}
-		qPrev2 = qPrev
-		qPrev = qNew
-		xPrev2 = xPrev
-		xPrev = append([]float64(nil), x...)
+		sys.qPrev2, sys.qPrev, qNew = sys.qPrev, qNew, sys.qPrev2
+		copy(xPrev, x)
 		copy(x, xNew)
-		hPrev = hTaken
+		sys.hPrev = hTaken
 		t = tNew
 		res.Steps++
 		record(t, x)
@@ -310,27 +276,65 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 	return res, nil
 }
 
-// combineJac forms J = cScale·C + G as a fresh CSR.
-func combineJac(c, g *la.CSR, cScale float64) *la.CSR {
-	tr := la.NewTriplet(g.Rows, g.Cols)
-	for i := 0; i < g.Rows; i++ {
-		for k := g.RowPtr[i]; k < g.RowPtr[i+1]; k++ {
-			tr.Append(i, g.ColIdx[k], g.Val[k])
-		}
-	}
-	for i := 0; i < c.Rows; i++ {
-		for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
-			tr.Append(i, c.ColIdx[k], cScale*c.Val[k])
-		}
-	}
-	return tr.Compress()
+// stepSystem is the solver.System of one implicit integration step at time
+// t with step h: the method's discretised charge derivative plus f(x) + b(t),
+// with Jacobian cScale·C + G. Run updates its fields between steps.
+type stepSystem struct {
+	ev     *circuit.Eval
+	method Method
+	t      float64
+	// h is this step, hPrev the last accepted one (GEAR2's second point).
+	h, hPrev float64
+	// Charge at the last two accepted points and dq/dt at the last one.
+	qPrev, qPrev2, qdotPrev []float64
+
+	c, g  la.CSR
+	jac   la.Combiner
+	resid []float64
 }
 
-// extrapolate writes the quadratic extrapolation through (t−hp−h, x2),
-// (t−h, x1), (t, x0) evaluated one step h ahead... in practice a linear
-// extrapolation through the last two points is robust and that is what we
-// use; the third point damps noise via averaging of slopes.
-func extrapolate(dst, x2, x1, x0 []float64, hp, h float64) {
+func (s *stepSystem) Size() int { return len(s.resid) }
+
+// Eval returns the step residual and, when jac is set, J = cScale·C + G;
+// both live in the system's per-run storage.
+//
+//mpde:hotpath
+func (s *stepSystem) Eval(x []float64, jac bool) ([]float64, *la.CSR, error) {
+	r := s.ev.EvalAtInto(x, device.EvalCtx{T: s.t, Lambda: 1}, jac, &s.c, &s.g)
+	out, hh := s.resid, s.h
+	qPrev := s.qPrev
+	var cScale float64
+	switch s.method {
+	case TRAP:
+		cScale = 2 / hh
+		for i := range out {
+			out[i] = 2*(r.Q[i]-qPrev[i])/hh - s.qdotPrev[i] + r.F[i] + r.B[i]
+		}
+	case GEAR2:
+		hn, hm := hh, s.hPrev
+		a0 := (2*hn + hm) / (hn * (hn + hm))
+		a1 := -(hn + hm) / (hn * hm)
+		a2 := hn / (hm * (hn + hm))
+		cScale = a0
+		for i := range out {
+			out[i] = a0*r.Q[i] + a1*qPrev[i] + a2*s.qPrev2[i] + r.F[i] + r.B[i]
+		}
+	default: // BE
+		cScale = 1 / hh
+		for i := range out {
+			out[i] = (r.Q[i]-qPrev[i])/hh + r.F[i] + r.B[i]
+		}
+	}
+	if !jac {
+		return out, nil, nil
+	}
+	return out, s.jac.Combine(r.C, r.G, cScale), nil
+}
+
+// extrapolate writes the linear extrapolation through (t−hp, x1) and
+// (t, x0), evaluated one step h ahead, into dst; hp ≤ 0 (no earlier point)
+// holds x0.
+func extrapolate(dst, x1, x0 []float64, hp, h float64) {
 	if hp <= 0 {
 		for i := range dst {
 			dst[i] = x0[i]
@@ -341,5 +345,4 @@ func extrapolate(dst, x2, x1, x0 []float64, hp, h float64) {
 		slope := (x0[i] - x1[i]) / hp
 		dst[i] = x0[i] + slope*h
 	}
-	_ = x2
 }
