@@ -159,6 +159,20 @@ func TestQPSSPatternAndFactorizationReuse(t *testing.T) {
 	}
 }
 
+// TestQPSSFillFactorOrdered pins the fill of the ordered sparse LU on the
+// 40×30 mixer torus Jacobian. The count is deterministic; the natural column
+// order gave 5.31 here.
+func TestQPSSFillFactorOrdered(t *testing.T) {
+	sh := Shear{F1: 1e6, F2: 0.875e6, K: 1}
+	sol, err := QPSS(context.Background(), nonlinearMixer(sh), Options{N1: 40, N2: 30, Shear: sh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fill := sol.Stats.FillFactor; fill <= 0 || fill > 2.5 {
+		t.Fatalf("FillFactor = %.3f, want in (0, 2.5]", fill)
+	}
+}
+
 // TestQPSSJacobianRefreshPolicy: the modified-Newton knob must still
 // converge to the same answer within tolerance while evaluating fewer
 // Jacobians than iterations.

@@ -76,6 +76,42 @@ func TestSparseLURefactorNoAllocs(t *testing.T) {
 	}
 }
 
+// TestBatchLUSolveNoAllocs: a slot solve through the shared, column-permuted
+// symbolic analysis runs in the owned scratch.
+func TestBatchLUSolveNoAllocs(t *testing.T) {
+	skipUnderRace(t)
+	spec := mnaSpec{nodes: 150, sources: 10, links: 250, vccs: 30}
+	ms := []*CSR{mnaMatrix(spec, 43, 1), mnaMatrix(spec, 43, 2)}
+	b, err := NewBatchLU(ms[0], 0.001, len(ms))
+	if err != nil {
+		t.Fatal(err)
+	}
+	permuted := false
+	for k, c := range b.sym.q {
+		permuted = permuted || k != c
+	}
+	if !permuted {
+		t.Fatal("the ordering left the columns in natural order; the test wants a permuted solve")
+	}
+	for _, m := range ms {
+		if _, err := b.Add(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b.Fallbacks != 0 {
+		t.Fatalf("%d slots fell back to a private factorisation", b.Fallbacks)
+	}
+	n := b.N()
+	rhs, x := make([]float64, n), make([]float64, n)
+	for i := range rhs {
+		rhs[i] = math.Cos(float64(i))
+	}
+	b.Solve(1, rhs, x) // warm-up sizes the shared scratch
+	if allocs := testing.AllocsPerRun(100, func() { b.Solve(1, rhs, x) }); allocs != 0 {
+		t.Fatalf("BatchLU.Solve allocates %v/op, want 0", allocs)
+	}
+}
+
 func TestGMRESSolverSteadyStateNoAllocs(t *testing.T) {
 	skipUnderRace(t)
 	const n = 120

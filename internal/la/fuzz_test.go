@@ -1,0 +1,137 @@
+package la
+
+import (
+	"errors"
+	"math"
+	"testing"
+)
+
+// decodeSparse turns fuzz bytes into a small square matrix and a pivot
+// tolerance: byte 0 picks n ≤ 24, byte 1 the tolerance, and every further
+// 4-byte group one entry (row, column, mantissa, binary exponent). Repeated
+// positions are summed, and zero values stay in the pattern.
+func decodeSparse(data []byte) (*CSR, float64) {
+	if len(data) < 2 {
+		return nil, 0
+	}
+	n := int(data[0]) % 25
+	tol := [...]float64{0.001, 0.1, 1}[int(data[1])%3]
+	tr := NewTriplet(n, n)
+	if n == 0 {
+		return tr.Compress(), tol
+	}
+	for g := data[2:]; len(g) >= 4 && len(tr.V) < 256; g = g[4:] {
+		v := math.Ldexp(float64(int8(g[2])), int(g[3]%33)-16)
+		tr.Append(int(g[0])%n, int(g[1])%n, v)
+	}
+	return tr.Compress(), tol
+}
+
+// luGrowth is ‖|L||U|‖∞ / ‖A‖∞, the growth that scales LU's backward error
+// bound |ΔA| ≤ γ₃ₙ|L||U| (at least 1).
+func luGrowth(f *SparseLU, normA float64) float64 {
+	u := make([]float64, f.n) // row sums of |U|
+	for p, r := range f.ui {
+		u[r] += math.Abs(f.ux[p])
+	}
+	w := make([]float64, f.n) // |L|·u
+	for j := 0; j < f.n; j++ {
+		for p := f.lp[j]; p < f.lp[j+1]; p++ {
+			w[f.li[p]] += math.Abs(f.lx[p]) * u[j]
+		}
+	}
+	g := 0.0
+	for _, v := range w {
+		g = math.Max(g, v)
+	}
+	if normA == 0 {
+		return 1
+	}
+	return math.Max(1, g/normA)
+}
+
+func allFinite(x []float64) bool {
+	for _, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzSparseLU drives the ordered sparse LU with arbitrary small matrices. It
+// must never panic, and a failed factorisation must say the matrix is
+// singular. On success the solve must be backward stable — its residual
+// within a few n·ε of ‖A‖‖x‖+‖b‖, scaled by the factorisation's own growth —
+// and a Refactor on the same values must reproduce the solution bit for bit.
+// A numerically singular matrix that slips past the exact-zero pivot test may
+// give a non-finite solution; only finite solutions are checked.
+func FuzzSparseLU(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0})
+	f.Add([]byte{1, 0, 0, 0, 3, 16})
+	// 2×2 with a zero diagonal: [[0 1] [1 0]].
+	f.Add([]byte{2, 0, 0, 1, 1, 16, 1, 0, 1, 16})
+	// 3×3 diagonally dominant tridiagonal, one entry given twice.
+	f.Add([]byte{3, 1, 0, 0, 4, 16, 1, 1, 4, 16, 2, 2, 4, 16, 0, 1, 255, 16, 1, 0, 255, 16, 1, 2, 255, 16, 2, 1, 255, 16, 2, 2, 1, 16})
+	// Structurally singular: an empty column.
+	f.Add([]byte{3, 2, 0, 0, 1, 16, 1, 0, 1, 16, 2, 2, 1, 16})
+	// Numerically singular: rank one.
+	f.Add([]byte{2, 2, 0, 0, 1, 16, 0, 1, 2, 16, 1, 0, 2, 16, 1, 1, 4, 16})
+	// Wide value range with a small diagonal the threshold pivot may keep.
+	f.Add([]byte{4, 0, 0, 0, 1, 0, 0, 3, 100, 32, 1, 1, 7, 20, 3, 0, 50, 30, 2, 2, 9, 10, 3, 3, 1, 16, 1, 2, 3, 16, 2, 1, 5, 16})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, tol := decodeSparse(data)
+		if a == nil {
+			return
+		}
+		n := a.Rows
+		lu, err := SparseLUFactor(a, tol)
+		if err != nil {
+			if !errors.Is(err, ErrSingular) {
+				t.Fatalf("factor failed without ErrSingular: %v", err)
+			}
+			return
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = float64(i%5) - 1.5
+		}
+		x := make([]float64, n)
+		lu.Solve(b, x)
+		if !allFinite(x) {
+			return
+		}
+		r := make([]float64, n)
+		a.MulVec(x, r)
+		normA, normX, normB, normR := 0.0, NormInf(x), NormInf(b), 0.0
+		for i := 0; i < n; i++ {
+			row := 0.0
+			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+				row += math.Abs(a.Val[k])
+			}
+			normA = math.Max(normA, row)
+			normR = math.Max(normR, math.Abs(r[i]-b[i]))
+		}
+		eps := math.Nextafter(1, 2) - 1
+		bound := 8 * float64(3*n+1) * eps * (luGrowth(lu, normA)*normA*normX + normB)
+		if normR > bound {
+			t.Fatalf("n=%d tol=%g: residual %.3e exceeds backward-error bound %.3e", n, tol, normR, bound)
+		}
+
+		if err := lu.Refactor(a); err != nil {
+			if !errors.Is(err, ErrSingular) {
+				t.Fatalf("same-value refactor failed without ErrSingular: %v", err)
+			}
+			return
+		}
+		x2 := make([]float64, n)
+		lu.Solve(b, x2)
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(x2[i]) {
+				t.Fatalf("same-value refactor: x[%d] = %v, factor gave %v", i, x2[i], x[i])
+			}
+		}
+	})
+}

@@ -3,16 +3,21 @@ package la
 import (
 	"fmt"
 	"math"
-	"sort"
-	"time"
+	"slices"
 )
 
-// SparseLU is a left-looking sparse LU factorisation with partial pivoting
-// (Gilbert–Peierls, in the style of CSparse's cs_lu): P·A = L·U, with L unit
-// lower triangular. Both factors are stored column-wise.
+// SparseLU is a left-looking sparse LU factorisation with threshold partial
+// pivoting (Gilbert–Peierls, in the style of CSparse's cs_lu): P·A·Q = L·U,
+// with L unit lower triangular. Both factors are stored column-wise.
 //
-// A factorisation remembers its symbolic analysis — the elimination pattern,
-// the pivot order, and the column view of A — so a matrix with the same
+// The column order Q is an approximate-minimum-degree ordering of the
+// pattern of A+Aᵀ (amdOrder), computed once per symbolic analysis; the row
+// order P comes from the threshold pivot, which prefers the permuted
+// diagonal. On the MPDE torus Jacobians this keeps the fill a fraction of
+// what the natural column order gives.
+//
+// A factorisation remembers its symbolic analysis — the orderings, the
+// elimination pattern and the column view of A — so a matrix with the same
 // sparsity pattern but new values can be re-decomposed by Refactor at the
 // cost of the numeric phase alone. This is the hot-path configuration of the
 // MPDE Newton iteration, whose Jacobian pattern is fixed across iterations.
@@ -23,41 +28,39 @@ type SparseLU struct {
 	up, ui     []int
 	ux         []float64
 	pinv       []int // original row i is pivotal for column pinv[i]
+	q          []int // column k of the factorisation is column q[k] of A
 	FillFactor float64
-	// FactorWall is the wall-clock time of the full (symbolic+numeric)
-	// factorisation; RefactorWall accumulates the numeric-only Refactor
-	// times against this analysis. Observability only — excluded from every
-	// byte-stable export.
-	FactorWall   time.Duration
-	RefactorWall time.Duration
 
 	// Symbolic-reuse state: a snapshot of the pattern the factorisation was
 	// computed from (copies, not references — the caller may rebuild its
 	// matrix in place, so aliasing the original slices would make the
-	// pattern check vacuous) and the CSC view of A with a gather map into
-	// the CSR value array.
+	// pattern check vacuous) and the CSC view of A, in q order, with a
+	// gather map into the CSR value array.
 	aRowPtr, aColIdx []int
 	atp, ati, atMap  []int
-	work             []float64 // refactor scratch
+	work             []float64 // refactor scratch, zero between columns
 	swork            []float64 // solve scratch
 }
 
-// transposed column view of a with a gather map back into a.Val.
-func cscView(a *CSR) (atp, ati, atMap []int, atv []float64) {
+// cscView returns the column view of a in the column order q — view column k
+// is column q[k] of a, rows ascending — with a gather map back into a.Val.
+func cscView(a *CSR, q []int) (atp, ati, atMap []int, atv []float64) {
 	n := a.Cols
 	nnz := a.NNZ()
-	atp = make([]int, n+1)
+	next := make([]int, n) // entries per column of a, then the next free slot
 	for _, j := range a.ColIdx {
-		atp[j+1]++
+		next[j]++
 	}
-	for j := 0; j < n; j++ {
-		atp[j+1] += atp[j]
+	atp = make([]int, n+1)
+	for k, j := range q {
+		atp[k+1] = atp[k] + next[j]
+	}
+	for k, j := range q {
+		next[j] = atp[k]
 	}
 	ati = make([]int, nnz)
 	atMap = make([]int, nnz)
 	atv = make([]float64, nnz)
-	next := make([]int, n)
-	copy(next, atp[:n])
 	for i := 0; i < a.Rows; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			j := a.ColIdx[k]
@@ -71,12 +74,13 @@ func cscView(a *CSR) (atp, ati, atMap []int, atv []float64) {
 	return atp, ati, atMap, atv
 }
 
-// SparseLUFactor computes P·A = L·U with threshold partial pivoting. tol in
-// (0,1] controls diagonal preference: the diagonal entry is kept as pivot when
-// |a_kk| ≥ tol·max|column|; tol=1 is classic partial pivoting, tol≈0.001 keeps
-// fill low on diagonally dominant MNA systems. A must be square.
+// SparseLUFactor computes P·A·Q = L·U, with Q a fill-reducing column order
+// and P from threshold partial pivoting. tol in (0,1] controls diagonal
+// preference: the permuted diagonal entry a(q[k],q[k]) is kept as pivot
+// when its magnitude is at least tol·max|column|; tol=1 is classic partial
+// pivoting, tol≈0.001 keeps fill low on diagonally dominant MNA systems.
+// A must be square.
 func SparseLUFactor(a *CSR, tol float64) (*SparseLU, error) {
-	t0 := time.Now()
 	if a.Rows != a.Cols {
 		return nil, ErrShape
 	}
@@ -84,53 +88,62 @@ func SparseLUFactor(a *CSR, tol float64) (*SparseLU, error) {
 		tol = 1
 	}
 	n := a.Rows
-	// Column access: the CSC view of A (row j of Aᵀ is column j of A).
-	atp, ati, atMap, atv := cscView(a)
+	q := amdOrder(a)
+	atp, ati, atMap, atv := cscView(a, q)
 
-	f := &SparseLU{n: n,
-		aRowPtr: append([]int(nil), a.RowPtr...),
-		aColIdx: append([]int(nil), a.ColIdx...),
-		atp:     atp, ati: ati, atMap: atMap}
-	f.lp = make([]int, n+1)
-	f.up = make([]int, n+1)
-	f.pinv = make([]int, n)
-	for i := range f.pinv {
-		f.pinv[i] = -1
+	lp := make([]int, n+1)
+	up := make([]int, n+1)
+	pinv := make([]int, n)
+	for i := range pinv {
+		pinv[i] = -1
 	}
-	x := make([]float64, n)
+	// A first guess at the factors' size; append grows past it.
+	est := 2*len(ati) + n
+	li, lx := make([]int, 0, est), make([]float64, 0, est)
+	ui, ux := make([]int, 0, est), make([]float64, 0, est)
+	x := make([]float64, n)  // dense column, zero outside the current pattern
 	xi := make([]int, n)     // topological pattern of the sparse solve
 	stack := make([]int, n)  // DFS stack of nodes
 	pstack := make([]int, n) // DFS stack of child positions
-	mark := make([]int, n)   // visitation stamps
-	stamp := 0
+	mark := make([]int, n)   // visitation stamps: column k stamps k+1
+	// lpend[j] ≥ 0 ends the part of L(:,j) the DFS still has to scan once
+	// the column has been symmetrically pruned (Eisenstat & Liu): rows of
+	// L(:,j) past it are reachable through a later column anyway.
+	lpend := make([]int, n)
+	for j := range lpend {
+		lpend[j] = -1
+	}
 
 	for k := 0; k < n; k++ {
-		// --- symbolic: pattern of x = L \ A(:,k) via DFS over L's columns ---
-		stamp++
+		// --- symbolic: pattern of x = L \ A(:,q[k]) via DFS over L's columns ---
+		stamp := k + 1
 		top := n
-		for p := atp[k]; p < atp[k+1]; p++ {
-			root := ati[p]
+		for _, root := range ati[atp[k]:atp[k+1]] {
 			if mark[root] == stamp {
 				continue
 			}
-			// Iterative DFS with explicit child-position stack.
+			// Iterative DFS with explicit child-position stack. L's row
+			// indices are still in original numbering here.
 			head := 0
 			stack[0] = root
 			for head >= 0 {
 				j := stack[head]
+				jn := pinv[j]
 				if mark[j] != stamp {
 					mark[j] = stamp
-					if jn := f.pinv[j]; jn >= 0 {
-						pstack[head] = f.lp[jn] + 1 // skip unit diagonal entry
-					} else {
-						pstack[head] = 0 // no children
+					pstack[head] = 0 // no children unless j is pivotal
+					if jn >= 0 {
+						pstack[head] = lp[jn] + 1 // skip unit diagonal entry
 					}
 				}
 				done := true
-				if jn := f.pinv[j]; jn >= 0 {
-					for pp := pstack[head]; pp < f.lp[jn+1]; pp++ {
-						child := f.li[pp]
-						if mark[child] != stamp {
+				if jn >= 0 {
+					end := lp[jn+1]
+					if lpend[jn] >= 0 {
+						end = lpend[jn]
+					}
+					for pp := pstack[head]; pp < end; pp++ {
+						if child := li[pp]; mark[child] != stamp {
 							pstack[head] = pp + 1
 							head++
 							stack[head] = child
@@ -146,94 +159,109 @@ func SparseLUFactor(a *CSR, tol float64) (*SparseLU, error) {
 				}
 			}
 		}
-		// --- numeric: scatter A(:,k) and run the sparse triangular solve ---
-		for p := top; p < n; p++ {
-			x[xi[p]] = 0
-		}
+		pattern := xi[top:]
+		// --- numeric: scatter A(:,q[k]) and run the sparse triangular solve ---
 		for p := atp[k]; p < atp[k+1]; p++ {
 			x[ati[p]] = atv[p]
 		}
-		for p := top; p < n; p++ {
-			j := xi[p]
-			jn := f.pinv[j]
+		for _, j := range pattern {
+			jn := pinv[j]
 			if jn < 0 {
 				continue
 			}
 			xj := x[j] // L has unit diagonal; no division
-			for pp := f.lp[jn] + 1; pp < f.lp[jn+1]; pp++ {
-				x[f.li[pp]] -= f.lx[pp] * xj
+			if xj == 0 {
+				continue
+			}
+			lo, hi := lp[jn]+1, lp[jn+1]
+			rows, vals := li[lo:hi], lx[lo:hi]
+			vals = vals[:len(rows)]
+			for t, r := range rows {
+				x[r] -= vals[t] * xj
 			}
 		}
 		// --- pivot selection among not-yet-pivotal rows ---
 		ipiv, amax := -1, 0.0
-		for p := top; p < n; p++ {
-			j := xi[p]
-			if f.pinv[j] < 0 {
-				if a := math.Abs(x[j]); a > amax {
-					ipiv, amax = j, a
+		for _, j := range pattern {
+			if pinv[j] < 0 {
+				if v := math.Abs(x[j]); v > amax {
+					ipiv, amax = j, v
 				}
 			}
 		}
 		if ipiv < 0 || amax == 0 {
-			return nil, fmt.Errorf("%w (column %d)", ErrSingular, k)
+			return nil, fmt.Errorf("%w (column %d)", ErrSingular, q[k])
 		}
-		// Prefer the diagonal when it is acceptably large (reduces fill).
-		if f.pinv[k] < 0 && math.Abs(x[k]) >= tol*amax {
-			ipiv = k
+		// Prefer the permuted diagonal when it is acceptably large (reduces
+		// fill). x is zero off the pattern, so a diagonal outside it loses.
+		if d := q[k]; pinv[d] < 0 && math.Abs(x[d]) >= tol*amax {
+			ipiv = d
 		}
 		pivot := x[ipiv]
-		f.pinv[ipiv] = k
-		// --- append column k of U (pivotal rows) and L (non-pivotal rows) ---
-		for p := top; p < n; p++ {
-			j := xi[p]
-			if jn := f.pinv[j]; jn >= 0 && j != ipiv {
-				f.ui = append(f.ui, jn)
-				f.ux = append(f.ux, x[j])
+		pinv[ipiv] = k
+		// --- append column k of U (pivotal rows) and L (non-pivotal rows),
+		// clearing x for the next column ---
+		li = append(li, ipiv) // unit diagonal of L, stored first
+		lx = append(lx, 1)
+		for _, j := range pattern {
+			switch jn := pinv[j]; {
+			case j == ipiv:
+			case jn >= 0:
+				ui = append(ui, jn)
+				ux = append(ux, x[j])
+			default:
+				li = append(li, j)
+				lx = append(lx, x[j]/pivot)
 			}
+			x[j] = 0
 		}
-		f.ui = append(f.ui, k) // diagonal of U, stored last in its column
-		f.ux = append(f.ux, pivot)
-		f.up[k+1] = len(f.ux)
-
-		f.li = append(f.li, ipiv) // unit diagonal of L, stored first
-		f.lx = append(f.lx, 1)
-		for p := top; p < n; p++ {
-			j := xi[p]
-			if f.pinv[j] < 0 {
-				f.li = append(f.li, j)
-				f.lx = append(f.lx, x[j]/pivot)
+		// U's off-diagonal entries stay in the order the solve above used
+		// them, which is topological: Refactor replays it as is.
+		ui = append(ui, k) // diagonal of U, stored last in its column
+		ux = append(ux, pivot)
+		up[k+1] = len(ux)
+		lp[k+1] = len(lx)
+		// --- symmetric pruning: a column j of L with u_jk ≠ 0 and
+		// l_(ipiv)j ≠ 0 only needs its already-pivotal rows in later DFS ---
+		for _, j := range ui[up[k] : up[k+1]-1] {
+			if lpend[j] >= 0 {
+				continue
 			}
+			lo, hi := lp[j]+1, lp[j+1]
+			rows := li[lo:hi]
+			if !slices.Contains(rows, ipiv) {
+				continue
+			}
+			vals := lx[lo:hi]
+			vals = vals[:len(rows)]
+			head, tail := 0, len(rows)
+			for head < tail {
+				if pinv[rows[head]] >= 0 {
+					head++
+					continue
+				}
+				tail--
+				rows[head], rows[tail] = rows[tail], rows[head]
+				vals[head], vals[tail] = vals[tail], vals[head]
+			}
+			lpend[j] = lo + tail
 		}
-		f.lp[k+1] = len(f.lx)
 	}
 	// Remap L's row indices from original numbering to pivotal numbering.
-	for p := range f.li {
-		f.li[p] = f.pinv[f.li[p]]
+	for p, r := range li {
+		li[p] = pinv[r]
 	}
-	// Sort each U column's off-diagonal entries by ascending pivotal row
-	// (keeping the diagonal last). Solve is order-independent within a
-	// column; Refactor relies on ascending order being topological.
-	for k := 0; k < n; k++ {
-		lo, hi := f.up[k], f.up[k+1]-1
-		sort.Sort(uSeg{f.ui[lo:hi], f.ux[lo:hi]})
-	}
+	f := &SparseLU{n: n,
+		lp: lp, li: li, lx: lx,
+		up: up, ui: ui, ux: ux,
+		pinv: pinv, q: q,
+		aRowPtr: append([]int(nil), a.RowPtr...),
+		aColIdx: append([]int(nil), a.ColIdx...),
+		atp:     atp, ati: ati, atMap: atMap}
 	if nnz := a.NNZ(); nnz > 0 {
-		f.FillFactor = float64(len(f.lx)+len(f.ux)) / float64(nnz)
+		f.FillFactor = float64(len(lx)+len(ux)) / float64(nnz)
 	}
-	f.FactorWall = time.Since(t0)
 	return f, nil
-}
-
-type uSeg struct {
-	row []int
-	val []float64
-}
-
-func (s uSeg) Len() int           { return len(s.row) }
-func (s uSeg) Less(i, j int) bool { return s.row[i] < s.row[j] }
-func (s uSeg) Swap(i, j int) {
-	s.row[i], s.row[j] = s.row[j], s.row[i]
-	s.val[i], s.val[j] = s.val[j], s.val[i]
 }
 
 // refactorGrowth bounds the element growth a pivot-order-preserving
@@ -265,19 +293,16 @@ func sameInts(a, b []int) bool {
 
 // Refactor recomputes the numeric factorisation for a matrix with the same
 // sparsity pattern as the one the factorisation was created from, reusing
-// the symbolic analysis and the pivot order. It costs one sparse triangular
-// sweep — no DFS, no pivot search, no allocation — which is the payoff for
-// Jacobians whose pattern is fixed across Newton iterations. It fails (and
-// leaves the factors unusable) when the pattern differs, a pivot vanishes,
-// or element growth exceeds a stability bound; callers then fall back to
-// SparseLUFactor.
+// the symbolic analysis and both orders. It costs one sparse triangular
+// sweep — no ordering, no DFS, no pivot search, no allocation — which is the
+// payoff for Jacobians whose pattern is fixed across Newton iterations. It
+// fails (and leaves the factors unusable) when the pattern differs, a pivot
+// vanishes, or element growth exceeds a stability bound; callers then fall
+// back to SparseLUFactor.
 //
 //mpde:hotpath
 func (f *SparseLU) Refactor(a *CSR) error {
-	t0 := time.Now()
-	err := f.refactorInto(a, f.lx, f.ux)
-	f.RefactorWall += time.Since(t0)
-	return err
+	return f.refactorInto(a, f.lx, f.ux)
 }
 
 // refactorInto runs the numeric-only refactorisation against the shared
@@ -295,45 +320,61 @@ func (f *SparseLU) refactorInto(a *CSR, lx, ux []float64) error {
 	if f.work == nil { //mpde:alloc-ok lazy scratch init, amortised over refactors
 		f.work = make([]float64, n)
 	}
-	x := f.work
+	// Local views of the symbolic analysis: the loops below read no fields
+	// and, with the lengths pinned, index the value arrays without bounds
+	// checks.
+	x := f.work[:n]
+	lp, li := f.lp[:n+1], f.li
+	up, ui := f.up[:n+1], f.ui
+	atp, ati := f.atp[:n+1], f.ati
+	atMap := f.atMap[:len(ati)]
+	pinv := f.pinv[:n]
+	av := a.Val
+	lx, ux = lx[:len(li)], ux[:len(ui)]
 	for k := 0; k < n; k++ {
-		// Zero the column's pattern, scatter A(:,k) in pivotal numbering.
-		for p := f.up[k]; p < f.up[k+1]; p++ {
-			x[f.ui[p]] = 0
+		// Scatter A(:,q[k]) in pivotal numbering; x is zero elsewhere.
+		for p := atp[k]; p < atp[k+1]; p++ {
+			x[pinv[ati[p]]] = av[atMap[p]]
 		}
-		for p := f.lp[k]; p < f.lp[k+1]; p++ {
-			x[f.li[p]] = 0
-		}
-		for p := f.atp[k]; p < f.atp[k+1]; p++ {
-			x[f.pinv[f.ati[p]]] = a.Val[f.atMap[p]]
-		}
-		// Eliminate with the already-refactored columns: U's off-diagonal
-		// entries ascend in pivotal order, which is topological here because
-		// L(:,j) only updates rows with pivotal index > j.
-		for p := f.up[k]; p < f.up[k+1]-1; p++ {
-			j := f.ui[p]
+		// Eliminate with the already-refactored columns in the order the
+		// factorisation used, which is topological: x[j] is final when read
+		// (no later update touches it), so it is cleared at once. With the
+		// same values this reproduces the factorisation bit for bit.
+		ud := up[k+1] - 1
+		for p := up[k]; p < ud; p++ {
+			j := ui[p]
 			xj := x[j]
 			ux[p] = xj
+			x[j] = 0
 			if xj == 0 {
 				continue
 			}
-			for q := f.lp[j] + 1; q < f.lp[j+1]; q++ {
-				x[f.li[q]] -= lx[q] * xj
+			lo, hi := lp[j]+1, lp[j+1]
+			rows, vals := li[lo:hi], lx[lo:hi]
+			vals = vals[:len(rows)]
+			for t, r := range rows {
+				x[r] -= vals[t] * xj
 			}
 		}
 		pivot := x[k]
+		x[k] = 0
+		lo, hi := lp[k]+1, lp[k+1]
+		rows, vals := li[lo:hi], lx[lo:hi]
+		vals = vals[:len(rows)]
 		maxBelow := 0.0
-		for q := f.lp[k] + 1; q < f.lp[k+1]; q++ {
-			if av := math.Abs(x[f.li[q]]); av > maxBelow {
-				maxBelow = av
+		for _, r := range rows {
+			if v := math.Abs(x[r]); v > maxBelow {
+				maxBelow = v
 			}
 		}
 		if pivot == 0 || math.IsNaN(pivot) || maxBelow > refactorGrowth*math.Abs(pivot) { //mpde:coldpath singular pivot aborts the refactor
-			return fmt.Errorf("%w (refactor: unstable pivot %.3e at column %d)", ErrSingular, pivot, k)
+			clear(x) // leave the scratch zero for the next refactor
+			return fmt.Errorf("%w (refactor: unstable pivot %.3e at column %d)", ErrSingular, pivot, f.q[k])
 		}
-		ux[f.up[k+1]-1] = pivot
-		for q := f.lp[k] + 1; q < f.lp[k+1]; q++ {
-			lx[q] = x[f.li[q]] / pivot
+		ux[ud] = pivot
+		for t, r := range rows {
+			vals[t] = x[r] / pivot
+			x[r] = 0
 		}
 	}
 	return nil
@@ -360,9 +401,12 @@ func (f *SparseLU) solveWith(lx, ux, b, x []float64) {
 	if f.swork == nil { //mpde:alloc-ok lazy scratch init, amortised over solves
 		f.swork = make([]float64, n)
 	}
-	y := f.swork
-	for i := 0; i < n; i++ {
-		y[f.pinv[i]] = b[i]
+	y := f.swork[:n]
+	lp, li := f.lp[:n+1], f.li
+	up, ui := f.up[:n+1], f.ui
+	lx, ux = lx[:len(li)], ux[:len(ui)]
+	for i, r := range f.pinv[:n] {
+		y[r] = b[i]
 	}
 	// Forward: L·z = P·b (unit diagonal first in each column).
 	for j := 0; j < n; j++ {
@@ -370,27 +414,36 @@ func (f *SparseLU) solveWith(lx, ux, b, x []float64) {
 		if yj == 0 {
 			continue
 		}
-		for p := f.lp[j] + 1; p < f.lp[j+1]; p++ {
-			y[f.li[p]] -= lx[p] * yj
+		lo, hi := lp[j]+1, lp[j+1]
+		rows, vals := li[lo:hi], lx[lo:hi]
+		vals = vals[:len(rows)]
+		for t, r := range rows {
+			y[r] -= vals[t] * yj
 		}
 	}
-	// Backward: U·x = z (diagonal last in each column).
+	// Backward: U·z' = z (diagonal last in each column).
 	for j := n - 1; j >= 0; j-- {
-		d := ux[f.up[j+1]-1]
-		y[j] /= d
-		yj := y[j]
+		lo, hi := up[j], up[j+1]-1
+		yj := y[j] / ux[hi]
+		y[j] = yj
 		if yj == 0 {
 			continue
 		}
-		for p := f.up[j]; p < f.up[j+1]-1; p++ {
-			y[f.ui[p]] -= ux[p] * yj
+		rows, vals := ui[lo:hi], ux[lo:hi]
+		vals = vals[:len(rows)]
+		for t, r := range rows {
+			y[r] -= vals[t] * yj
 		}
 	}
-	copy(x, y)
+	// x = Q·z': y is private scratch, so b and x may alias.
+	for k, c := range f.q[:n] {
+		x[c] = y[k]
+	}
 }
 
 // CloneSymbolic returns a factorisation sharing this one's symbolic analysis
-// (pattern, pivot order, CSC gather map — all read-only after factorisation)
+// (pattern, column and pivot orders, CSC gather map — all read-only after
+// factorisation)
 // with fresh private value arrays and scratch. The clone must be Refactored
 // against a same-pattern matrix before its factors are meaningful; until then
 // it carries this factorisation's values. Clones are independent: each owns
