@@ -9,8 +9,7 @@
 //     analysis — the paper's "qpss" and "envelope" methods next to the
 //     "dc"/"transient"/"shooting"/"hb"/"ac"/"pac" baselines — is registered
 //     under a name and driven through one Request/Result contract, with
-//     cooperative cancellation via the context (the per-method wrappers
-//     below remain as deprecated adapters),
+//     cooperative cancellation via the context,
 //   - NewShear defining the difference-frequency time scale
 //     fd = K·F1 − F2 of the paper's sheared grid, and
 //   - Sweep, the concurrent batch engine that fans families of analyses
@@ -183,7 +182,8 @@ func NewShear(f1, f2 float64, k int) Shear { return Shear{F1: f1, F2: f2, K: k} 
 // MPDEOptions configures the quasi-periodic MPDE solve.
 type MPDEOptions = core.Options
 
-// MPDESolution is the converged multi-time steady state.
+// MPDESolution is the converged multi-time steady state, the Raw() value of
+// a "qpss" analysis.
 type MPDESolution = core.Solution
 
 // MPDEGridSpectrum is the 2-D Fourier view of one unknown's multi-time
@@ -199,16 +199,6 @@ const (
 	Order2 = core.Order2
 )
 
-// MPDEQuasiPeriodic computes the quasi-periodic steady state on the sheared
-// bi-periodic grid — the paper's headline method.
-//
-// Deprecated: use Analyze(ctx, AnalysisRequest{Method: "qpss", Params:
-// QPSSParams{...}}) — the context-first entry point with cooperative
-// cancellation. This wrapper runs under context.Background().
-func MPDEQuasiPeriodic(ckt *Circuit, opt MPDEOptions) (*MPDESolution, error) {
-	return core.QPSS(context.Background(), ckt, opt)
-}
-
 // MPDEAccuracyOptions configures tolerance-driven automatic grid sizing for
 // MPDEQuasiPeriodicAdaptive.
 type MPDEAccuracyOptions = core.AccuracyOptions
@@ -223,40 +213,14 @@ func MPDEQuasiPeriodicAdaptive(ctx context.Context, ckt *Circuit, opt MPDEOption
 	return core.AdaptiveQPSS(ctx, ckt, opt, acc)
 }
 
-// MPDEEnvelopeOptions configures slow-time envelope following.
-type MPDEEnvelopeOptions = core.EnvelopeOptions
-
-// MPDEEnvelopeResult is a slow-time trajectory of fast-periodic lines.
+// MPDEEnvelopeResult is a slow-time trajectory of fast-periodic lines, the
+// Raw() value of an "envelope" analysis.
 type MPDEEnvelopeResult = core.EnvelopeResult
-
-// MPDEEnvelope marches the MPDE in the difference-frequency time scale
-// without imposing slow periodicity (envelope transients).
-//
-// Deprecated: use Analyze(ctx, AnalysisRequest{Method: "envelope", Params:
-// EnvelopeParams{...}}). This wrapper runs under context.Background().
-func MPDEEnvelope(ckt *Circuit, opt MPDEEnvelopeOptions) (*MPDEEnvelopeResult, error) {
-	return core.EnvelopeFollow(context.Background(), ckt, opt)
-}
 
 // --- baseline analyses --------------------------------------------------------
 
-// DCOptions configures operating-point analysis.
-type DCOptions = transient.DCOptions
-
-// DCOperatingPoint solves f(x) + b = 0 with Newton, source stepping and gmin
-// stepping fallbacks.
-//
-// Deprecated: use Analyze(ctx, AnalysisRequest{Method: "dc", Params:
-// DCParams{...}}). This wrapper runs under context.Background().
-func DCOperatingPoint(ckt *Circuit, opt DCOptions) ([]float64, error) {
-	x, _, err := transient.DC(context.Background(), ckt, opt)
-	return x, err
-}
-
-// TransientOptions configures time-stepping simulation.
-type TransientOptions = transient.Options
-
-// TransientResult is a stored trajectory.
+// TransientResult is a stored trajectory, the Raw() value of a "transient"
+// analysis.
 type TransientResult = transient.Result
 
 // TransientMethod selects the integration formula.
@@ -269,83 +233,27 @@ const (
 	GEAR2 = transient.GEAR2
 )
 
-// Transient integrates the circuit equations over time — the "traditional
-// time-stepping" baseline of the paper.
-//
-// Deprecated: use Analyze(ctx, AnalysisRequest{Method: "transient",
-// Params: TransientParams{...}}). This wrapper runs under
-// context.Background().
-func Transient(ckt *Circuit, opt TransientOptions) (*TransientResult, error) {
-	return transient.Run(context.Background(), ckt, opt)
-}
-
-// ShootingOptions configures periodic steady-state shooting.
-type ShootingOptions = shooting.Options
-
-// ShootingResult is a converged periodic orbit.
+// ShootingResult is a converged periodic orbit, the Raw() value of a
+// "shooting" analysis.
 type ShootingResult = shooting.Result
 
-// ShootingPSS computes a single-tone periodic steady state by the
-// Aprille–Trick shooting method — the paper's CPU-time comparison baseline.
-//
-// Deprecated: use Analyze(ctx, AnalysisRequest{Method: "shooting", Params:
-// ShootingParams{...}}). This wrapper runs under context.Background().
-func ShootingPSS(ckt *Circuit, opt ShootingOptions) (*ShootingResult, error) {
-	return shooting.PSS(context.Background(), ckt, opt)
-}
-
-// HBOptions configures two-tone harmonic balance.
-type HBOptions = hb.Options
-
-// HBSolution is a converged HB steady state.
+// HBSolution is a converged HB steady state, the Raw() value of an "hb"
+// analysis.
 type HBSolution = hb.Solution
-
-// HarmonicBalance runs box-truncated two-tone harmonic balance — the
-// frequency-domain comparator whose weakness on switching waveforms
-// motivates the paper.
-//
-// Deprecated: use Analyze(ctx, AnalysisRequest{Method: "hb", Params:
-// HBParams{...}}). This wrapper runs under context.Background().
-func HarmonicBalance(ckt *Circuit, opt HBOptions) (*HBSolution, error) {
-	return hb.Solve(context.Background(), ckt, opt)
-}
 
 // NewtonOptions exposes the shared nonlinear-solver configuration.
 type NewtonOptions = solver.Options
 
-// ACOptions configures small-signal AC analysis.
-type ACOptions = ac.Options
-
-// ACResult holds the swept phasor response.
+// ACResult holds the swept phasor response, the Raw() value of an "ac"
+// analysis.
 type ACResult = ac.Result
 
-// ACAnalyze linearises the circuit at its bias point and sweeps
-// (G + jωC)·X = B over frequency.
-//
-// Deprecated: use Analyze(ctx, AnalysisRequest{Method: "ac", Params:
-// ACParams{...}}). This wrapper runs under context.Background().
-func ACAnalyze(ckt *Circuit, opt ACOptions) (*ACResult, error) {
-	return ac.Analyze(context.Background(), ckt, opt)
-}
-
-// ACLogSweep returns log-spaced frequencies for ACAnalyze.
+// ACLogSweep returns log-spaced frequencies for ACParams.Freqs.
 func ACLogSweep(f0, f1 float64, nPts int) []float64 { return ac.LogSweep(f0, f1, nPts) }
 
-// PACOptions configures periodic AC (conversion-matrix) analysis.
-type PACOptions = pac.Options
-
-// PACResult holds periodic small-signal transfer functions.
+// PACResult holds periodic small-signal transfer functions, the Raw() value
+// of a "pac" analysis.
 type PACResult = pac.Result
-
-// PACAnalyze linearises around a periodic steady state and computes the
-// small-signal conversion gains from a stimulus at fs to every LO sideband
-// fs + k·f0.
-//
-// Deprecated: use Analyze(ctx, AnalysisRequest{Method: "pac", Params:
-// PACParams{...}}). This wrapper runs under context.Background().
-func PACAnalyze(ckt *Circuit, opt PACOptions) (*PACResult, error) {
-	return pac.Analyze(context.Background(), ckt, opt)
-}
 
 // --- concurrent sweeps --------------------------------------------------------
 

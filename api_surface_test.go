@@ -1,8 +1,7 @@
-// API-compatibility gate: the deprecated pre-registry wrappers must keep
-// their exact signatures so every published example and golden test keeps
-// compiling, and the new context-first surface must exist. A signature
-// change here is a breaking change — these assignments fail to compile
-// before any test runs.
+// API-compatibility gate: the context-first surface must keep its exact
+// signatures so every published example and golden test keeps compiling.
+// A signature change here is a breaking change — these assignments fail to
+// compile before any test runs.
 package repro_test
 
 import (
@@ -13,16 +12,8 @@ import (
 	"repro"
 )
 
-// Compile-time pins of the deprecated wrapper signatures.
+// Compile-time pins of the entry-point signatures.
 var (
-	_ func(*repro.Circuit, repro.MPDEOptions) (*repro.MPDESolution, error)                                             = repro.MPDEQuasiPeriodic
-	_ func(*repro.Circuit, repro.MPDEEnvelopeOptions) (*repro.MPDEEnvelopeResult, error)                               = repro.MPDEEnvelope
-	_ func(*repro.Circuit, repro.DCOptions) ([]float64, error)                                                         = repro.DCOperatingPoint
-	_ func(*repro.Circuit, repro.TransientOptions) (*repro.TransientResult, error)                                     = repro.Transient
-	_ func(*repro.Circuit, repro.ShootingOptions) (*repro.ShootingResult, error)                                       = repro.ShootingPSS
-	_ func(*repro.Circuit, repro.HBOptions) (*repro.HBSolution, error)                                                 = repro.HarmonicBalance
-	_ func(*repro.Circuit, repro.ACOptions) (*repro.ACResult, error)                                                   = repro.ACAnalyze
-	_ func(*repro.Circuit, repro.PACOptions) (*repro.PACResult, error)                                                 = repro.PACAnalyze
 	_ func(context.Context, repro.SweepSpec) (*repro.SweepResult, error)                                               = repro.Sweep
 	_ func(context.Context, string, repro.ServerOptions) error                                                         = repro.Serve
 	_ func(float64, float64, int) repro.Shear                                                                          = repro.NewShear

@@ -16,6 +16,10 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
+	"repro/internal/hb"
+	"repro/internal/shooting"
+	"repro/internal/transient"
 )
 
 type productWave struct{}
@@ -57,7 +61,7 @@ func BenchmarkFig3to5BalancedMixerQPSS(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		mix := repro.NewBalancedMixer(repro.BalancedMixerConfig{Bits: bits})
-		sol, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
+		sol, err := core.QPSS(context.Background(), mix.Ckt, repro.MPDEOptions{
 			N1: 40, N2: 30, Shear: mix.Shear})
 		if err != nil {
 			b.Fatal(err)
@@ -70,7 +74,7 @@ func BenchmarkFig3to5BalancedMixerQPSS(b *testing.B) {
 // x(t) = x̂(t, t) over 5 LO periods from a solved grid.
 func BenchmarkFig6OneTimeReconstruction(b *testing.B) {
 	mix := repro.NewBalancedMixer(repro.BalancedMixerConfig{Bits: repro.PRBS7(0x4D, 8)})
-	sol, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
+	sol, err := core.QPSS(context.Background(), mix.Ckt, repro.MPDEOptions{
 		N1: 40, N2: 30, Shear: mix.Shear})
 	if err != nil {
 		b.Fatal(err)
@@ -102,7 +106,7 @@ func BenchmarkSpeedupMPDE_Disparity30000(b *testing.B) {
 func benchMPDE(b *testing.B, disparity float64) {
 	for i := 0; i < b.N; i++ {
 		mix := benchUnbalanced(disparity)
-		if _, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
+		if _, err := core.QPSS(context.Background(), mix.Ckt, repro.MPDEOptions{
 			N1: 40, N2: 30, Shear: mix.Shear}); err != nil {
 			b.Fatal(err)
 		}
@@ -116,7 +120,7 @@ func benchShooting(b *testing.B, disparity float64) {
 	for i := 0; i < b.N; i++ {
 		mix := benchUnbalanced(disparity)
 		fd := 100e6 / disparity
-		if _, err := repro.ShootingPSS(mix.Ckt, repro.ShootingOptions{
+		if _, err := shooting.PSS(context.Background(), mix.Ckt, shooting.Options{
 			Period: 1 / fd, Steps: int(10 * disparity), Tol: 1e-6}); err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +134,7 @@ func BenchmarkSpeedupTransient_Disparity200(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mix := benchUnbalanced(200)
 		fd := 100e6 / 200
-		if _, err := repro.Transient(mix.Ckt, repro.TransientOptions{
+		if _, err := transient.Run(context.Background(), mix.Ckt, transient.Options{
 			Method: repro.BE, TStop: 3 / fd, Step: 1 / 100e6 / 20, FixedStep: true,
 		}); err != nil {
 			b.Fatal(err)
@@ -143,7 +147,7 @@ func BenchmarkSpeedupTransient_Disparity200(b *testing.B) {
 func BenchmarkDownconversionGain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mix := repro.NewBalancedMixer(repro.BalancedMixerConfig{})
-		sol, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
+		sol, err := core.QPSS(context.Background(), mix.Ckt, repro.MPDEOptions{
 			N1: 40, N2: 32, Shear: mix.Shear})
 		if err != nil {
 			b.Fatal(err)
@@ -166,7 +170,7 @@ func BenchmarkAblationHBSwitchingMixer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mix := repro.NewUnbalancedMixer(repro.UnbalancedMixerConfig{
 			F1: 100e6, Fd: 1e6, LOAmp: 0.6})
-		if _, err := repro.HarmonicBalance(mix.Ckt, repro.HBOptions{
+		if _, err := hb.Solve(context.Background(), mix.Ckt, hb.Options{
 			F1: 100e6, F2: mix.Shear.F2, N1: 64, N2: 4}); err != nil {
 			b.Fatal(err)
 		}
@@ -178,7 +182,7 @@ func BenchmarkAblationMPDESwitchingMixer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mix := repro.NewUnbalancedMixer(repro.UnbalancedMixerConfig{
 			F1: 100e6, Fd: 1e6, LOAmp: 0.6})
-		if _, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
+		if _, err := core.QPSS(context.Background(), mix.Ckt, repro.MPDEOptions{
 			N1: 64, N2: 4, Shear: mix.Shear}); err != nil {
 			b.Fatal(err)
 		}
@@ -195,7 +199,7 @@ func BenchmarkAblationOrder2(b *testing.B) { benchOrder(b, repro.Order2) }
 func benchOrder(b *testing.B, o repro.DiffOrder) {
 	for i := 0; i < b.N; i++ {
 		mix := repro.NewUnbalancedMixer(repro.UnbalancedMixerConfig{F1: 100e6, Fd: 1e6})
-		if _, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
+		if _, err := core.QPSS(context.Background(), mix.Ckt, repro.MPDEOptions{
 			N1: 40, N2: 30, Shear: mix.Shear, DiffT1: o, DiffT2: o}); err != nil {
 			b.Fatal(err)
 		}
@@ -206,7 +210,7 @@ func benchOrder(b *testing.B, o repro.DiffOrder) {
 func BenchmarkEnvelopeFollowing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mix := repro.NewUnbalancedMixer(repro.UnbalancedMixerConfig{F1: 100e6, Fd: 1e6})
-		if _, err := repro.MPDEEnvelope(mix.Ckt, repro.MPDEEnvelopeOptions{
+		if _, err := core.EnvelopeFollow(context.Background(), mix.Ckt, core.EnvelopeOptions{
 			N1: 40, Shear: mix.Shear}); err != nil {
 			b.Fatal(err)
 		}

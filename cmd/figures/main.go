@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -21,6 +22,8 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
+	"repro/internal/shooting"
 )
 
 var (
@@ -106,7 +109,7 @@ func figures3456(which int) {
 	bits := repro.PRBS7(0x4D, 8)
 	mix := repro.NewBalancedMixer(repro.BalancedMixerConfig{Bits: bits})
 	start := time.Now()
-	sol, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
+	sol, err := core.QPSS(context.Background(), mix.Ckt, repro.MPDEOptions{
 		N1: 40, N2: 30, Shear: mix.Shear})
 	if err != nil {
 		log.Fatal(err)
@@ -176,7 +179,7 @@ func speedupSweep(maxDisparity float64) {
 		fd := f1 / d
 		mixA := repro.NewUnbalancedMixer(repro.UnbalancedMixerConfig{F1: f1, Fd: fd})
 		t0 := time.Now()
-		if _, err := repro.MPDEQuasiPeriodic(mixA.Ckt, repro.MPDEOptions{
+		if _, err := core.QPSS(context.Background(), mixA.Ckt, repro.MPDEOptions{
 			N1: 40, N2: 30, Shear: mixA.Shear}); err != nil {
 			log.Fatalf("disparity %g MPDE: %v", d, err)
 		}
@@ -184,7 +187,7 @@ func speedupSweep(maxDisparity float64) {
 
 		mixB := repro.NewUnbalancedMixer(repro.UnbalancedMixerConfig{F1: f1, Fd: fd})
 		t0 = time.Now()
-		if _, err := repro.ShootingPSS(mixB.Ckt, repro.ShootingOptions{
+		if _, err := shooting.PSS(context.Background(), mixB.Ckt, shooting.Options{
 			Period: 1 / fd, Steps: int(10 * d), Tol: 1e-6}); err != nil {
 			log.Fatalf("disparity %g shooting: %v", d, err)
 		}
@@ -217,7 +220,7 @@ func gainSweep() {
 		if warm != nil {
 			opt.X0 = warm
 		}
-		sol, err := repro.MPDEQuasiPeriodic(mix.Ckt, opt)
+		sol, err := core.QPSS(context.Background(), mix.Ckt, opt)
 		if err != nil {
 			log.Fatalf("rfAmp %g: %v", rfAmp, err)
 		}

@@ -9,11 +9,16 @@
 package repro_test
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
 
 	"repro"
+	"repro/internal/core"
+	"repro/internal/hb"
+	"repro/internal/shooting"
+	"repro/internal/transient"
 )
 
 // relErr returns |got−want| / |want|.
@@ -60,7 +65,7 @@ func TestConsistencyLinearRCTwoTone(t *testing.T) {
 
 	// MPDE QPSS on the sheared grid (second order for spectral accuracy).
 	ckt1 := build()
-	qpss, err := repro.MPDEQuasiPeriodic(ckt1, repro.MPDEOptions{
+	qpss, err := core.QPSS(context.Background(), ckt1, repro.MPDEOptions{
 		N1: 32, N2: 32, Shear: sh, DiffT1: repro.Order2, DiffT2: repro.Order2})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +75,7 @@ func TestConsistencyLinearRCTwoTone(t *testing.T) {
 
 	// Two-tone HB on the unsheared torus.
 	ckt2 := build()
-	hbs, err := repro.HarmonicBalance(ckt2, repro.HBOptions{F1: f1, F2: f2, N1: 16, N2: 8})
+	hbs, err := hb.Solve(context.Background(), ckt2, hb.Options{F1: f1, F2: f2, N1: 16, N2: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +84,7 @@ func TestConsistencyLinearRCTwoTone(t *testing.T) {
 	// Shooting across one full difference period (the two-tone waveform is
 	// Td-periodic because f1 and f2 are commensurate: 10·Td = 10/fd).
 	ckt3 := build()
-	pss, err := repro.ShootingPSS(ckt3, repro.ShootingOptions{
+	pss, err := shooting.PSS(context.Background(), ckt3, shooting.Options{
 		Period: 1 / fd, Steps: 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +96,7 @@ func TestConsistencyLinearRCTwoTone(t *testing.T) {
 	steps := 200 // per fast period
 	step := 1 / f1 / float64(steps)
 	tstop := 3 / fd
-	tr, err := repro.Transient(ckt4, repro.TransientOptions{
+	tr, err := transient.Run(context.Background(), ckt4, transient.Options{
 		Method: repro.TRAP, TStop: tstop, Step: step, FixedStep: true})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +169,7 @@ func TestConsistencyBalancedMixerGain(t *testing.T) {
 
 	// Route 1: MPDE QPSS, gain from the differential baseband.
 	mixQ := repro.NewBalancedMixer(cfg)
-	qpss, err := repro.MPDEQuasiPeriodic(mixQ.Ckt, repro.MPDEOptions{
+	qpss, err := core.QPSS(context.Background(), mixQ.Ckt, repro.MPDEOptions{
 		N1: 32, N2: 24, Shear: mixQ.Shear})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +184,7 @@ func TestConsistencyBalancedMixerGain(t *testing.T) {
 	// doubled LO with 10 points per 2·f1 cycle.
 	mixS := repro.NewBalancedMixer(cfg)
 	steps := int(2 * f1 / fd * 10)
-	pss, err := repro.ShootingPSS(mixS.Ckt, repro.ShootingOptions{Period: td, Steps: steps})
+	pss, err := shooting.PSS(context.Background(), mixS.Ckt, shooting.Options{Period: td, Steps: steps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +198,7 @@ func TestConsistencyBalancedMixerGain(t *testing.T) {
 	mixT := repro.NewBalancedMixer(cfg)
 	step := td / float64(steps)
 	tstop := 3 * td
-	tr, err := repro.Transient(mixT.Ckt, repro.TransientOptions{
+	tr, err := transient.Run(context.Background(), mixT.Ckt, transient.Options{
 		Method: repro.GEAR2, TStop: tstop, Step: step, FixedStep: true})
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +248,7 @@ func TestConsistencyUnbalancedMixerFourRoutes(t *testing.T) {
 
 	mixQ := repro.NewUnbalancedMixer(cfg)
 	rfAmp := mixQ.Cfg.RFAmp
-	qpss, err := repro.MPDEQuasiPeriodic(mixQ.Ckt, repro.MPDEOptions{
+	qpss, err := core.QPSS(context.Background(), mixQ.Ckt, repro.MPDEOptions{
 		N1: 40, N2: 24, Shear: mixQ.Shear})
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +260,7 @@ func TestConsistencyUnbalancedMixerFourRoutes(t *testing.T) {
 	}
 
 	mixH := repro.NewUnbalancedMixer(cfg)
-	hbs, err := repro.HarmonicBalance(mixH.Ckt, repro.HBOptions{
+	hbs, err := hb.Solve(context.Background(), mixH.Ckt, hb.Options{
 		F1: f1, F2: mixH.Shear.F2, N1: 64, N2: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +269,7 @@ func TestConsistencyUnbalancedMixerFourRoutes(t *testing.T) {
 
 	mixS := repro.NewUnbalancedMixer(cfg)
 	steps := int(f1 / fd * 10)
-	pss, err := repro.ShootingPSS(mixS.Ckt, repro.ShootingOptions{Period: td, Steps: steps})
+	pss, err := shooting.PSS(context.Background(), mixS.Ckt, shooting.Options{Period: td, Steps: steps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +282,7 @@ func TestConsistencyUnbalancedMixerFourRoutes(t *testing.T) {
 	mixT := repro.NewUnbalancedMixer(cfg)
 	step := td / float64(steps)
 	tstop := 3 * td
-	tr, err := repro.Transient(mixT.Ckt, repro.TransientOptions{
+	tr, err := transient.Run(context.Background(), mixT.Ckt, transient.Options{
 		Method: repro.GEAR2, TStop: tstop, Step: step, FixedStep: true})
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +327,7 @@ func TestConsistencyUnbalancedMixerSpectrum(t *testing.T) {
 	cfg := repro.UnbalancedMixerConfig{F1: f1, Fd: fd}
 
 	mixQ := repro.NewUnbalancedMixer(cfg)
-	qpss, err := repro.MPDEQuasiPeriodic(mixQ.Ckt, repro.MPDEOptions{
+	qpss, err := core.QPSS(context.Background(), mixQ.Ckt, repro.MPDEOptions{
 		N1: 40, N2: 24, Shear: mixQ.Shear})
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +335,7 @@ func TestConsistencyUnbalancedMixerSpectrum(t *testing.T) {
 	gs := qpss.Spectrum(mixQ.Drain)
 
 	mixH := repro.NewUnbalancedMixer(cfg)
-	hbs, err := repro.HarmonicBalance(mixH.Ckt, repro.HBOptions{
+	hbs, err := hb.Solve(context.Background(), mixH.Ckt, hb.Options{
 		F1: f1, F2: mixH.Shear.F2, N1: 64, N2: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -30,12 +31,14 @@ func main() {
 		sh.F1, sh.F2, sh.Fd(), sh.K, sh.Disparity())
 	fmt.Printf("bit pattern: %v\n\n", asBits(bits))
 
-	sol, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
-		N1: 40, N2: 30, Shear: sh, // the paper's 40×30 = 1200-point grid
+	res, err := repro.Analyze(context.Background(), repro.AnalysisRequest{
+		Method: "qpss", Circuit: mix.Ckt,
+		Params: repro.QPSSParams{N1: 40, N2: 30, Shear: sh}, // the paper's 40×30 = 1200-point grid
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	sol := res.Raw().(*repro.MPDESolution)
 	fmt.Printf("QPSS: %d unknowns, %d Newton iterations, continuation=%v\n\n",
 		sol.Stats.Unknowns, sol.Stats.NewtonIters, sol.Stats.UsedContinuation)
 

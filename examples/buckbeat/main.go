@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,10 +25,14 @@ func main() {
 	fmt.Printf("PWM f1 = %.4g Hz, aggressor f2 = %.6g Hz, beat fd = %.4g Hz (disparity %.0f)\n\n",
 		sh.F1, sh.F2, sh.Fd(), sh.Disparity())
 
-	sol, err := repro.MPDEQuasiPeriodic(b.Ckt, repro.MPDEOptions{N1: 48, N2: 24, Shear: sh})
+	res, err := repro.Analyze(context.Background(), repro.AnalysisRequest{
+		Method: "qpss", Circuit: b.Ckt,
+		Params: repro.QPSSParams{N1: 48, N2: 24, Shear: sh},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	sol := res.Raw().(*repro.MPDESolution)
 	fmt.Printf("QPSS: %d unknowns, %d Newton iterations\n\n",
 		sol.Stats.Unknowns, sol.Stats.NewtonIters)
 

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -24,15 +25,16 @@ func main() {
 	var warm []float64
 	for _, rfAmp := range []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.4} {
 		mix := repro.NewBalancedMixer(repro.BalancedMixerConfig{RFAmp: rfAmp})
-		opt := repro.MPDEOptions{N1: 40, N2: 32, Shear: mix.Shear}
-		if warm != nil {
-			opt.X0 = warm
-		}
-		sol, err := repro.MPDEQuasiPeriodic(mix.Ckt, opt)
+		res, err := repro.Analyze(context.Background(), repro.AnalysisRequest{
+			Method: "qpss", Circuit: mix.Ckt,
+			Params: repro.QPSSParams{N1: 40, N2: 32, Shear: mix.Shear},
+			Seed:   warm,
+		})
 		if err != nil {
 			log.Fatalf("rfAmp=%g: %v", rfAmp, err)
 		}
-		warm = sol.X
+		warm = res.Seed()
+		sol := res.Raw().(*repro.MPDESolution)
 		bb := sol.DifferentialBaseband(mix.OutP, mix.OutM)
 		dt := mix.Shear.Td() / float64(len(bb))
 		g, err := repro.MeasureConversionGain(bb, dt, math.Abs(mix.Shear.Fd()), rfAmp)

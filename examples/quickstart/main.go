@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -45,13 +46,17 @@ func main() {
 
 	// The same mixing as a circuit, solved with the MPDE method.
 	mix := repro.NewIdealMixer(repro.IdealMixerConfig{F1: f1, F2: f2})
-	sol, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
-		N1: 32, N2: 48, Shear: mix.Shear,
-		DiffT1: repro.Order2, DiffT2: repro.Order2,
+	res, err := repro.Analyze(context.Background(), repro.AnalysisRequest{
+		Method: "qpss", Circuit: mix.Ckt,
+		Params: repro.QPSSParams{
+			N1: 32, N2: 48, Shear: mix.Shear,
+			DiffT1: repro.Order2, DiffT2: repro.Order2,
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	sol := res.Raw().(*repro.MPDESolution)
 	bb := sol.BasebandMean(mix.Out)
 	t2 := sol.T2Axis()
 	series, err := repro.NewSeries("baseband v(out) along t2", t2, bb)

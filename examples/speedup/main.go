@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -29,8 +30,9 @@ func main() {
 		// MPDE: grid cost independent of disparity.
 		mixA := repro.NewUnbalancedMixer(repro.UnbalancedMixerConfig{F1: f1, Fd: fd})
 		t0 := time.Now()
-		_, err := repro.MPDEQuasiPeriodic(mixA.Ckt, repro.MPDEOptions{
-			N1: 40, N2: 30, Shear: mixA.Shear})
+		_, err := repro.Analyze(context.Background(), repro.AnalysisRequest{
+			Method: "qpss", Circuit: mixA.Ckt,
+			Params: repro.QPSSParams{N1: 40, N2: 30, Shear: mixA.Shear}})
 		if err != nil {
 			log.Fatalf("disparity %g: MPDE: %v", disparity, err)
 		}
@@ -40,8 +42,9 @@ func main() {
 		mixB := repro.NewUnbalancedMixer(repro.UnbalancedMixerConfig{F1: f1, Fd: fd})
 		steps := int(10 * disparity)
 		t0 = time.Now()
-		_, err = repro.ShootingPSS(mixB.Ckt, repro.ShootingOptions{
-			Period: 1 / fd, Steps: steps, Tol: 1e-6})
+		_, err = repro.Analyze(context.Background(), repro.AnalysisRequest{
+			Method: "shooting", Circuit: mixB.Ckt,
+			Params: repro.ShootingParams{Period: 1 / fd, Steps: steps}})
 		if err != nil {
 			log.Fatalf("disparity %g: shooting: %v", disparity, err)
 		}

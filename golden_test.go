@@ -9,6 +9,7 @@
 package repro_test
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"math"
@@ -17,6 +18,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 )
 
 var update = flag.Bool("update", false, "rewrite golden testdata fixtures")
@@ -61,7 +63,7 @@ func solveGoldenCases(t *testing.T) map[string]goldenCase {
 
 	run := func(name, desc string, bits []bool, withFig6 bool) {
 		mix := repro.NewBalancedMixer(repro.BalancedMixerConfig{Bits: bits})
-		sol, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
+		sol, err := core.QPSS(context.Background(), mix.Ckt, repro.MPDEOptions{
 			N1: 40, N2: 30, Shear: mix.Shear})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -1,16 +1,24 @@
-// Cross-module integration tests through the public facade: every test here
-// chains at least two analyses or validates one solver against another, so a
+// Cross-module integration tests on the facade's circuits and result types,
+// solved by the analysis functions directly: every test here chains at
+// least two analyses or validates one solver against another, so a
 // regression anywhere in the stack (devices → MNA → Newton → analysis)
 // surfaces at this level too.
 package repro_test
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/ac"
+	"repro/internal/core"
+	"repro/internal/hb"
+	"repro/internal/pac"
+	"repro/internal/shooting"
+	"repro/internal/transient"
 )
 
 func TestFacadeDCTransientShootingAgree(t *testing.T) {
@@ -24,12 +32,12 @@ func TestFacadeDCTransientShootingAgree(t *testing.T) {
 		return ckt
 	}
 	ckt := build()
-	pss, err := repro.ShootingPSS(ckt, repro.ShootingOptions{Period: 1e-4, Steps: 256})
+	pss, err := shooting.PSS(context.Background(), ckt, shooting.Options{Period: 1e-4, Steps: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ckt2 := build()
-	tr, err := repro.Transient(ckt2, repro.TransientOptions{
+	tr, err := transient.Run(context.Background(), ckt2, transient.Options{
 		Method: repro.TRAP, TStop: 2e-3, Step: 1e-7, FixedStep: true})
 	if err != nil {
 		t.Fatal(err)
@@ -64,18 +72,18 @@ func TestFacadeMPDEvsHBvsShootingTriangle(t *testing.T) {
 	sh := repro.NewShear(f1, 0.9*f1, 1)
 
 	ckt1 := build()
-	mpde, err := repro.MPDEQuasiPeriodic(ckt1, repro.MPDEOptions{
+	mpde, err := core.QPSS(context.Background(), ckt1, repro.MPDEOptions{
 		N1: 64, N2: 4, Shear: sh, DiffT1: repro.Order2, DiffT2: repro.Order2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ckt2 := build()
-	hbs, err := repro.HarmonicBalance(ckt2, repro.HBOptions{F1: f1, N1: 64})
+	hbs, err := hb.Solve(context.Background(), ckt2, hb.Options{F1: f1, N1: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ckt3 := build()
-	pss, err := repro.ShootingPSS(ckt3, repro.ShootingOptions{Period: 1 / f1, Steps: 1024})
+	pss, err := shooting.PSS(context.Background(), ckt3, shooting.Options{Period: 1 / f1, Steps: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +121,7 @@ CD d 0 20p
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := repro.MPDEQuasiPeriodic(d.Ckt, repro.MPDEOptions{N1: 32, N2: 16, Shear: sh})
+	sol, err := core.QPSS(context.Background(), d.Ckt, repro.MPDEOptions{N1: 32, N2: 16, Shear: sh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +145,7 @@ func TestFacadeACMatchesMPDESmallSignalGain(t *testing.T) {
 	ckt.V("V1", "in", "0", repro.Sine{Amp: 1, F1: sh.F1, F2: sh.F2, K2: 1})
 	ckt.R("R1", "in", "out", 1000)
 	ckt.C("C1", "out", "0", 1.59155e-10)
-	sol, err := repro.MPDEQuasiPeriodic(ckt, repro.MPDEOptions{
+	sol, err := core.QPSS(context.Background(), ckt, repro.MPDEOptions{
 		N1: 32, N2: 64, Shear: sh, DiffT1: repro.Order2, DiffT2: repro.Order2})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +159,7 @@ func TestFacadeACMatchesMPDESmallSignalGain(t *testing.T) {
 	ckt2.V("V1", "in", "0", repro.DC(0))
 	ckt2.R("R1", "in", "out", 1000)
 	ckt2.C("C1", "out", "0", 1.59155e-10)
-	res, err := repro.ACAnalyze(ckt2, repro.ACOptions{Source: "V1", Freqs: []float64{0.9e6}})
+	res, err := ac.Analyze(context.Background(), ckt2, ac.Options{Source: "V1", Freqs: []float64{0.9e6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +174,7 @@ func TestFacadeEnvelopeTracksBitTransition(t *testing.T) {
 	// Envelope following on the balanced mixer resolves the baseband's
 	// settling toward the quasi-periodic orbit.
 	mix := repro.NewBalancedMixer(repro.BalancedMixerConfig{})
-	env, err := repro.MPDEEnvelope(mix.Ckt, repro.MPDEEnvelopeOptions{
+	env, err := core.EnvelopeFollow(context.Background(), mix.Ckt, core.EnvelopeOptions{
 		N1: 24, Shear: mix.Shear, T2Stop: mix.Shear.Td() / 2,
 		StepT2: mix.Shear.Td() / 40})
 	if err != nil {
@@ -185,7 +193,7 @@ func TestFacadeEnvelopeTracksBitTransition(t *testing.T) {
 
 func TestFacadeSpectrumIdentifiesMixerProducts(t *testing.T) {
 	mix := repro.NewIdealMixer(repro.IdealMixerConfig{F1: 1e9, F2: 1e9 - 1e4})
-	sol, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
+	sol, err := core.QPSS(context.Background(), mix.Ckt, repro.MPDEOptions{
 		N1: 16, N2: 16, Shear: mix.Shear})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +216,7 @@ func TestFacadeErrorMessagesActionable(t *testing.T) {
 	ckt := repro.NewCircuit("bad")
 	ckt.V("VPULSE", "a", "0", repro.Pulse{V2: 1, Width: 1, Period: 2})
 	ckt.R("R1", "a", "0", 50)
-	_, err := repro.MPDEQuasiPeriodic(ckt, repro.MPDEOptions{
+	_, err := core.QPSS(context.Background(), ckt, repro.MPDEOptions{
 		Shear: repro.NewShear(1e6, 0.9e6, 1)})
 	if err == nil || !strings.Contains(err.Error(), "VPULSE") {
 		t.Fatalf("error should name the source: %v", err)
@@ -251,7 +259,7 @@ func TestFacadeTwoToneIntermodOnBalancedMixer(t *testing.T) {
 	ckt.M("M4", "tail", "lom", "0", repro.MOSFET{Vt0: 0.5, KP: 4e-3})
 	ckt.C("CT", "tail", "0", 2e-13)
 
-	sol, err := repro.MPDEQuasiPeriodic(ckt, repro.MPDEOptions{
+	sol, err := core.QPSS(context.Background(), ckt, repro.MPDEOptions{
 		N1: 40, N2: 32, Shear: sh})
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +306,7 @@ func TestFacadePACMatchesMPDEConversionGain(t *testing.T) {
 	//     reading the conversion gain to the −1 sideband of the doubled LO
 	//     (k = −2 of f1). At small RF drive they must agree.
 	mix := repro.NewBalancedMixer(repro.BalancedMixerConfig{RFAmp: 0.01})
-	sol, err := repro.MPDEQuasiPeriodic(mix.Ckt, repro.MPDEOptions{
+	sol, err := core.QPSS(context.Background(), mix.Ckt, repro.MPDEOptions{
 		N1: 40, N2: 32, Shear: mix.Shear})
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +323,7 @@ func TestFacadePACMatchesMPDEConversionGain(t *testing.T) {
 	// small-signal port: stimulus on VRFP only gives half the differential
 	// drive, so the differential gain doubles back.
 	mix2 := repro.NewBalancedMixer(repro.BalancedMixerConfig{RFAmp: 1e-15})
-	res, err := repro.PACAnalyze(mix2.Ckt, repro.PACOptions{
+	res, err := pac.Analyze(context.Background(), mix2.Ckt, pac.Options{
 		Period: 1 / 450e6, Steps: 128, Source: "VRFP",
 		Freqs: []float64{900e6 - 15e3}})
 	if err != nil {

@@ -186,6 +186,7 @@ func runTransient(ctx context.Context, req Request) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	req.Circuit.Finalize()
 	n := req.Circuit.Size()
 	adaptive := p.Accuracy.Enabled() && p.MeasureSpan > 0 && p.MeasureSamples > 0 && p.Step > 0
 	acc := fillAccuracy(p.Accuracy)

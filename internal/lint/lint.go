@@ -1,16 +1,18 @@
-// Package lint is the mpde-vet analyzer suite: nine package-local
+// Package lint is the mpde-vet analyzer suite: eight package-local
 // analyzers that turn the repository's runtime-tested invariants into
 // compile-time checks. Each analyzer guards a contract that already has a
 // runtime counterpart (determinism golden tests, AllocsPerRun gates, the
-// context-cancellation tests, the dispatch race tests, the
-// solver-stats/metrics parity test, the span-drain assertions, the
-// goroutine-count checks in the dispatch tests, the GOMAXPROCS
-// byte-identity sweeps, and the wire codec round-trip tests); the static
-// form catches regressions before a test has to.
+// context-cancellation tests, the dispatch race tests, the span-drain
+// assertions, the goroutine-count checks in the dispatch tests, the
+// GOMAXPROCS byte-identity sweeps, and the wire codec round-trip tests);
+// the static form catches regressions before a test has to. Stats/metrics
+// parity has no analyzer: the server's TestSolverStatsMetricsParity walks
+// both Stats structs by reflection, so a static copy would catch nothing
+// it misses.
 //
 // The suite has two tiers. The syntactic tier (mpdedeterminism,
-// mpdehotpath, mpdectxfirst, mpdelocksafe, mpdestatsparity) pattern-matches
-// single constructs. The dataflow tier builds a control-flow graph per
+// mpdehotpath, mpdectxfirst, mpdelocksafe) pattern-matches single
+// constructs. The dataflow tier builds a control-flow graph per
 // function body (package repro/internal/lint/analysis) and runs fixpoint
 // solvers over it:
 //
@@ -57,7 +59,6 @@ func All() []*analysis.Analyzer {
 		HotpathAnalyzer,
 		CtxFirstAnalyzer,
 		LockSafeAnalyzer,
-		StatsParityAnalyzer,
 		LifecycleAnalyzer,
 		GoroLeakAnalyzer,
 		FloatDetAnalyzer,

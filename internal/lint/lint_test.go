@@ -25,12 +25,6 @@ func TestLockSafe(t *testing.T) {
 	analysistest.Run(t, lint.LockSafeAnalyzer, "testdata/src/locksafe")
 }
 
-func TestStatsParity(t *testing.T) {
-	defer func(types []string) { lint.StatsParityTypes = types }(lint.StatsParityTypes)
-	lint.StatsParityTypes = []string{"Stats"}
-	analysistest.Run(t, lint.StatsParityAnalyzer, "testdata/src/statsparity")
-}
-
 func TestLifecycle(t *testing.T) {
 	analysistest.Run(t, lint.LifecycleAnalyzer, "testdata/src/lifecycle")
 }
@@ -53,8 +47,8 @@ func TestSuiteIsWellFormed(t *testing.T) {
 	if err := analysis.Validate(lint.All()); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(lint.All()); got < 9 {
-		t.Fatalf("suite has %d analyzers, want at least 9", got)
+	if got := len(lint.All()); got < 8 {
+		t.Fatalf("suite has %d analyzers, want at least 8", got)
 	}
 }
 

@@ -253,13 +253,14 @@ func (j *jobState) finalize(status JobStatus, res *sweep.Result, errMsg string) 
 	})
 	key, result := j.key, j.result
 	j.mu.Unlock()
-	close(j.done)
 
 	// A complete run is the only thing worth caching: partial aggregates
-	// depend on when the cancel landed.
+	// depend on when the cancel landed. Put before closing done, so a
+	// client woken by done finds the result in the cache.
 	if status == StatusDone && key != "" && result != nil {
 		m.srv.cache.Put(key, result)
 	}
+	close(j.done)
 	m.spool(j.id, result)
 	m.forgetFlight(j)
 }

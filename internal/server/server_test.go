@@ -315,6 +315,43 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	}
 }
 
+// TestFinishedJobIsCachedBeforeDone: a client woken by a finished job may
+// send its follow-up at once, so the result must already be in the cache
+// when done closes. The test polls done instead of blocking on it: a
+// blocked receiver is readied on the closing goroutine's own P and usually
+// runs only after finalize returns, which hides the ordering, while a
+// poller on another CPU sees the close at once.
+func TestFinishedJobIsCachedBeforeDone(t *testing.T) {
+	s := New(Options{Logf: t.Logf})
+	for i := 0; i < 200; i++ {
+		deck := strings.ReplaceAll(fastDeck, "RL out 0 1k", fmt.Sprintf("RL out 0 %dk", i+1))
+		rs, err := resolveRequest(&Request{Deck: deck}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, release, _, err := s.mgr.submit(rs, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !isClosed(j.done) {
+		}
+		_, cached := s.cache.Get(rs.key)
+		release()
+		if !cached {
+			t.Fatalf("run %d: done closed before the result was cached", i)
+		}
+	}
+}
+
+func isClosed(c <-chan struct{}) bool {
+	select {
+	case <-c:
+		return true
+	default:
+		return false
+	}
+}
+
 // TestClientDisconnectCancelsJob: a synchronous submitter that drops its
 // connection mid-run must cancel the simulation promptly through the
 // solver's Interrupt hook, and the flushed partial result must record the

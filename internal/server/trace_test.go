@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/solver"
 )
 
@@ -170,32 +171,42 @@ func TestWriteMetricsJSONIntegerExact(t *testing.T) {
 	}
 }
 
-// TestSolverStatsMetricsParity walks solver.Stats by reflection and asserts
-// every numeric counter field either has a /metrics point or is explicitly
-// allowlisted — so a new counter cannot silently stay unexported.
+// TestSolverStatsMetricsParity walks solver.Stats and analysis.Stats by
+// reflection and asserts every numeric field either maps to a /metrics
+// point or is allowlisted with a reason — so a new counter in either
+// struct cannot silently stay unexported.
 func TestSolverStatsMetricsParity(t *testing.T) {
-	// Counter fields → the exposition name that must exist.
+	// Counter fields of either struct → the exposition name that must exist.
 	exported := map[string]string{
 		"Iterations":       "mpde_solver_newton_iters_total",
+		"NewtonIters":      "mpde_solver_newton_iters_total",
 		"Halvings":         "mpde_solver_damping_halvings_total",
 		"LinearIters":      "mpde_solver_linear_iters_total",
 		"Factorizations":   "mpde_solver_factorizations_total",
 		"Refactorizations": "mpde_solver_refactorizations_total",
+		"PatternReuse":     "mpde_solver_pattern_reuse_total",
 		"OperatorApplies":  "mpde_solver_operator_applies_total",
 		"PrecondBuilds":    "mpde_solver_precond_builds_total",
 		"GMRESFallbacks":   "mpde_solver_gmres_fallbacks_total",
 		"BatchReuse":       "mpde_solver_batch_reuse_total",
+		"RejectedSteps":    "mpde_solver_step_rejections_total",
+		"Refinements":      "mpde_solver_grid_refinements_total",
 		"AssemblyTime":     "mpde_solver_assembly_seconds_total",
 		"FactorTime":       "mpde_solver_factor_seconds_total",
 	}
-	// Point-in-time values, not counters: nothing to sum across solves.
-	// JacobianEvals is deliberately unexported — it is not threaded through
-	// sweep.JobResult; promote it there before mapping it here.
-	allow := map[string]bool{
-		"Residual":      true,
-		"StepNorm":      true,
-		"FillFactor":    true,
-		"JacobianEvals": true,
+	// Numeric fields deliberately without a series, and why.
+	allow := map[string]string{
+		"Residual":      "per-solve convergence detail, visible in traces",
+		"StepNorm":      "per-solve convergence detail, visible in traces",
+		"FillFactor":    "point-in-time diagnostic, nothing to sum across solves",
+		"JacobianEvals": "not threaded through sweep.JobResult; promote it there before mapping it here",
+		"AcceptedSteps": "derivable from TimeSteps minus RejectedSteps",
+		"PatternBuilds": "complement of PatternReuse; reuse is the signal",
+		"TimeSteps":     "grid/solve-shape descriptor, not load",
+		"Unknowns":      "grid/solve-shape descriptor, not load",
+		"GridPoints":    "grid/solve-shape descriptor, not load",
+		"FinalN1":       "grid/solve-shape descriptor, not load",
+		"FinalN2":       "grid/solve-shape descriptor, not load",
 	}
 
 	s := New(Options{Logf: t.Logf})
@@ -204,23 +215,24 @@ func TestSolverStatsMetricsParity(t *testing.T) {
 		names[p.Name] = true
 	}
 
-	st := reflect.TypeOf(solver.Stats{})
-	for i := 0; i < st.NumField(); i++ {
-		f := st.Field(i)
-		switch f.Type.Kind() {
-		case reflect.Int, reflect.Int64, reflect.Float64:
-		default:
-			continue // bools, slices: not numeric counters
-		}
-		metric, ok := exported[f.Name]
-		if !ok {
-			if !allow[f.Name] {
-				t.Errorf("solver.Stats.%s is numeric but neither exported at /metrics nor allowlisted", f.Name)
+	for _, st := range []reflect.Type{reflect.TypeOf(solver.Stats{}), reflect.TypeOf(analysis.Stats{})} {
+		for i := 0; i < st.NumField(); i++ {
+			f := st.Field(i)
+			switch f.Type.Kind() {
+			case reflect.Int, reflect.Int64, reflect.Float64:
+			default:
+				continue // bools, slices: not numeric counters
 			}
-			continue
-		}
-		if !names[metric] {
-			t.Errorf("solver.Stats.%s maps to %q but snapshot() has no such point", f.Name, metric)
+			metric, ok := exported[f.Name]
+			if !ok {
+				if _, allowed := allow[f.Name]; !allowed {
+					t.Errorf("%s.%s is numeric but neither exported at /metrics nor allowlisted", st, f.Name)
+				}
+				continue
+			}
+			if !names[metric] {
+				t.Errorf("%s.%s maps to %q but snapshot() has no such point", st, f.Name, metric)
+			}
 		}
 	}
 }
