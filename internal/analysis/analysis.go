@@ -117,57 +117,76 @@ type Request struct {
 
 // Stats is the uniform solver-work report every analysis exports. Fields
 // an analysis has no notion of stay zero (a transient has no grid points,
-// AC has no Newton iterations beyond its operating point).
+// AC has no Newton iterations beyond its operating point). The JSON tags
+// are the sweep's per-job keys (sweep.JobResult embeds Stats), so the
+// field order is the key order of the byte-stable exports.
 type Stats struct {
-	// NewtonIters totals nonlinear iterations.
-	NewtonIters int
-	// TimeSteps totals integration steps (shooting/transient/envelope).
-	TimeSteps int
-	// Unknowns is the solved system size.
-	Unknowns int
-	// GridPoints counts collocation points of grid methods.
-	GridPoints int
-	// UsedContinuation marks solves rescued by source stepping.
-	UsedContinuation bool
-	// Factorizations counts full (symbolic+numeric) matrix factorisations;
-	// Refactorizations the numeric-only ones that reused a symbolic
-	// analysis; PatternBuilds/PatternReuse the Jacobian symbolic assemblies
-	// and in-place restamps.
-	Factorizations   int
-	Refactorizations int
-	PatternBuilds    int
-	PatternReuse     int
-	// LinearIters totals inner linear-solver (GMRES) iterations; Halvings
-	// the Newton damping step halvings.
-	LinearIters int
-	Halvings    int
-	// OperatorApplies counts matrix-free Jacobian-vector products;
-	// PrecondBuilds counts preconditioner constructions; GMRESFallbacks
-	// counts GMRES failures rescued by a direct solve; BatchReuse counts
-	// factorisations that reused a shared symbolic analysis (batched line
-	// preconditioner slots or a sweep group's published LU).
-	OperatorApplies int
-	PrecondBuilds   int
-	GMRESFallbacks  int
-	BatchReuse      int
-	// AcceptedSteps/RejectedSteps report the envelope LTE controller's
-	// outcomes (rejected also counts Newton-failure retries of the stepping
-	// analyses).
-	AcceptedSteps int
-	RejectedSteps int
-	// Refinements counts automatic grid/step refinement rounds beyond the
-	// initial solve (QPSS/HB grid sizing, transient resolution doubling).
-	Refinements int
-	// FinalN1/FinalN2 are the grid sizes the converged solve actually used —
-	// equal to the request for fixed grids, chosen by the solver under
-	// Accuracy-driven sizing.
-	FinalN1 int
-	FinalN2 int
 	// AssemblyTime totals residual/Jacobian assembly; FactorTime totals
 	// factorisation time. Both are wall-clock and excluded from the
 	// byte-stable exports.
-	AssemblyTime time.Duration
-	FactorTime   time.Duration
+	AssemblyTime time.Duration `json:"assembly_ns,omitempty"`
+	FactorTime   time.Duration `json:"factor_ns,omitempty"`
+	// NewtonIters totals nonlinear iterations.
+	NewtonIters int `json:"newton_iters"`
+	// TimeSteps totals integration steps (shooting/transient/envelope).
+	TimeSteps int `json:"time_steps,omitempty"`
+	// Unknowns is the solved system size.
+	Unknowns int `json:"unknowns,omitempty"`
+	// Factorizations counts full (symbolic+numeric) matrix factorisations;
+	// Refactorizations the numeric-only ones that reused a symbolic
+	// analysis; PatternReuse the Jacobian assemblies restamped in place.
+	Factorizations   int `json:"factorizations,omitempty"`
+	Refactorizations int `json:"refactorizations,omitempty"`
+	PatternReuse     int `json:"pattern_reuse,omitempty"`
+	// OperatorApplies counts matrix-free Jacobian-vector products;
+	// PrecondBuilds counts preconditioner constructions; BatchReuse counts
+	// factorisations that reused a shared symbolic analysis (batched line
+	// preconditioner slots or a sweep group's published LU).
+	OperatorApplies int `json:"operator_applies,omitempty"`
+	PrecondBuilds   int `json:"precond_builds,omitempty"`
+	BatchReuse      int `json:"batch_reuse,omitempty"`
+	// LinearIters totals inner linear-solver (GMRES) iterations;
+	// GMRESFallbacks counts GMRES failures rescued by a direct solve;
+	// Halvings the Newton damping step halvings.
+	LinearIters    int `json:"linear_iters,omitempty"`
+	GMRESFallbacks int `json:"gmres_fallbacks,omitempty"`
+	Halvings       int `json:"halvings,omitempty"`
+	// AcceptedSteps/RejectedSteps report the envelope LTE controller's
+	// outcomes; RejectedSteps also counts the transient's retried steps
+	// (LTE rejections and Newton failures).
+	AcceptedSteps int `json:"accepted_steps,omitempty"`
+	RejectedSteps int `json:"rejected_steps,omitempty"`
+	// Refinements counts automatic grid/step refinement rounds beyond the
+	// initial solve (QPSS/HB grid sizing, transient resolution doubling).
+	Refinements int `json:"refinements,omitempty"`
+	// FinalN1/FinalN2 are the grid sizes the converged solve actually used —
+	// equal to the request for fixed grids, chosen by the solver under
+	// Accuracy-driven sizing.
+	FinalN1 int `json:"final_n1,omitempty"`
+	FinalN2 int `json:"final_n2,omitempty"`
+	// UsedContinuation marks solves rescued by source stepping.
+	UsedContinuation bool `json:"used_continuation,omitempty"`
+	// GridPoints counts collocation points of grid methods; PatternBuilds
+	// the Jacobian symbolic assemblies. Neither is exported per job.
+	GridPoints    int `json:"-"`
+	PatternBuilds int `json:"-"`
+}
+
+// fromSolver maps a Newton-work total onto the Stats fields it shares.
+func fromSolver(st solver.Stats) Stats {
+	return Stats{
+		AssemblyTime:     st.AssemblyTime,
+		FactorTime:       st.FactorTime,
+		NewtonIters:      st.NewtonIters,
+		Factorizations:   st.Factorizations,
+		Refactorizations: st.Refactorizations,
+		OperatorApplies:  st.OperatorApplies,
+		PrecondBuilds:    st.PrecondBuilds,
+		BatchReuse:       st.BatchReuse,
+		LinearIters:      st.LinearIters,
+		GMRESFallbacks:   st.GMRESFallbacks,
+		Halvings:         st.Halvings,
+	}
 }
 
 // Waveform is a uniform sampled record of one probed output in the

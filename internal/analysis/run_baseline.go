@@ -150,17 +150,9 @@ func (r *dcResult) Raw() any        { return r.x }
 func (r *dcResult) Seed() []float64 { return nil }
 
 func (r *dcResult) Stats() Stats {
-	return Stats{
-		NewtonIters:      r.st.Iterations,
-		Unknowns:         len(r.x),
-		Factorizations:   r.st.Factorizations,
-		Refactorizations: r.st.Refactorizations,
-		LinearIters:      r.st.LinearIters,
-		Halvings:         r.st.Halvings,
-		GMRESFallbacks:   r.st.GMRESFallbacks,
-		AssemblyTime:     r.st.AssemblyTime,
-		FactorTime:       r.st.FactorTime,
-	}
+	st := fromSolver(r.st)
+	st.Unknowns = len(r.x)
+	return st
 }
 
 func (r *dcResult) value(p Probe) float64 {
@@ -191,9 +183,10 @@ func runTransient(ctx context.Context, req Request) (Result, error) {
 	adaptive := p.Accuracy.Enabled() && p.MeasureSpan > 0 && p.MeasureSamples > 0 && p.Step > 0
 	acc := fillAccuracy(p.Accuracy)
 	var (
-		tr                   *transientResult
-		ax                   core.TailAxis
-		iters, steps, rounds int
+		tr                      *transientResult
+		ax                      core.TailAxis
+		work                    solver.Stats
+		steps, rejected, rounds int
 	)
 	for round := 0; ; round++ {
 		opt := transient.Options{
@@ -204,9 +197,10 @@ func runTransient(ctx context.Context, req Request) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		iters += res.NewtonIters
+		work.Add(res.Stats)
 		steps += res.Steps
-		tr = &transientResult{res: res, p: p, n: n, iters: iters, steps: steps, refines: rounds}
+		rejected += res.Rejected
+		tr = &transientResult{res: res, p: p, n: n, work: work, steps: steps, rejected: rejected, refines: rounds}
 		if !adaptive {
 			return tr, nil
 		}
@@ -237,9 +231,11 @@ type transientResult struct {
 	res *transient.Result
 	p   TransientParams
 	n   int
-	// iters/steps accumulate Newton iterations and time steps over every
-	// refinement round; refines counts the rounds beyond the first.
-	iters, steps, refines int
+	// work/steps/rejected accumulate the step solves' Newton work and the
+	// accepted and rejected time steps over every refinement round;
+	// refines counts the rounds beyond the first.
+	work                     solver.Stats
+	steps, rejected, refines int
 }
 
 func (r *transientResult) Method() string  { return "transient" }
@@ -247,12 +243,12 @@ func (r *transientResult) Raw() any        { return r.res }
 func (r *transientResult) Seed() []float64 { return nil }
 
 func (r *transientResult) Stats() Stats {
-	return Stats{
-		NewtonIters: r.iters,
-		TimeSteps:   r.steps,
-		Unknowns:    r.n,
-		Refinements: r.refines,
-	}
+	st := fromSolver(r.work)
+	st.TimeSteps = r.steps
+	st.RejectedSteps = r.rejected
+	st.Unknowns = r.n
+	st.Refinements = r.refines
+	return st
 }
 
 // window resamples the trailing measurement window, or returns the raw
@@ -338,12 +334,14 @@ func (r *shootingResult) Method() string  { return "shooting" }
 func (r *shootingResult) Raw() any        { return r.pss }
 func (r *shootingResult) Seed() []float64 { return nil }
 
+// Stats reports the step solves' LU work and timers; NewtonIters stays the
+// shooting-Newton iteration count, not the step solves' iterations.
 func (r *shootingResult) Stats() Stats {
-	return Stats{
-		NewtonIters: r.pss.Iterations,
-		TimeSteps:   r.pss.TotalTimeSteps,
-		Unknowns:    r.n,
-	}
+	st := fromSolver(r.pss.Stats)
+	st.NewtonIters = r.pss.Iterations
+	st.TimeSteps = r.pss.TotalTimeSteps
+	st.Unknowns = r.n
+	return st
 }
 
 // orbitRecord drops the duplicated period endpoint: exactly Steps samples.
@@ -414,7 +412,7 @@ func runHB(ctx context.Context, req Request) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &hbResult{sol: sol, k: k, n: n}, nil
+	return &hbResult{sol: sol, k: k, n: n, work: sol.Stats}, nil
 }
 
 // runHBAdaptive sizes the HB torus sampling by the same spectral-tail loop
@@ -429,11 +427,11 @@ func runHBAdaptive(ctx context.Context, req Request, p HBParams, opt hb.Options,
 		n2 = 1
 	}
 	var (
-		sol          *hb.Solution
-		ax1, ax2     core.TailAxis
-		iters, gmres int
-		refines      int
-		seed         []float64
+		sol      *hb.Solution
+		ax1, ax2 core.TailAxis
+		work     solver.Stats
+		refines  int
+		seed     []float64
 	)
 	for round := 0; ; round++ {
 		opt.N1, opt.N2, opt.X0 = n1, n2, seed
@@ -441,8 +439,7 @@ func runHBAdaptive(ctx context.Context, req Request, p HBParams, opt hb.Options,
 		if err != nil {
 			return nil, err
 		}
-		iters += s.Stats.NewtonIters
-		gmres += s.Stats.GMRESIters
+		work.Add(s.Stats)
 		sol = s
 		tail1, tail2 := core.GridSpectralTail(sol.X, n, n1, n2, acc.AbsTol)
 		grow1 := ax1.Grow(tail1, acc.RelTol)
@@ -464,16 +461,17 @@ func runHBAdaptive(ctx context.Context, req Request, p HBParams, opt hb.Options,
 		n1, n2 = nn1, nn2
 		refines++
 	}
-	return &hbResult{sol: sol, k: k, n: n, iters: iters, gmres: gmres, refines: refines}, nil
+	return &hbResult{sol: sol, k: k, n: n, work: work, refines: refines}, nil
 }
 
 type hbResult struct {
 	sol *hb.Solution
 	k   int // downconversion LO harmonic for Measure
 	n   int
-	// iters/gmres/refines carry the adaptive loop's accumulated work; zero
-	// values fall back to the single solve's own stats.
-	iters, gmres, refines int
+	// work totals the Newton work of every solve (every round of the
+	// adaptive loop); refines counts the rounds beyond the first.
+	work    solver.Stats
+	refines int
 }
 
 func (r *hbResult) Method() string  { return "hb" }
@@ -481,22 +479,13 @@ func (r *hbResult) Raw() any        { return r.sol }
 func (r *hbResult) Seed() []float64 { return r.sol.X }
 
 func (r *hbResult) Stats() Stats {
-	iters, gmres := r.iters, r.gmres
-	if iters == 0 {
-		iters = r.sol.Stats.NewtonIters
-	}
-	if gmres == 0 {
-		gmres = r.sol.Stats.GMRESIters
-	}
-	return Stats{
-		NewtonIters: iters,
-		LinearIters: gmres,
-		GridPoints:  r.sol.N1 * r.sol.N2,
-		Unknowns:    r.sol.N1 * r.sol.N2 * r.n,
-		Refinements: r.refines,
-		FinalN1:     r.sol.N1,
-		FinalN2:     r.sol.N2,
-	}
+	st := fromSolver(r.work)
+	st.GridPoints = r.sol.N1 * r.sol.N2
+	st.Unknowns = r.sol.N1 * r.sol.N2 * r.n
+	st.Refinements = r.refines
+	st.FinalN1 = r.sol.N1
+	st.FinalN2 = r.sol.N2
+	return st
 }
 
 func (r *hbResult) phasor(p Probe, k1, k2 int) complex128 {

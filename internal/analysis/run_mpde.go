@@ -106,27 +106,16 @@ func (r *qpssResult) Seed() []float64 {
 
 func (r *qpssResult) Stats() Stats {
 	s := r.sol.Stats
-	return Stats{
-		NewtonIters:      s.NewtonIters,
-		Unknowns:         s.Unknowns,
-		GridPoints:       s.GridPoints,
-		UsedContinuation: s.UsedContinuation,
-		Factorizations:   s.Factorizations,
-		Refactorizations: s.Refactorizations,
-		PatternBuilds:    s.PatternBuilds,
-		PatternReuse:     s.PatternReuse,
-		LinearIters:      s.LinearIters,
-		Halvings:         s.Halvings,
-		OperatorApplies:  s.OperatorApplies,
-		PrecondBuilds:    s.PrecondBuilds,
-		GMRESFallbacks:   s.GMRESFallbacks,
-		BatchReuse:       s.BatchReuse,
-		Refinements:      s.Refinements,
-		FinalN1:          r.sol.N1,
-		FinalN2:          r.sol.N2,
-		AssemblyTime:     s.AssemblyTime,
-		FactorTime:       s.FactorTime,
-	}
+	st := fromSolver(s.Stats)
+	st.Unknowns = s.Unknowns
+	st.GridPoints = s.GridPoints
+	st.UsedContinuation = s.UsedContinuation
+	st.PatternBuilds = s.PatternBuilds
+	st.PatternReuse = s.PatternReuse
+	st.Refinements = s.Refinements
+	st.FinalN1 = r.sol.N1
+	st.FinalN2 = r.sol.N2
+	return st
 }
 
 // baseband extracts the probe's slow-time record: differential when the
@@ -197,19 +186,15 @@ func (r *envelopeResult) Raw() any        { return r.env }
 func (r *envelopeResult) Seed() []float64 { return nil }
 
 func (r *envelopeResult) Stats() Stats {
-	return Stats{
-		NewtonIters:      r.env.NewtonIters,
-		TimeSteps:        len(r.env.T2),
-		Unknowns:         r.env.N1 * r.n,
-		Factorizations:   r.env.Factorizations,
-		Refactorizations: r.env.Refactorizations,
-		Halvings:         r.env.Halvings,
-		PatternBuilds:    r.env.PatternBuilds,
-		PatternReuse:     r.env.PatternReuse,
-		AcceptedSteps:    r.env.AcceptedSteps,
-		RejectedSteps:    r.env.RejectedSteps,
-		FinalN1:          r.env.N1,
-	}
+	st := fromSolver(r.env.Stats)
+	st.TimeSteps = len(r.env.T2)
+	st.Unknowns = r.env.N1 * r.n
+	st.PatternBuilds = r.env.PatternBuilds
+	st.PatternReuse = r.env.PatternReuse
+	st.AcceptedSteps = r.env.AcceptedSteps
+	st.RejectedSteps = r.env.RejectedSteps
+	st.FinalN1 = r.env.N1
+	return st
 }
 
 func (r *envelopeResult) baseband(p Probe) []float64 {

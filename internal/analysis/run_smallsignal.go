@@ -55,16 +55,9 @@ func (r *acResult) Raw() any        { return r.res }
 func (r *acResult) Seed() []float64 { return nil }
 
 func (r *acResult) Stats() Stats {
-	st := r.res.Stats
-	return Stats{
-		NewtonIters:      st.Iterations,
-		Unknowns:         r.n,
-		Factorizations:   st.Factorizations,
-		Refactorizations: st.Refactorizations,
-		LinearIters:      st.LinearIters,
-		AssemblyTime:     st.AssemblyTime,
-		FactorTime:       st.FactorTime,
-	}
+	st := fromSolver(r.res.Stats)
+	st.Unknowns = r.n
+	return st
 }
 
 // Waveform is the transfer magnitude |X(probe)| across the sweep;
@@ -113,16 +106,10 @@ func (r *pacResult) Raw() any        { return r.res }
 func (r *pacResult) Seed() []float64 { return nil }
 
 func (r *pacResult) Stats() Stats {
-	st := r.res.Stats
-	return Stats{
-		NewtonIters:      st.Iterations,
-		TimeSteps:        r.res.PSSTimeSteps,
-		Unknowns:         (2*r.res.K + 1) * r.n,
-		Factorizations:   st.Factorizations,
-		Refactorizations: st.Refactorizations,
-		AssemblyTime:     st.AssemblyTime,
-		FactorTime:       st.FactorTime,
-	}
+	st := fromSolver(r.res.Stats)
+	st.TimeSteps = r.res.PSSTimeSteps
+	st.Unknowns = (2*r.res.K + 1) * r.n
+	return st
 }
 
 func (r *pacResult) sideband(p Probe, f, k int) complex128 {

@@ -160,21 +160,11 @@ func AdaptiveQPSS(ctx context.Context, ckt *circuit.Circuit, opt Options, acc Ac
 
 	var total Stats
 	add := func(s Stats) {
-		total.NewtonIters += s.NewtonIters
+		total.Add(s.Stats)
 		total.ContinuationSolves += s.ContinuationSolves
 		total.UsedContinuation = total.UsedContinuation || s.UsedContinuation
-		total.Factorizations += s.Factorizations
-		total.Refactorizations += s.Refactorizations
 		total.PatternBuilds += s.PatternBuilds
 		total.PatternReuse += s.PatternReuse
-		total.LinearIters += s.LinearIters
-		total.OperatorApplies += s.OperatorApplies
-		total.PrecondBuilds += s.PrecondBuilds
-		total.GMRESFallbacks += s.GMRESFallbacks
-		total.BatchReuse += s.BatchReuse
-		total.Halvings += s.Halvings
-		total.AssemblyTime += s.AssemblyTime
-		total.FactorTime += s.FactorTime
 	}
 
 	// The matrix-free mode pays off on the refined grids where LU fill

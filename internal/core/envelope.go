@@ -62,17 +62,14 @@ type EnvelopeResult struct {
 	T2    []float64
 	Lines [][]float64
 
-	NewtonIters int
-	// Factorizations/Refactorizations aggregate the sparse-LU work of every
-	// per-step solve; Halvings the damping halvings; PatternBuilds/
-	// PatternReuse report the line Jacobian's symbolic assembly (the pattern
-	// is shared by every slow step — one symbolic build serves every step
-	// size the controller tries).
-	Factorizations   int
-	Refactorizations int
-	Halvings         int
-	PatternBuilds    int
-	PatternReuse     int
+	// Stats totals the Newton work of every per-step solve, rejected
+	// attempts included. PatternBuilds/PatternReuse report the line
+	// Jacobian's symbolic assembly (the pattern is shared by every slow
+	// step — one symbolic build serves every step size the controller
+	// tries).
+	Stats         solver.Stats
+	PatternBuilds int
+	PatternReuse  int
 	// AcceptedSteps counts slow steps that advanced the march;
 	// RejectedSteps counts attempts thrown away — LTE-test failures under
 	// the controller plus Newton-failure halvings in either mode.
@@ -265,12 +262,6 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 
 	asm := newLineAssembler(ckt, opt.Shear, n, N1, h1)
 	res := &EnvelopeResult{Ckt: ckt, Shear: opt.Shear, N1: N1, n: n}
-	account := func(st solver.Stats) {
-		res.NewtonIters += st.Iterations
-		res.Factorizations += st.Factorizations
-		res.Refactorizations += st.Refactorizations
-		res.Halvings += st.Halvings
-	}
 
 	// Initial line: fast-periodic steady state with the slow derivative off.
 	x := make([]float64, nLine)
@@ -280,7 +271,7 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 		}
 		copy(x, opt.X0Line)
 	} else {
-		// Auxiliary solve: its iterations are not in NewtonIters, so detach
+		// Auxiliary solve: its iterations are not in Stats, so detach
 		// tracing to keep the exported convergence records summable.
 		xdc, _, err := transient.DC(obs.Detach(ctx), ckt, transient.DCOptions{})
 		if err != nil {
@@ -295,7 +286,7 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 		return r, j, err
 	}}
 	st, err := solver.Solve(ctx, sys0, x, opt.Newton)
-	account(st)
+	res.Stats.Add(st)
 	if err != nil {
 		return nil, fmt.Errorf("core: envelope initial fast-periodic line failed: %w", err)
 	}
@@ -341,7 +332,7 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 				h2 = opt.T2Stop - t2
 			}
 			st, err := solveStep(t2, h2)
-			account(st)
+			res.Stats.Add(st)
 			if err != nil {
 				if solver.Interrupted(err) {
 					return finish(fmt.Errorf("core: envelope interrupted at t2=%.3e: %w", t2, err))
@@ -394,7 +385,7 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 			h2 = opt.T2Stop - t2
 		}
 		st, err := solveStep(t2, h2)
-		account(st)
+		res.Stats.Add(st)
 		if err != nil {
 			if solver.Interrupted(err) {
 				return finish(fmt.Errorf("core: envelope interrupted at t2=%.3e: %w", t2, err))

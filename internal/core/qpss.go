@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
@@ -65,45 +64,27 @@ type Options struct {
 
 // Stats reports the work done.
 type Stats struct {
-	NewtonIters        int
+	// Stats totals the Newton work (iterations, LU and GMRES counters,
+	// FillFactor, assembly and factor time) of every solve behind the
+	// result: the main solve, the continuation path, and under
+	// AdaptiveQPSS every refinement round.
+	solver.Stats
 	UsedContinuation   bool
 	ContinuationSolves int
 	GridPoints         int
 	Unknowns           int
 	JacobianNNZ        int
-	FillFactor         float64
-	// Factorizations counts full symbolic+numeric sparse LU runs;
-	// Refactorizations the numeric-only decompositions that reused a
-	// previous symbolic analysis; Halvings the Newton damping step halvings.
-	Factorizations   int
-	Refactorizations int
-	Halvings         int
 	// PatternBuilds counts symbolic Jacobian-pattern constructions (1 for a
 	// converging solve); PatternReuse counts Jacobian assemblies that
 	// restamped values into an existing pattern in place.
 	PatternBuilds int
 	PatternReuse  int
-	// LinearIters totals GMRES iterations; OperatorApplies counts matrix-free
-	// Jacobian-vector products; PrecondBuilds counts preconditioner
-	// constructions; GMRESFallbacks counts GMRES failures rescued by a direct
-	// solve; BatchReuse counts factorisations that reused a shared symbolic
-	// analysis (the line preconditioner's batch slots, or a sweep group's
-	// published LU). All zero on the pure direct path.
-	LinearIters     int
-	OperatorApplies int
-	PrecondBuilds   int
-	GMRESFallbacks  int
-	BatchReuse      int
 	// Refinements counts the grid-refinement rounds AdaptiveQPSS ran beyond
 	// the initial coarse solve (0 for a plain fixed-grid QPSS call).
 	Refinements int
 	// Tail1, Tail2 are the final solution's spectral-tail ratios along the
 	// fast and slow axes (only set by AdaptiveQPSS; see GridSpectralTail).
 	Tail1, Tail2 float64
-	// AssemblyTime totals residual/Jacobian assembly inside the Newton
-	// loop; FactorTime totals LU factorisation time.
-	AssemblyTime time.Duration
-	FactorTime   time.Duration
 }
 
 // Solution is a converged multi-time steady state on the bi-periodic grid.
@@ -219,18 +200,7 @@ func QPSS(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Solution, er
 		sys = mfs
 	}
 	st, err := solver.Solve(ctx, sys, x, opt.Newton)
-	sol.Stats.NewtonIters = st.Iterations
-	sol.Stats.Factorizations = st.Factorizations
-	sol.Stats.Refactorizations = st.Refactorizations
-	sol.Stats.FillFactor = st.FillFactor
-	sol.Stats.LinearIters = st.LinearIters
-	sol.Stats.OperatorApplies = st.OperatorApplies
-	sol.Stats.PrecondBuilds = st.PrecondBuilds
-	sol.Stats.GMRESFallbacks = st.GMRESFallbacks
-	sol.Stats.BatchReuse = st.BatchReuse
-	sol.Stats.Halvings = st.Halvings
-	sol.Stats.AssemblyTime = st.AssemblyTime
-	sol.Stats.FactorTime = st.FactorTime
+	sol.Stats.Add(st)
 	if mfs != nil {
 		reused, _ := mfs.batchStats()
 		sol.Stats.BatchReuse += reused
@@ -256,17 +226,7 @@ func QPSS(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Solution, er
 		cs, cerr := solver.Continue(ctx, ps, x, solver.ContinuationOptions{Newton: cnOpt})
 		sol.Stats.UsedContinuation = true
 		sol.Stats.ContinuationSolves = cs.Solves
-		sol.Stats.NewtonIters += cs.NewtonIters
-		sol.Stats.Factorizations += cs.Factorizations
-		sol.Stats.Refactorizations += cs.Refactorizations
-		sol.Stats.Halvings += cs.Halvings
-		sol.Stats.LinearIters += cs.LinearIters
-		sol.Stats.GMRESFallbacks += cs.GMRESFallbacks
-		sol.Stats.AssemblyTime += cs.AssemblyTime
-		sol.Stats.FactorTime += cs.FactorTime
-		if cs.FillFactor > 0 {
-			sol.Stats.FillFactor = cs.FillFactor
-		}
+		sol.Stats.Add(cs.Total)
 		if cerr != nil {
 			return nil, fmt.Errorf("core: QPSS Newton failed (%v) and continuation failed: %w", err, cerr)
 		}

@@ -44,47 +44,7 @@ import (
 // mpdewirelock reports any mutation of a locked field.
 //
 //go:generate go run ./gen
-const WireVersion = 1
-
-// NewtonWire is the serialisable subset of solver.Options: the scalar
-// knobs that change solved numbers. The in-process hooks (Progress,
-// ShareLU) deliberately do not travel — workers install their own.
-type NewtonWire struct {
-	MaxIter         int     `json:"max_iter,omitempty"`
-	AbsTol          float64 `json:"abstol,omitempty"`
-	RelTol          float64 `json:"reltol,omitempty"`
-	ResidTol        float64 `json:"residtol,omitempty"`
-	MaxStep         float64 `json:"max_step,omitempty"`
-	Damping         bool    `json:"damping,omitempty"`
-	MaxHalve        int     `json:"max_halve,omitempty"`
-	Linear          int     `json:"linear,omitempty"`
-	PivotTol        float64 `json:"pivot_tol,omitempty"`
-	GMRESTol        float64 `json:"gmres_tol,omitempty"`
-	GMRESIter       int     `json:"gmres_iter,omitempty"`
-	JacobianRefresh int     `json:"jacobian_refresh,omitempty"`
-}
-
-// NewtonFromOptions captures o's scalar knobs.
-func NewtonFromOptions(o solver.Options) NewtonWire {
-	return NewtonWire{
-		MaxIter: o.MaxIter, AbsTol: o.AbsTol, RelTol: o.RelTol,
-		ResidTol: o.ResidTol, MaxStep: o.MaxStep, Damping: o.Damping,
-		MaxHalve: o.MaxHalve, Linear: int(o.Linear), PivotTol: o.PivotTol,
-		GMRESTol: o.GMRESTol, GMRESIter: o.GMRESIter,
-		JacobianRefresh: o.JacobianRefresh,
-	}
-}
-
-// Options reconstitutes the solver options (hooks unset).
-func (w NewtonWire) Options() solver.Options {
-	return solver.Options{
-		MaxIter: w.MaxIter, AbsTol: w.AbsTol, RelTol: w.RelTol,
-		ResidTol: w.ResidTol, MaxStep: w.MaxStep, Damping: w.Damping,
-		MaxHalve: w.MaxHalve, Linear: solver.LinearSolverKind(w.Linear),
-		PivotTol: w.PivotTol, GMRESTol: w.GMRESTol, GMRESIter: w.GMRESIter,
-		JacobianRefresh: w.JacobianRefresh,
-	}
-}
+const WireVersion = 2
 
 // RequestWire is the canonical wire form of one resolved sweep request:
 // everything that can change the timing-free result bytes, and nothing
@@ -109,7 +69,6 @@ type RequestWire struct {
 	RelTol           float64     `json:"reltol,omitempty"`
 	AbsTol           float64     `json:"abstol,omitempty"`
 	Linear           string      `json:"linear,omitempty"`
-	Newton           NewtonWire  `json:"newton"`
 	// JobTimeoutMS bounds each analysis job on the executing node. It is
 	// part of the encoding (a timeout changes outcomes) but requests with
 	// one are uncacheable upstream, so it never poisons cached identities.
@@ -192,7 +151,6 @@ func (r *RequestWire) BuildSpec(workers int) (sweep.Spec, error) {
 		RelTol:             r.RelTol,
 		AbsTol:             r.AbsTol,
 		Linear:             r.Linear,
-		Newton:             r.Newton.Options(),
 		Build:              func(sweep.Point) (*sweep.Target, error) { return tgt, nil },
 	}
 	spec.JobList = make([]sweep.JobSpec, len(r.Jobs))

@@ -2,7 +2,12 @@ package dispatch
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -137,12 +142,6 @@ func testWire() *RequestWire {
 		WarmStart: true, SpectrumTop: 5,
 		TransientPeriods: 12.5, StepsPerFast: 96,
 		RelTol: 1e-4, AbsTol: 1e-9, Linear: "matfree",
-		Newton: NewtonFromOptions(solver.Options{
-			MaxIter: 42, AbsTol: 1e-10, RelTol: 1e-5, ResidTol: 1e-7,
-			MaxStep: 0.5, Damping: true, MaxHalve: 7,
-			Linear: solver.MatrixFree, PivotTol: 1e-3,
-			GMRESTol: 1e-6, GMRESIter: 33, JacobianRefresh: 3,
-		}),
 	}
 }
 
@@ -177,17 +176,14 @@ func TestRequestWireRoundTripAndKey(t *testing.T) {
 	if key != key2 {
 		t.Fatalf("key changed across the wire: %s vs %s", key, key2)
 	}
-	// The linear-solver kind travels as its int value; matfree must stay 2.
-	if !bytes.Contains(enc, []byte(`"linear":2`)) {
-		t.Fatalf("Newton linear kind not encoded as 2: %s", enc)
-	}
-	if ropts := back.Newton.Options(); ropts.MaxIter != 42 || ropts.Linear != solver.MatrixFree || ropts.JacobianRefresh != 3 {
-		t.Fatalf("Newton knobs lost: %+v", ropts)
-	}
 }
 
 func TestDecodeRequestStrict(t *testing.T) {
-	if _, err := DecodeRequest([]byte(`{"v":1,"deck":"x","name":"n","jobs":[],"outp":0,"outm":-1,"rf_amp":0,"warm_start":false,"spectrum_top":0,"transient_periods":0,"steps_per_fast":0,"newton":{},"future":1}`)); err == nil {
+	known := fmt.Sprintf(`{"v":%d,"deck":"x","name":"n","jobs":[],"outp":0,"outm":-1,"rf_amp":0,"warm_start":false,"spectrum_top":0,"transient_periods":0,"steps_per_fast":0`, WireVersion)
+	if _, err := DecodeRequest([]byte(known + `}`)); err != nil {
+		t.Fatalf("known fields rejected: %v", err)
+	}
+	if _, err := DecodeRequest([]byte(known + `,"future":1}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
 	r := testWire()
@@ -238,7 +234,7 @@ func FuzzDecodeShardResult(f *testing.F) {
 	sr := &ShardResult{
 		V: WireVersion,
 		Jobs: []sweep.JobResult{
-			{Job: sweep.Job{ID: 0, Method: "qpss"}, Status: sweep.StatusOK, NewtonIters: 7},
+			{Job: sweep.Job{ID: 0, Method: "qpss"}, Status: sweep.StatusOK, Stats: analysis.Stats{NewtonIters: 7}},
 			{Job: sweep.Job{ID: 1, Method: "qpss"}, Status: sweep.StatusFailed, Err: "diverged"},
 		},
 		Spans: []obs.SpanRecord{
@@ -252,11 +248,12 @@ func FuzzDecodeShardResult(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"v":1,"jobs":[]}`))
-	f.Add([]byte(`{"v":2,"jobs":[]}`))
-	f.Add([]byte(`{"v":1,"jobs":[{"job":{"id":0,"method":"qpss"},"status":"ok"}],"cached":true}`))
-	f.Add([]byte(`{"v":1,"spans":[{"name":"x","data":{"not":"a trace"}}]}`))
-	f.Add([]byte(`{"v":1,"spans":[{"name":"x","data":[{"iter":1,"residual":"NaN"}]}]}`))
+	v, next := WireVersion, WireVersion+1
+	f.Add([]byte(fmt.Sprintf(`{"v":%d,"jobs":[]}`, v)))
+	f.Add([]byte(fmt.Sprintf(`{"v":%d,"jobs":[]}`, next)))
+	f.Add([]byte(fmt.Sprintf(`{"v":%d,"jobs":[{"job":{"id":0,"method":"qpss"},"status":"ok"}],"cached":true}`, v)))
+	f.Add([]byte(fmt.Sprintf(`{"v":%d,"spans":[{"name":"x","data":{"not":"a trace"}}]}`, v)))
+	f.Add([]byte(fmt.Sprintf(`{"v":%d,"spans":[{"name":"x","data":[{"iter":1,"residual":"NaN"}]}]}`, v)))
 	f.Add([]byte(`not json at all`))
 	f.Add(seed[:len(seed)/2])
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -274,6 +271,30 @@ func FuzzDecodeShardResult(f *testing.F) {
 	})
 }
 
+// TestEnvelopeCorpusReasons pins each checked-in corpus entry that probes
+// one decoder branch to that branch: an entry left at an older wire
+// version would be rejected for its version alone and test nothing else.
+func TestEnvelopeCorpusReasons(t *testing.T) {
+	for name, reason := range map[string]string{
+		"nil-req":        "has no request",
+		"unknown-field":  "unknown field",
+		"duplicate-keys": fmt.Sprintf("shard wire version %d,", WireVersion+1),
+	} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeShardEnvelope", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, _ := strings.Cut(string(raw), "[]byte(")
+		body, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := DecodeShardEnvelope([]byte(body)); err == nil || !strings.Contains(err.Error(), reason) {
+			t.Errorf("%s: decode error %v, want one naming %q", name, err, reason)
+		}
+	}
+}
+
 // FuzzDecodeShardEnvelope hardens the worker-facing decoder: arbitrary
 // bytes must never panic, and an accepted envelope must re-encode and
 // re-decode cleanly (the decoder's own output is always canonical input).
@@ -289,10 +310,11 @@ func FuzzDecodeShardEnvelope(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"v":1,"job_ids":[0],"req":null}`))
-	f.Add([]byte(`{"v":2,"job_ids":[0],"req":{"v":2}}`))
-	f.Add([]byte(`{"v":1,"job_ids":[],"req":{"v":1}}`))
-	f.Add([]byte(`{"v":1,"job_ids":[0],"req":{"v":1},"unknown_field":true}`))
+	v, next := WireVersion, WireVersion+1
+	f.Add([]byte(fmt.Sprintf(`{"v":%d,"job_ids":[0],"req":null}`, v)))
+	f.Add([]byte(fmt.Sprintf(`{"v":%d,"job_ids":[0],"req":{"v":%d}}`, next, next)))
+	f.Add([]byte(fmt.Sprintf(`{"v":%d,"job_ids":[],"req":{"v":%d}}`, v, v)))
+	f.Add([]byte(fmt.Sprintf(`{"v":%d,"job_ids":[0],"req":{"v":%d},"unknown_field":true}`, v, v)))
 	f.Add([]byte(`not json at all`))
 	f.Add(seed[:len(seed)/2])
 	f.Fuzz(func(t *testing.T, raw []byte) {

@@ -30,6 +30,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/fft"
 	"repro/internal/la"
+	"repro/internal/solver"
 	"repro/internal/transient"
 )
 
@@ -69,16 +70,11 @@ type Solution struct {
 	F1, F2 float64
 	N1, N2 int
 	X      []float64 // layout (j·N1+i)·n + k, θ1 index i, θ2 index j
-	Stats  Stats
+	// Stats reports the Newton work: NewtonIters, LinearIters (GMRES
+	// iterations) and the final Residual.
+	Stats solver.Stats
 
 	n int
-}
-
-// Stats reports solver work.
-type Stats struct {
-	NewtonIters int
-	GMRESIters  int
-	Residual    float64
 }
 
 // ErrNoConvergence reports a failed HB Newton loop.
@@ -181,7 +177,7 @@ func Solve(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Solution, e
 		dx := make([]float64, nTot)
 		res, err := la.GMRES(op, neg, dx, la.GMRESOptions{
 			Tol: opt.GMRESTol, MaxIter: opt.GMRESIter, Restart: 60, M: prec})
-		sol.Stats.GMRESIters += res.Iterations
+		sol.Stats.LinearIters += res.Iterations
 		if err != nil {
 			return nil, fmt.Errorf("hb: GMRES failed at iter %d (residual %.3e): %w", it, res.Residual, err)
 		}

@@ -7,8 +7,8 @@
 // GOMAXPROCS byte-identity sweeps, and the wire codec round-trip tests);
 // the static form catches regressions before a test has to. Stats/metrics
 // parity has no analyzer: the server's TestSolverStatsMetricsParity walks
-// both Stats structs by reflection, so a static copy would catch nothing
-// it misses.
+// both Stats structs by reflection against the /metrics series table, so a
+// static copy would catch nothing it misses.
 //
 // The suite has two tiers. The syntactic tier (mpdedeterminism,
 // mpdehotpath, mpdectxfirst, mpdelocksafe) pattern-matches single

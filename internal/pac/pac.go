@@ -139,7 +139,7 @@ func Analyze(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, e
 		if err != nil {
 			return nil, fmt.Errorf("pac: PSS failed: %w", err)
 		}
-		st.Iterations = pss.Iterations
+		st.NewtonIters = pss.Iterations
 		pssSteps = pss.TotalTimeSteps
 	}
 	orbit := pss.Orbit

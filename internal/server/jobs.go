@@ -190,45 +190,17 @@ func (j *jobState) finalize(status JobStatus, res *sweep.Result, errMsg string) 
 	var ok, fail, canc, iters int
 	if res != nil {
 		ok, fail, canc = res.Counts()
-		var facts, refacts, pat, ops, precs, reuse, rejects, refines int
-		var linIters, falls, halvs int
-		var asmNS, facNS int64
 		for i := range res.Jobs {
-			iters += res.Jobs[i].NewtonIters
-			facts += res.Jobs[i].Factorizations
-			refacts += res.Jobs[i].Refactorizations
-			pat += res.Jobs[i].PatternReuse
-			ops += res.Jobs[i].OperatorApplies
-			precs += res.Jobs[i].PrecondBuilds
-			reuse += res.Jobs[i].BatchReuse
-			linIters += res.Jobs[i].LinearIters
-			falls += res.Jobs[i].GMRESFallbacks
-			halvs += res.Jobs[i].Halvings
-			rejects += res.Jobs[i].RejectedSteps
-			refines += res.Jobs[i].Refinements
-			asmNS += res.Jobs[i].Assembly.Nanoseconds()
-			facNS += res.Jobs[i].Factor.Nanoseconds()
-			m.srv.metrics.jobDuration.Observe(res.Jobs[i].Wall.Seconds())
-			m.srv.metrics.newtonPer.Observe(float64(res.Jobs[i].NewtonIters))
-			m.srv.metrics.gmresPer.Observe(float64(res.Jobs[i].LinearIters))
+			jr := &res.Jobs[i]
+			iters += jr.NewtonIters
+			m.srv.metrics.addSolver(&jr.Stats)
+			m.srv.metrics.jobDuration.Observe(jr.Wall.Seconds())
+			m.srv.metrics.newtonPer.Observe(float64(jr.NewtonIters))
+			m.srv.metrics.gmresPer.Observe(float64(jr.LinearIters))
 		}
 		m.srv.metrics.sweepOK.Add(int64(ok))
 		m.srv.metrics.sweepFailed.Add(int64(fail))
 		m.srv.metrics.sweepCanc.Add(int64(canc))
-		m.srv.metrics.newtonIters.Add(int64(iters))
-		m.srv.metrics.factorize.Add(int64(facts))
-		m.srv.metrics.refactorize.Add(int64(refacts))
-		m.srv.metrics.patternHits.Add(int64(pat))
-		m.srv.metrics.opApplies.Add(int64(ops))
-		m.srv.metrics.precBuilds.Add(int64(precs))
-		m.srv.metrics.batchReuse.Add(int64(reuse))
-		m.srv.metrics.linearIters.Add(int64(linIters))
-		m.srv.metrics.gmresFalls.Add(int64(falls))
-		m.srv.metrics.halvings.Add(int64(halvs))
-		m.srv.metrics.stepRejects.Add(int64(rejects))
-		m.srv.metrics.gridRefines.Add(int64(refines))
-		m.srv.metrics.assemblyNS.Add(asmNS)
-		m.srv.metrics.factorNS.Add(facNS)
 	}
 	switch status {
 	case StatusDone:
@@ -237,6 +209,14 @@ func (j *jobState) finalize(status JobStatus, res *sweep.Result, errMsg string) 
 		m.srv.metrics.failed.Add(1)
 	case StatusCanceled:
 		m.srv.metrics.canceled.Add(1)
+	}
+
+	// A complete run is the only thing worth caching: partial aggregates
+	// depend on when the cancel landed. Put before the job shows as
+	// finished (status, done event, closed done), so a client that sees it
+	// finish finds the result in the cache.
+	if status == StatusDone && j.key != "" && buf.Len() > 0 {
+		m.srv.cache.Put(j.key, buf.Bytes())
 	}
 
 	j.mu.Lock()
@@ -251,15 +231,9 @@ func (j *jobState) finalize(status JobStatus, res *sweep.Result, errMsg string) 
 		OK: ok, Failed: fail, Canceled: canc,
 		NewtonIters: iters, Err: errMsg,
 	})
-	key, result := j.key, j.result
+	result := j.result
 	j.mu.Unlock()
 
-	// A complete run is the only thing worth caching: partial aggregates
-	// depend on when the cancel landed. Put before closing done, so a
-	// client woken by done finds the result in the cache.
-	if status == StatusDone && key != "" && result != nil {
-		m.srv.cache.Put(key, result)
-	}
 	close(j.done)
 	m.spool(j.id, result)
 	m.forgetFlight(j)

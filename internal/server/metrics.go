@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/dispatch"
 )
 
@@ -28,29 +30,47 @@ type metrics struct {
 	sharedHits  atomic.Int64 // submits coalesced onto an in-flight run
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
-	newtonIters atomic.Int64 // solver iterations summed over engine runs
-	factorize   atomic.Int64 // full sparse-LU factorisations
-	refactorize atomic.Int64 // numeric-only refactorisations (symbolic reuse)
-	patternHits atomic.Int64 // in-place Jacobian restamps (pattern reuse)
-	opApplies   atomic.Int64 // matrix-free Jacobian-vector products
-	precBuilds  atomic.Int64 // iterative-mode preconditioner builds
-	batchReuse  atomic.Int64 // batch/shared-LU numeric refactorisations
-	linearIters atomic.Int64 // inner GMRES iterations
-	gmresFalls  atomic.Int64 // GMRES failures rescued by a direct solve
-	halvings    atomic.Int64 // Newton damping step halvings
-	stepRejects atomic.Int64 // envelope LTE step rejections
-	gridRefines atomic.Int64 // adaptive grid/step refinement rounds
-	assemblyNS  atomic.Int64 // residual/Jacobian assembly time (ns)
-	factorNS    atomic.Int64 // factorisation time (ns)
 	sweepOK     atomic.Int64 // per-analysis outcomes inside engine runs
 	sweepFailed atomic.Int64
 	sweepCanc   atomic.Int64
 	spoolErrors atomic.Int64 // spool write failures (results not landing on disk)
 
+	// solverTotals holds the solverSeries sums (durations in ns).
+	solverTotals [len(solverSeries)]atomic.Int64
+
 	// Fixed-bucket histograms, initialised by initHistograms (New calls it).
 	jobDuration *histogram
 	newtonPer   *histogram
 	gmresPer    *histogram
+}
+
+// solverSeries is the per-job solver work /metrics exports: each series
+// sums one analysis.Stats field over every job of every engine run.
+// addSolver and snapshot both walk it, in this order; a time.Duration field
+// renders as seconds.
+var solverSeries = [...]struct{ name, help, field string }{
+	{"mpde_solver_newton_iters_total", "Nonlinear solver iterations summed over engine runs.", "NewtonIters"},
+	{"mpde_solver_factorizations_total", "Full sparse-LU factorisations summed over engine runs.", "Factorizations"},
+	{"mpde_solver_refactorizations_total", "Numeric-only LU refactorisations that reused a symbolic analysis.", "Refactorizations"},
+	{"mpde_solver_pattern_reuse_total", "Jacobian assemblies restamped into an existing sparsity pattern.", "PatternReuse"},
+	{"mpde_solver_operator_applies_total", "Matrix-free Jacobian-vector products summed over engine runs.", "OperatorApplies"},
+	{"mpde_solver_precond_builds_total", "Iterative-mode preconditioner builds summed over engine runs.", "PrecondBuilds"},
+	{"mpde_solver_batch_reuse_total", "Numeric refactorisations against a batched or shared symbolic analysis.", "BatchReuse"},
+	{"mpde_solver_linear_iters_total", "Inner GMRES iterations summed over engine runs.", "LinearIters"},
+	{"mpde_solver_gmres_fallbacks_total", "GMRES failures rescued by a direct solve.", "GMRESFallbacks"},
+	{"mpde_solver_damping_halvings_total", "Newton damping step halvings summed over engine runs.", "Halvings"},
+	{"mpde_solver_step_rejections_total", "Envelope LTE steps rejected and retried smaller.", "RejectedSteps"},
+	{"mpde_solver_grid_refinements_total", "Adaptive grid/step refinement rounds beyond the initial solve.", "Refinements"},
+	{"mpde_solver_assembly_seconds_total", "Residual/Jacobian assembly time summed over engine runs.", "AssemblyTime"},
+	{"mpde_solver_factor_seconds_total", "Matrix factorisation time summed over engine runs.", "FactorTime"},
+}
+
+// addSolver adds one job's solver work to the solverSeries totals.
+func (m *metrics) addSolver(st *analysis.Stats) {
+	v := reflect.ValueOf(st).Elem()
+	for i, s := range solverSeries {
+		m.solverTotals[i].Add(v.FieldByName(s.field).Int())
+	}
 }
 
 // initHistograms allocates the histogram set. Bucket bounds are fixed at
@@ -177,20 +197,18 @@ func (m *metrics) snapshot(cache *resultCache, start time.Time, ds dispatch.Stat
 		intPoint("mpde_cache_misses_total", "Cacheable submits that had to run.", false, m.cacheMisses.Load()),
 		intPoint("mpde_cache_entries", "Resident result-cache entries.", true, int64(entries)),
 		intPoint("mpde_cache_bytes", "Resident result-cache bytes.", true, bytes),
-		intPoint("mpde_solver_newton_iters_total", "Nonlinear solver iterations summed over engine runs.", false, m.newtonIters.Load()),
-		intPoint("mpde_solver_factorizations_total", "Full sparse-LU factorisations summed over engine runs.", false, m.factorize.Load()),
-		intPoint("mpde_solver_refactorizations_total", "Numeric-only LU refactorisations that reused a symbolic analysis.", false, m.refactorize.Load()),
-		intPoint("mpde_solver_pattern_reuse_total", "Jacobian assemblies restamped into an existing sparsity pattern.", false, m.patternHits.Load()),
-		intPoint("mpde_solver_operator_applies_total", "Matrix-free Jacobian-vector products summed over engine runs.", false, m.opApplies.Load()),
-		intPoint("mpde_solver_precond_builds_total", "Iterative-mode preconditioner builds summed over engine runs.", false, m.precBuilds.Load()),
-		intPoint("mpde_solver_batch_reuse_total", "Numeric refactorisations against a batched or shared symbolic analysis.", false, m.batchReuse.Load()),
-		intPoint("mpde_solver_linear_iters_total", "Inner GMRES iterations summed over engine runs.", false, m.linearIters.Load()),
-		intPoint("mpde_solver_gmres_fallbacks_total", "GMRES failures rescued by a direct solve.", false, m.gmresFalls.Load()),
-		intPoint("mpde_solver_damping_halvings_total", "Newton damping step halvings summed over engine runs.", false, m.halvings.Load()),
-		intPoint("mpde_solver_step_rejections_total", "Envelope LTE steps rejected and retried smaller.", false, m.stepRejects.Load()),
-		intPoint("mpde_solver_grid_refinements_total", "Adaptive grid/step refinement rounds beyond the initial solve.", false, m.gridRefines.Load()),
-		floatPoint("mpde_solver_assembly_seconds_total", "Residual/Jacobian assembly time summed over engine runs.", false, float64(m.assemblyNS.Load())/1e9),
-		floatPoint("mpde_solver_factor_seconds_total", "Matrix factorisation time summed over engine runs.", false, float64(m.factorNS.Load())/1e9),
+	}
+	duration := reflect.TypeOf(time.Duration(0))
+	statsType := reflect.TypeOf(analysis.Stats{})
+	for i, s := range solverSeries {
+		v := m.solverTotals[i].Load()
+		if f, _ := statsType.FieldByName(s.field); f.Type == duration {
+			pts = append(pts, floatPoint(s.name, s.help, false, float64(v)/1e9))
+		} else {
+			pts = append(pts, intPoint(s.name, s.help, false, v))
+		}
+	}
+	pts = append(pts,
 		intPoint("mpde_sweep_jobs_ok_total", "Per-analysis ok outcomes inside engine runs.", false, m.sweepOK.Load()),
 		intPoint("mpde_sweep_jobs_failed_total", "Per-analysis failures inside engine runs.", false, m.sweepFailed.Load()),
 		intPoint("mpde_sweep_jobs_canceled_total", "Per-analysis cancellations inside engine runs.", false, m.sweepCanc.Load()),
@@ -203,7 +221,7 @@ func (m *metrics) snapshot(cache *resultCache, start time.Time, ds dispatch.Stat
 		intPoint("mpde_dispatch_shards_total", "Shards enqueued to the worker fleet.", false, ds.ShardsDispatched),
 		intPoint("mpde_dispatch_shard_cache_hits_total", "Shards served from the shared shard cache without dispatching.", false, ds.ShardCacheHits),
 		intPoint("mpde_dispatch_recovered_total", "Journalled shards re-enqueued by boot recovery.", false, ds.Recovered),
-	}
+	)
 	return pts
 }
 

@@ -311,7 +311,6 @@ func resolveRequest(req *Request, sweepWorkers int) (*runSpec, error) {
 		RelTol:           spec.RelTol,
 		AbsTol:           spec.AbsTol,
 		Linear:           spec.Linear,
-		Newton:           dispatch.NewtonFromOptions(spec.Newton),
 		JobTimeoutMS:     req.JobTimeoutMS,
 	}
 	key, err := wire.Key()

@@ -317,7 +317,8 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 
 // TestFinishedJobIsCachedBeforeDone: a client woken by a finished job may
 // send its follow-up at once, so the result must already be in the cache
-// when done closes. The test polls done instead of blocking on it: a
+// when done closes or the job reports a finished status (what the done
+// event and GET /result show). The test polls instead of blocking: a
 // blocked receiver is readied on the closing goroutine's own P and usually
 // runs only after finalize returns, which hides the ordering, while a
 // poller on another CPU sees the close at once.
@@ -333,7 +334,7 @@ func TestFinishedJobIsCachedBeforeDone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for !isClosed(j.done) {
+		for !isClosed(j.done) && !j.info().Status.finished() {
 		}
 		_, cached := s.cache.Get(rs.key)
 		release()

@@ -109,9 +109,7 @@ func TestTraceEndpoint(t *testing.T) {
 // it scrapes the endpoint and fails if the exposition drops them.
 func TestMetricsExportGMRESFallbacksAndHalvings(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
-	s.metrics.gmresFalls.Add(3)
-	s.metrics.halvings.Add(7)
-	s.metrics.linearIters.Add(41)
+	s.metrics.addSolver(&analysis.Stats{GMRESFallbacks: 3, Halvings: 7, LinearIters: 41})
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -172,34 +170,18 @@ func TestWriteMetricsJSONIntegerExact(t *testing.T) {
 }
 
 // TestSolverStatsMetricsParity walks solver.Stats and analysis.Stats by
-// reflection and asserts every numeric field either maps to a /metrics
-// point or is allowlisted with a reason — so a new counter in either
-// struct cannot silently stay unexported.
+// reflection and asserts every numeric field either feeds a solverSeries
+// entry (matched by field name; the two structs share their counter names)
+// or is allowlisted with a reason — so a new counter in either struct
+// cannot silently stay unexported. Every series must name a numeric
+// analysis.Stats field.
 func TestSolverStatsMetricsParity(t *testing.T) {
-	// Counter fields of either struct → the exposition name that must exist.
-	exported := map[string]string{
-		"Iterations":       "mpde_solver_newton_iters_total",
-		"NewtonIters":      "mpde_solver_newton_iters_total",
-		"Halvings":         "mpde_solver_damping_halvings_total",
-		"LinearIters":      "mpde_solver_linear_iters_total",
-		"Factorizations":   "mpde_solver_factorizations_total",
-		"Refactorizations": "mpde_solver_refactorizations_total",
-		"PatternReuse":     "mpde_solver_pattern_reuse_total",
-		"OperatorApplies":  "mpde_solver_operator_applies_total",
-		"PrecondBuilds":    "mpde_solver_precond_builds_total",
-		"GMRESFallbacks":   "mpde_solver_gmres_fallbacks_total",
-		"BatchReuse":       "mpde_solver_batch_reuse_total",
-		"RejectedSteps":    "mpde_solver_step_rejections_total",
-		"Refinements":      "mpde_solver_grid_refinements_total",
-		"AssemblyTime":     "mpde_solver_assembly_seconds_total",
-		"FactorTime":       "mpde_solver_factor_seconds_total",
-	}
 	// Numeric fields deliberately without a series, and why.
 	allow := map[string]string{
 		"Residual":      "per-solve convergence detail, visible in traces",
 		"StepNorm":      "per-solve convergence detail, visible in traces",
 		"FillFactor":    "point-in-time diagnostic, nothing to sum across solves",
-		"JacobianEvals": "not threaded through sweep.JobResult; promote it there before mapping it here",
+		"JacobianEvals": "not threaded through sweep.JobResult; promote it there before exporting it",
 		"AcceptedSteps": "derivable from TimeSteps minus RejectedSteps",
 		"PatternBuilds": "complement of PatternReuse; reuse is the signal",
 		"TimeSteps":     "grid/solve-shape descriptor, not load",
@@ -208,14 +190,17 @@ func TestSolverStatsMetricsParity(t *testing.T) {
 		"FinalN1":       "grid/solve-shape descriptor, not load",
 		"FinalN2":       "grid/solve-shape descriptor, not load",
 	}
-
-	s := New(Options{Logf: t.Logf})
-	names := map[string]bool{}
-	for _, p := range s.metrics.snapshot(s.cache, s.start, s.coord.Stats()) {
-		names[p.Name] = true
+	exported := map[string]bool{}
+	statsType := reflect.TypeOf(analysis.Stats{})
+	for _, s := range solverSeries {
+		f, ok := statsType.FieldByName(s.field)
+		if !ok || (f.Type.Kind() != reflect.Int && f.Type.Kind() != reflect.Int64) {
+			t.Errorf("series %s names %q, which is not an integer analysis.Stats field", s.name, s.field)
+		}
+		exported[s.field] = true
 	}
 
-	for _, st := range []reflect.Type{reflect.TypeOf(solver.Stats{}), reflect.TypeOf(analysis.Stats{})} {
+	for _, st := range []reflect.Type{reflect.TypeOf(solver.Stats{}), statsType} {
 		for i := 0; i < st.NumField(); i++ {
 			f := st.Field(i)
 			switch f.Type.Kind() {
@@ -223,15 +208,8 @@ func TestSolverStatsMetricsParity(t *testing.T) {
 			default:
 				continue // bools, slices: not numeric counters
 			}
-			metric, ok := exported[f.Name]
-			if !ok {
-				if _, allowed := allow[f.Name]; !allowed {
-					t.Errorf("%s.%s is numeric but neither exported at /metrics nor allowlisted", st, f.Name)
-				}
-				continue
-			}
-			if !names[metric] {
-				t.Errorf("%s.%s maps to %q but snapshot() has no such point", st, f.Name, metric)
+			if _, allowed := allow[f.Name]; !exported[f.Name] && !allowed {
+				t.Errorf("%s.%s is numeric but neither exported at /metrics nor allowlisted", st, f.Name)
 			}
 		}
 	}

@@ -62,6 +62,9 @@ type Result struct {
 	FinalError float64
 	// TotalTimeSteps counts all BE steps taken, the paper's cost metric.
 	TotalTimeSteps int
+	// Stats totals the Newton work of every BE step solve, across every
+	// integration (orbit record and matrix-free re-integrations included).
+	Stats solver.Stats
 	// Monodromy is ∂Φ_T/∂x0 at the solution (dense mode only; nil in
 	// matrix-free mode). Its eigenvalues are the Floquet multipliers.
 	Monodromy *la.Dense
@@ -114,6 +117,8 @@ type integrator struct {
 	jac   la.Combiner
 	ws    solver.Workspace
 	resid []float64
+	// stats totals the step solves' Newton work over every integration.
+	stats solver.Stats
 	// The current step's system: tNew and the charge at the previous point.
 	tNew  float64
 	qPrev []float64
@@ -177,7 +182,9 @@ func (g *integrator) propagate(x0 []float64, wantM, record bool, t0 float64) ([]
 	totalSteps := 0
 	for k := 1; k <= g.steps; k++ {
 		g.tNew = t0 + float64(k)*g.h
-		if _, err := g.ws.Solve(g.ctx, g, x, g.opt); err != nil {
+		st, err := g.ws.Solve(g.ctx, g, x, g.opt)
+		g.stats.Add(st)
+		if err != nil {
 			return nil, nil, nil, totalSteps, fmt.Errorf("shooting: step %d (t=%.3e) failed: %w", k, g.tNew, err)
 		}
 		totalSteps++
@@ -302,6 +309,7 @@ func PSS(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 	g := newIntegrator(ctx, ckt, opt.Period/float64(opt.Steps), opt.Steps, opt.Newton)
 
 	res := &Result{}
+	defer func() { res.Stats = g.stats }()
 	for it := 0; it < opt.MaxIter; it++ {
 		res.Iterations = it + 1
 		xT, m, _, steps, err := g.propagate(x0, !opt.MatrixFree, false, 0)

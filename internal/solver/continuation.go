@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/la"
 )
@@ -40,23 +39,13 @@ type ContinuationOptions struct {
 	MaxSolves int     // cap on total Newton solves (default 200)
 }
 
-// ContinuationStats reports the path taken.
+// ContinuationStats reports the path taken. Total sums the work of every
+// inner Newton solve (see Stats.Add).
 type ContinuationStats struct {
 	Solves      int
 	Failures    int
 	FinalLambda float64
-	NewtonIters int
-	// Factorizations/Refactorizations/Halvings/LinearIters/GMRESFallbacks/
-	// AssemblyTime/FactorTime aggregate the work of every inner Newton solve
-	// (see Stats); FillFactor is the last solve's LU fill.
-	Factorizations   int
-	Refactorizations int
-	Halvings         int
-	LinearIters      int
-	GMRESFallbacks   int
-	AssemblyTime     time.Duration
-	FactorTime       time.Duration
-	FillFactor       float64
+	Total       Stats
 }
 
 // ErrContinuation is returned when the path cannot reach λ = 1.
@@ -87,17 +76,7 @@ func Continue(ctx context.Context, sys ParamSystem, x []float64, opt Continuatio
 			return sys.EvalAt(lambda, xx, jac)
 		}}
 		st, err := Solve(ctx, sub, guess, opt.Newton)
-		cs.NewtonIters += st.Iterations
-		cs.Factorizations += st.Factorizations
-		cs.Refactorizations += st.Refactorizations
-		cs.Halvings += st.Halvings
-		cs.LinearIters += st.LinearIters
-		cs.GMRESFallbacks += st.GMRESFallbacks
-		cs.AssemblyTime += st.AssemblyTime
-		cs.FactorTime += st.FactorTime
-		if st.FillFactor > 0 {
-			cs.FillFactor = st.FillFactor
-		}
+		cs.Total.Add(st)
 		return st, err
 	}
 

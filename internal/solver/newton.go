@@ -175,14 +175,14 @@ func (o *Options) Fill() {
 
 // Stats reports how a Newton solve went.
 type Stats struct {
-	Iterations  int
+	NewtonIters int
 	Residual    float64 // final residual ∞-norm
 	StepNorm    float64 // final weighted step norm (≤ 1 at convergence)
 	Converged   bool
 	Halvings    int // total damping halvings
 	LinearIters int // total GMRES iterations (matrix-free mode)
 	// JacobianEvals counts full (residual + Jacobian) system evaluations;
-	// with JacobianRefresh > 1 it runs below Iterations.
+	// with JacobianRefresh > 1 it runs below NewtonIters.
 	JacobianEvals int
 	// Factorizations counts full symbolic+numeric LU factorisations;
 	// Refactorizations counts the cheaper numeric-only decompositions that
@@ -208,8 +208,30 @@ type Stats struct {
 	FactorTime   time.Duration
 	// Trace holds one convergence record per iteration — recorded only when
 	// the context carries an obs recorder (see internal/obs), nil otherwise.
-	// Its length equals Iterations for a solve that ran to a verdict.
+	// Its length equals NewtonIters for a solve that ran to a verdict.
 	Trace []IterTrace
+}
+
+// Add merges o's work into s: it sums the counters and timers, and takes
+// o's FillFactor when it is nonzero (the latest factorisation's fill).
+// The final-iterate fields (Residual, StepNorm, Converged) and Trace are
+// not merged.
+func (s *Stats) Add(o Stats) {
+	s.NewtonIters += o.NewtonIters
+	s.Halvings += o.Halvings
+	s.LinearIters += o.LinearIters
+	s.JacobianEvals += o.JacobianEvals
+	s.Factorizations += o.Factorizations
+	s.Refactorizations += o.Refactorizations
+	if o.FillFactor > 0 {
+		s.FillFactor = o.FillFactor
+	}
+	s.OperatorApplies += o.OperatorApplies
+	s.PrecondBuilds += o.PrecondBuilds
+	s.GMRESFallbacks += o.GMRESFallbacks
+	s.BatchReuse += o.BatchReuse
+	s.AssemblyTime += o.AssemblyTime
+	s.FactorTime += o.FactorTime
 }
 
 // IterTrace is one Newton iteration's convergence record: the per-iteration
@@ -383,7 +405,7 @@ func (w *Workspace) Solve(ctx context.Context, sys System, x []float64, opt Opti
 	st, err := w.solve(ctx, sys, x, opt, true)
 	span.SetInt("unknowns", int64(sys.Size()))
 	span.SetStr("linear", opt.Linear.String())
-	span.SetInt("iterations", int64(st.Iterations))
+	span.SetInt("iterations", int64(st.NewtonIters))
 	span.SetInt("halvings", int64(st.Halvings))
 	span.SetInt("linear_iters", int64(st.LinearIters))
 	span.SetFloat("residual", finiteOr(st.Residual, -1))
@@ -463,7 +485,7 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 	jacAge := -1 // -1: no Jacobian factored yet
 	for it := 0; it < opt.MaxIter; it++ {
 		if interrupt != nil && interrupt() { //mpde:coldpath cancellation exits the solve
-			return st, fmt.Errorf("%w after %d iterations: %w", ErrInterrupted, st.Iterations, ctx.Err())
+			return st, fmt.Errorf("%w after %d iterations: %w", ErrInterrupted, st.NewtonIters, ctx.Err())
 		}
 		if trace {
 			itBase = st
@@ -472,7 +494,7 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 		if opt.Progress != nil {
 			opt.Progress(it+1, rNorm)
 		}
-		st.Iterations = it + 1
+		st.NewtonIters = it + 1
 		if jacAge < 0 || jacAge >= opt.JacobianRefresh {
 			if opt.Linear == MatrixFree {
 				t0 := time.Now()
@@ -626,5 +648,5 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 	st.Residual = rNorm
 	//mpde:coldpath non-convergence is the failure exit
 	return st, fmt.Errorf("%w after %d iterations (residual %.3e, step %.3e)",
-		ErrNewton, st.Iterations, st.Residual, st.StepNorm)
+		ErrNewton, st.NewtonIters, st.Residual, st.StepNorm)
 }

@@ -127,12 +127,12 @@ func TestJacobianRefreshSkipsEvaluations(t *testing.T) {
 	}
 	xClassic, stClassic, _ := solve(1)
 	xChord, stChord, evalsChord := solve(4)
-	if stChord.Iterations <= 1 {
+	if stChord.NewtonIters <= 1 {
 		t.Skip("converged too fast to exercise the policy")
 	}
-	if evalsChord >= stChord.Iterations {
+	if evalsChord >= stChord.NewtonIters {
 		t.Fatalf("refresh=4 evaluated %d Jacobians over %d iterations; expected fewer",
-			evalsChord, stChord.Iterations)
+			evalsChord, stChord.NewtonIters)
 	}
 	if got := stChord.Factorizations + stChord.Refactorizations; got != evalsChord {
 		t.Fatalf("decompositions (%d) should match Jacobian evaluations (%d)", got, evalsChord)
@@ -160,9 +160,9 @@ func TestSolveStatsBookkeeping(t *testing.T) {
 	if st.JacobianEvals != evals {
 		t.Fatalf("JacobianEvals = %d, instrumented %d", st.JacobianEvals, evals)
 	}
-	if st.Factorizations+st.Refactorizations != st.Iterations {
+	if st.Factorizations+st.Refactorizations != st.NewtonIters {
 		t.Fatalf("decompositions %d+%d != iterations %d",
-			st.Factorizations, st.Refactorizations, st.Iterations)
+			st.Factorizations, st.Refactorizations, st.NewtonIters)
 	}
 	if st.FillFactor <= 0 {
 		t.Fatalf("FillFactor not reported: %v", st.FillFactor)

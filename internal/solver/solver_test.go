@@ -42,8 +42,8 @@ func TestNewtonQuadraticConvergenceIterationCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Iterations > 8 {
-		t.Fatalf("Newton took %d iterations on a scalar quadratic", st.Iterations)
+	if st.NewtonIters > 8 {
+		t.Fatalf("Newton took %d iterations on a scalar quadratic", st.NewtonIters)
 	}
 }
 

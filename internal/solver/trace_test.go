@@ -28,8 +28,8 @@ func TestSolveTraceRecordsEveryIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Trace) != st.Iterations {
-		t.Fatalf("len(Trace) = %d, want Iterations = %d", len(st.Trace), st.Iterations)
+	if len(st.Trace) != st.NewtonIters {
+		t.Fatalf("len(Trace) = %d, want NewtonIters = %d", len(st.Trace), st.NewtonIters)
 	}
 	var halvings int
 	for i, tr := range st.Trace {
@@ -62,14 +62,14 @@ func TestSolveTraceRecordsEveryIteration(t *testing.T) {
 	if sp.Name != "newton.solve" {
 		t.Fatalf("span name %q", sp.Name)
 	}
-	if sp.Attrs["iterations"] != int64(st.Iterations) {
-		t.Fatalf("span iterations attr %v, want %d", sp.Attrs["iterations"], st.Iterations)
+	if sp.Attrs["iterations"] != int64(st.NewtonIters) {
+		t.Fatalf("span iterations attr %v, want %d", sp.Attrs["iterations"], st.NewtonIters)
 	}
 	if sp.Attrs["converged"] != int64(1) {
 		t.Fatalf("span converged attr %v", sp.Attrs["converged"])
 	}
 	payload, ok := sp.Data.([]IterTrace)
-	if !ok || len(payload) != st.Iterations {
+	if !ok || len(payload) != st.NewtonIters {
 		t.Fatalf("span payload %T len mismatch", sp.Data)
 	}
 }
@@ -113,8 +113,8 @@ func TestSolveTraceCountsDampingHalvings(t *testing.T) {
 	if sum != st.Halvings {
 		t.Fatalf("trace halvings sum %d != Stats.Halvings %d", sum, st.Halvings)
 	}
-	if len(st.Trace) != st.Iterations {
-		t.Fatalf("len(Trace) = %d, want %d", len(st.Trace), st.Iterations)
+	if len(st.Trace) != st.NewtonIters {
+		t.Fatalf("len(Trace) = %d, want %d", len(st.Trace), st.NewtonIters)
 	}
 }
 
@@ -134,7 +134,7 @@ func TestContinuationAggregatesHalvings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Halvings == 0 {
+	if cs.Total.Halvings == 0 {
 		t.Fatal("continuation inner solves reported no halvings to aggregate")
 	}
 }

@@ -150,13 +150,13 @@ func TestWorkspaceSolveAllocsFlat(t *testing.T) {
 	clamped := NewOptions()
 	clamped.MaxStep = 0.1
 	one, ten := solveFrom0(NewOptions()), solveFrom0(clamped)
-	if one.Iterations > 2 || ten.Iterations < 10 {
-		t.Fatalf("iterations %d and %d, want ≤ 2 and ≥ 10", one.Iterations, ten.Iterations)
+	if one.NewtonIters > 2 || ten.NewtonIters < 10 {
+		t.Fatalf("iterations %d and %d, want ≤ 2 and ≥ 10", one.NewtonIters, ten.NewtonIters)
 	}
 	aOne := testing.AllocsPerRun(50, func() { solveFrom0(NewOptions()) })
 	aTen := testing.AllocsPerRun(50, func() { solveFrom0(clamped) })
 	if aTen != aOne || aOne > 2 {
 		t.Fatalf("allocs/solve = %v at %d iterations, %v at %d; want equal and ≤ 2",
-			aOne, one.Iterations, aTen, ten.Iterations)
+			aOne, one.NewtonIters, aTen, ten.NewtonIters)
 	}
 }

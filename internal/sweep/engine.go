@@ -13,6 +13,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/la"
 	"repro/internal/obs"
+	"repro/internal/solver"
 )
 
 // finalizeMu serialises Circuit.Finalize across jobs: a Builder may hand the
@@ -329,17 +330,10 @@ func (s *Spec) runJob(ctx context.Context, job Job, seed []float64, nJobs int, s
 		return jr, nil
 	}
 
-	// Engine-level Newton default: a zero MaxIter selects 60 damped
-	// iterations for every method (the runners' own defaults are the
-	// solver-wide 50, tuned for single solves; sweep points lean on the
-	// extra headroom). Set fields pass through untouched — HB maps them
-	// onto its private loop field by field.
-	newton := s.Newton
-	if newton.MaxIter == 0 {
-		newton.MaxIter = 60
-		newton.Damping = true
-	}
-	newton.ShareLU = share
+	// Sweep points run 60 damped Newton iterations for every method (the
+	// runners' own defaults are the solver-wide 50, tuned for single
+	// solves; sweep points lean on the extra headroom).
+	newton := solver.Options{MaxIter: 60, Damping: true, ShareLU: share}
 	res, err := analysis.Run(jctx, analysis.Request{
 		Method:  string(job.Method),
 		Circuit: tgt.Ckt,
@@ -362,27 +356,8 @@ func (s *Spec) runJob(ctx context.Context, job Job, seed []float64, nJobs int, s
 		return jr, nil
 	}
 
-	st := res.Stats()
-	jr.NewtonIters = st.NewtonIters
-	jr.TimeSteps = st.TimeSteps
-	jr.Unknowns = st.Unknowns
-	jr.UsedContinuation = st.UsedContinuation
-	jr.Factorizations = st.Factorizations
-	jr.Refactorizations = st.Refactorizations
-	jr.PatternReuse = st.PatternReuse
-	jr.OperatorApplies = st.OperatorApplies
-	jr.PrecondBuilds = st.PrecondBuilds
-	jr.BatchReuse = st.BatchReuse
-	jr.LinearIters = st.LinearIters
-	jr.GMRESFallbacks = st.GMRESFallbacks
-	jr.Halvings = st.Halvings
-	jr.AcceptedSteps = st.AcceptedSteps
-	jr.RejectedSteps = st.RejectedSteps
-	jr.Refinements = st.Refinements
-	jr.FinalN1 = st.FinalN1
-	jr.FinalN2 = st.FinalN2
-	jr.Assembly = st.AssemblyTime
-	jr.Factor = st.FactorTime
+	jr.Stats = res.Stats()
+	jr.Assembly, jr.Factor = jr.AssemblyTime, jr.FactorTime
 
 	probe := tgt.Probe()
 	m := res.Measure(probe, tgt.RFAmp)

@@ -77,8 +77,8 @@ func (r *Result) WriteCSV(w io.Writer, timing bool) error {
 		if timing {
 			rec = append(rec,
 				strconv.FormatInt(jr.Wall.Nanoseconds(), 10),
-				strconv.FormatInt(jr.Assembly.Nanoseconds(), 10),
-				strconv.FormatInt(jr.Factor.Nanoseconds(), 10))
+				strconv.FormatInt(jr.AssemblyTime.Nanoseconds(), 10),
+				strconv.FormatInt(jr.FactorTime.Nanoseconds(), 10))
 		}
 		if err := cw.Write(rec); err != nil {
 			return err
@@ -139,7 +139,7 @@ func (r *Result) WriteJSON(w io.Writer, timing bool) error {
 		for i := range r.Jobs {
 			jr := r.Jobs[i]
 			if !timing {
-				jr.Wall, jr.Assembly, jr.Factor = 0, 0, 0
+				jr.Wall, jr.AssemblyTime, jr.FactorTime = 0, 0, 0
 			}
 			b, err := json.MarshalIndent(&jr, "    ", "  ")
 			if err != nil {

@@ -3,8 +3,11 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/analysis"
 )
 
 // exportResult is a fixed aggregate exercising every JobResult field shape:
@@ -18,8 +21,9 @@ func exportResult() *Result {
 			{
 				Job:    Job{ID: 0, Method: QPSS, Point: Point{Fd: 15e3, N1: 40, N2: 30}},
 				Status: StatusOK, Wall: 42 * time.Millisecond,
-				NewtonIters: 7, Unknowns: 13200, GainValid: true,
-				Swing: 0.123,
+				Stats:     analysis.Stats{NewtonIters: 7, Unknowns: 13200},
+				GainValid: true,
+				Swing:     0.123,
 				Spectrum: []Line{
 					{K1: 2, K2: -1, Freq: 15e3, Amp: 0.06},
 					{K1: 0, K2: 0, Freq: 0, Amp: 1.9},
@@ -112,6 +116,103 @@ func TestWriteJSONTimingFree(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("timing-free serialisation is not reproducible")
+	}
+}
+
+// TestJobResultWireShape pins the per-job keys, their order and the CSV
+// columns: JobResult takes its counters from the embedded analysis.Stats,
+// whose field order must keep producing these exact bytes. Every counter
+// is distinct and nonzero so a dropped, renamed or reordered field shows.
+func TestJobResultWireShape(t *testing.T) {
+	r := &Result{Name: "shape", Workers: 2, Wall: 3, Jobs: []JobResult{{
+		Job:    Job{ID: 3, Method: QPSS, Point: Point{Fd: 1e5, N1: 8, N2: 4}},
+		Status: StatusOK, Wall: 5, Assembly: 6, Factor: 7,
+		Stats: analysis.Stats{
+			AssemblyTime: 8, FactorTime: 9, NewtonIters: 11, TimeSteps: 12, Unknowns: 13,
+			Factorizations: 14, Refactorizations: 15, PatternReuse: 16,
+			OperatorApplies: 17, PrecondBuilds: 18, BatchReuse: 19,
+			LinearIters: 20, GMRESFallbacks: 21, Halvings: 22,
+			AcceptedSteps: 23, RejectedSteps: 24, Refinements: 25, FinalN1: 26, FinalN2: 27,
+			UsedContinuation: true, GridPoints: 28, PatternBuilds: 29,
+		},
+		GainValid: true, Swing: 0.25,
+	}}}
+	var js, csv, timed bytes.Buffer
+	if err := r.WriteJSON(&js, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteCSV(&csv, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteJSON(&timed, true); err != nil {
+		t.Fatal(err)
+	}
+	wantJSON := `{
+  "name": "shape",
+  "workers": 0,
+  "wall_ns": 0,
+  "jobs": [
+    {
+      "job": {
+        "id": 3,
+        "method": "qpss",
+        "point": {
+          "fd": 100000,
+          "n1": 8,
+          "n2": 4
+        }
+      },
+      "status": "ok",
+      "wall_ns": 0,
+      "newton_iters": 11,
+      "time_steps": 12,
+      "unknowns": 13,
+      "factorizations": 14,
+      "refactorizations": 15,
+      "pattern_reuse": 16,
+      "operator_applies": 17,
+      "precond_builds": 18,
+      "batch_reuse": 19,
+      "linear_iters": 20,
+      "gmres_fallbacks": 21,
+      "halvings": 22,
+      "accepted_steps": 23,
+      "rejected_steps": 24,
+      "refinements": 25,
+      "final_n1": 26,
+      "final_n2": 27,
+      "used_continuation": true,
+      "gain_valid": true,
+      "gain": {
+        "Ratio": 0,
+        "DB": 0,
+        "HD2": 0,
+        "HD3": 0
+      },
+      "swing": 0.25
+    }
+  ]
+}
+`
+	if js.String() != wantJSON {
+		t.Errorf("timing-free JSON:\n%s\nwant:\n%s", js.String(), wantJSON)
+	}
+	wantCSV := "id,method,fd,amp,n1,n2,status,unknowns,newton_iters,time_steps,continuation," +
+		"factorizations,refactorizations,pattern_reuse,operator_applies,precond_builds,batch_reuse," +
+		"linear_iters,gmres_fallbacks,halvings,accepted_steps,rejected_steps,refinements,final_n1,final_n2," +
+		"gain_valid,gain_ratio,gain_db,hd2,hd3,swing,spectrum,err\n" +
+		"3,qpss,100000,0,8,4,ok,13,11,12,true,14,15,16,17,18,19,20,21,22,23,24,25,26,27," +
+		"true,0.000000000e+00,0.000000000e+00,0.000000000e+00,0.000000000e+00,2.500000000e-01,,\n"
+	if csv.String() != wantCSV {
+		t.Errorf("timing-free CSV:\n%s\nwant:\n%s", csv.String(), wantCSV)
+	}
+	// With timing on, the two timers come from Stats and sit between
+	// wall_ns and newton_iters.
+	if want := `"wall_ns": 5,
+      "assembly_ns": 8,
+      "factor_ns": 9,
+      "newton_iters": 11,`; !strings.Contains(timed.String(), want) {
+		t.Errorf("timed JSON lacks %q:\n%s", want, timed.String())
 	}
 }
 

@@ -35,7 +35,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/rf"
-	"repro/internal/solver"
 )
 
 // Method names one of the analyses the engine can run at a grid point: an
@@ -165,11 +164,6 @@ type Spec struct {
 	// (method, N1, N2) group as the initial guess for the group's
 	// remaining jobs.
 	WarmStart bool
-	// Newton overrides the nonlinear-solver configuration. Set fields are
-	// merged non-destructively over each analysis's own defaults by the
-	// analysis runners; HB maps the set fields onto its private Newton
-	// loop (MaxIter, ResidTol→Tol, GMRESTol, GMRESIter).
-	Newton solver.Options
 	// DiffT1, DiffT2 select the finite-difference order of QPSS jobs
 	// (zero values → first order, matching core.Options).
 	DiffT1, DiffT2 core.DiffOrder
@@ -251,53 +245,18 @@ type JobResult struct {
 	Job    Job    `json:"job"`
 	Status Status `json:"status"`
 	Err    string `json:"err,omitempty"`
-	// Wall is the job's wall-clock time; Assembly and Factor split out the
-	// analysis's residual/Jacobian assembly and factorisation time (all
-	// excluded from the timing-free serialisations so runs are
-	// byte-comparable).
-	Wall     time.Duration `json:"wall_ns"`
-	Assembly time.Duration `json:"assembly_ns,omitempty"`
-	Factor   time.Duration `json:"factor_ns,omitempty"`
-	// NewtonIters totals nonlinear iterations; TimeSteps totals
-	// integration steps (shooting/transient/envelope); Unknowns is the
-	// solved system size.
-	NewtonIters int `json:"newton_iters"`
-	TimeSteps   int `json:"time_steps,omitempty"`
-	Unknowns    int `json:"unknowns,omitempty"`
-	// Factorizations counts full sparse-LU factorisations;
-	// Refactorizations the numeric-only decompositions that reused a
-	// previous symbolic analysis; PatternReuse the Jacobian assemblies that
-	// restamped an existing sparsity pattern in place (QPSS/envelope).
-	// All are deterministic counts, safe for the byte-stable exports.
-	Factorizations   int `json:"factorizations,omitempty"`
-	Refactorizations int `json:"refactorizations,omitempty"`
-	PatternReuse     int `json:"pattern_reuse,omitempty"`
-	// OperatorApplies counts matrix-free Jacobian-vector products;
-	// PrecondBuilds counts preconditioner constructions; BatchReuse counts
-	// factorisations that reused a shared symbolic analysis (a warm-start
-	// group's published LU or the matrix-free line batch). Deterministic,
-	// safe for the byte-stable exports.
-	OperatorApplies int `json:"operator_applies,omitempty"`
-	PrecondBuilds   int `json:"precond_builds,omitempty"`
-	BatchReuse      int `json:"batch_reuse,omitempty"`
-	// LinearIters totals inner GMRES iterations; GMRESFallbacks counts
-	// GMRES failures rescued by a direct solve; Halvings the Newton damping
-	// step halvings. Deterministic, safe for the byte-stable exports.
-	LinearIters    int `json:"linear_iters,omitempty"`
-	GMRESFallbacks int `json:"gmres_fallbacks,omitempty"`
-	Halvings       int `json:"halvings,omitempty"`
-	// AcceptedSteps/RejectedSteps report the envelope LTE controller's
-	// outcomes; Refinements counts automatic grid/step refinement rounds;
-	// FinalN1/FinalN2 are the grid sizes the solve actually used (equal to
-	// the request for fixed grids, solver-chosen under Spec.RelTol). All
-	// deterministic, safe for the byte-stable exports.
-	AcceptedSteps int `json:"accepted_steps,omitempty"`
-	RejectedSteps int `json:"rejected_steps,omitempty"`
-	Refinements   int `json:"refinements,omitempty"`
-	FinalN1       int `json:"final_n1,omitempty"`
-	FinalN2       int `json:"final_n2,omitempty"`
-	// UsedContinuation marks QPSS jobs rescued by source stepping.
-	UsedContinuation bool `json:"used_continuation,omitempty"`
+	// Wall is the job's wall-clock time, excluded from the timing-free
+	// serialisations so runs are byte-comparable.
+	Wall time.Duration `json:"wall_ns"`
+	// Assembly and Factor repeat Stats.AssemblyTime and Stats.FactorTime
+	// for in-process readers; they are not serialised (the Stats fields
+	// carry assembly_ns and factor_ns).
+	Assembly time.Duration `json:"-"`
+	Factor   time.Duration `json:"-"`
+	// Stats is the analysis's solver-work report. Its counters are
+	// deterministic, safe for the byte-stable exports; its two timers are
+	// zeroed there like Wall.
+	analysis.Stats
 	// GainValid guards Gain: conversion gain referenced to Target.RFAmp.
 	GainValid bool              `json:"gain_valid"`
 	Gain      rf.ConversionGain `json:"gain,omitempty"`

@@ -29,7 +29,7 @@ func stepAllocs(t *testing.T, ckt *circuit.Circuit, h float64, newton solver.Opt
 	if res.Rejected != 0 {
 		t.Fatalf("%d rejected steps: the per-step difference needs a clean march", res.Rejected)
 	}
-	return (a2 - a1) / n, float64(res.NewtonIters) / float64(res.Steps)
+	return (a2 - a1) / n, float64(res.Stats.NewtonIters) / float64(res.Steps)
 }
 
 // TestRunStepAllocsBounded is the march's allocation contract: device

@@ -62,9 +62,12 @@ type Options struct {
 type Result struct {
 	T []float64
 	X [][]float64 // X[k] is the state at T[k]
-	// Steps counts accepted steps; Rejected counts LTE rejections;
-	// NewtonIters totals nonlinear iterations.
-	Steps, Rejected, NewtonIters int
+	// Steps counts accepted steps; Rejected counts steps retried smaller
+	// (LTE rejections and Newton failures).
+	Steps, Rejected int
+	// Stats totals the Newton work of every step solve, rejected attempts
+	// included.
+	Stats solver.Stats
 }
 
 // At linearly interpolates the state at time t into dst.
@@ -210,7 +213,7 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 
 		copy(xNew, x)
 		st, err := ws.Solve(ctx, sys, xNew, opt.Newton)
-		res.NewtonIters += st.Iterations
+		res.Stats.Add(st)
 		if err != nil {
 			if solver.Interrupted(err) {
 				return res, fmt.Errorf("transient: interrupted at t=%.6e: %w", t, err)
