@@ -129,8 +129,8 @@ func (c *Circuit) NewEval() *Eval {
 		Q: make([]float64, n),
 		F: make([]float64, n),
 		B: make([]float64, n),
-		C: la.NewTriplet(n, n),
-		G: la.NewTriplet(n, n),
+		C: la.NewStampMap(n, n),
+		G: la.NewStampMap(n, n),
 	}
 	return e
 }
@@ -154,50 +154,72 @@ func (r *Result) Residual(dst []float64) []float64 {
 }
 
 // EvalAt stamps every device at iterate x under ctx. When jac is true the
-// sparse Jacobians C = ∂q/∂x and G = ∂f/∂x are compressed and returned.
+// sparse Jacobians C = ∂q/∂x and G = ∂f/∂x are returned, each with a fresh
+// Val over the Eval's shared pattern.
 func (e *Eval) EvalAt(x []float64, ctx device.EvalCtx, jac bool) Result {
 	return e.EvalAtInto(x, ctx, jac, nil, nil)
 }
 
-// EvalAtInto is EvalAt with caller-owned Jacobian storage: when jac is set,
-// C and G are compressed into c and g (slices grown only when capacity is
-// short) instead of freshly allocated matrices. The MPDE grid assembler
-// keeps one (c, g) pair per grid point and re-stamps them every Newton
-// iteration without allocating. nil c/g allocate as EvalAt does.
+// EvalAtInto is EvalAt with caller-owned Jacobian values: when jac is set,
+// C and G are written into c and g. Their RowPtr/ColIdx become the Eval's
+// compiled pattern — shared and read-only, kept until the devices stamp a
+// different sequence — and their Val is grown only when capacity is short.
+// The MPDE grid assembler keeps one (c, g) pair per grid point and
+// re-stamps them every Newton iteration without allocating. nil c/g
+// allocate as EvalAt does.
 func (e *Eval) EvalAtInto(x []float64, ctx device.EvalCtx, jac bool, c, g *la.CSR) Result {
 	n := e.ckt.Size()
 	if len(x) != n {
 		panic(fmt.Sprintf("circuit: iterate size %d, want %d", len(x), n))
 	}
 	st := &e.st
-	la.Fill(st.Q, 0)
-	la.Fill(st.F, 0)
-	la.Fill(st.B, 0)
-	st.C.Reset()
-	st.G.Reset()
 	st.X = x
 	st.Jac = jac
 	st.Ctx = ctx
 	st.Gmin = e.ckt.Gmin
+	res := Result{Q: st.Q, F: st.F, B: st.B}
+	if !jac {
+		e.stamp()
+		return res
+	}
+	if c == nil {
+		c = &la.CSR{}
+	}
+	if g == nil {
+		g = &la.CSR{}
+	}
+	// Replay the compiled stamps; a sequence that changed re-runs the
+	// devices once in record mode, which recompiles.
+	for record := false; ; record = true {
+		st.C.Begin(c, record)
+		st.G.Begin(g, record)
+		e.stamp()
+		if st.C.End() && st.G.End() {
+			break
+		}
+	}
+	res.C, res.G = c, g
+	return res
+}
 
+// stamp zeroes the residual accumulators and runs every device, plus GMIN
+// to ground on every node unknown, at the workspace's iterate.
+func (e *Eval) stamp() {
+	st := &e.st
+	la.Fill(st.Q, 0)
+	la.Fill(st.F, 0)
+	la.Fill(st.B, 0)
 	for _, d := range e.ckt.devices {
 		d.Stamp(st)
 	}
-	// GMIN to ground on every node unknown.
 	if g := e.ckt.Gmin; g > 0 {
 		for i := 0; i < e.ckt.NumNodes(); i++ {
-			st.F[i] += g * x[i]
-			if jac {
-				st.G.Append(i, i, g)
+			st.F[i] += g * st.X[i]
+			if st.Jac {
+				st.G.Add(i, i, g)
 			}
 		}
 	}
-	res := Result{Q: st.Q, F: st.F, B: st.B}
-	if jac {
-		res.C = st.C.CompressInto(c)
-		res.G = st.G.CompressInto(g)
-	}
-	return res
 }
 
 // TorusSources returns the independent sources whose waveforms are not

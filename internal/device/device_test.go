@@ -13,7 +13,7 @@ func newStamp(n int, x []float64) *Stamp {
 	return &Stamp{
 		X: x,
 		Q: make([]float64, n), F: make([]float64, n), B: make([]float64, n),
-		C: la.NewTriplet(n, n), G: la.NewTriplet(n, n),
+		C: la.NewStampMap(n, n), G: la.NewStampMap(n, n),
 		Jac: true, Ctx: FullDrive(),
 	}
 }
@@ -61,16 +61,26 @@ func finiteDiffC(dev Device, n int, x []float64) *la.Dense {
 	return out
 }
 
-func analyticG(dev Device, n int, x []float64) *la.Dense {
+// stampJac stamps dev once at x and returns its compiled C and G.
+func stampJac(dev Device, n int, x []float64) (c, g *la.CSR) {
 	st := newStamp(n, x)
+	c, g = new(la.CSR), new(la.CSR)
+	st.C.Begin(c, true)
+	st.G.Begin(g, true)
 	dev.Stamp(st)
-	return st.G.Compress().Dense()
+	st.C.End()
+	st.G.End()
+	return c, g
+}
+
+func analyticG(dev Device, n int, x []float64) *la.Dense {
+	_, g := stampJac(dev, n, x)
+	return g.Dense()
 }
 
 func analyticC(dev Device, n int, x []float64) *la.Dense {
-	st := newStamp(n, x)
-	dev.Stamp(st)
-	return st.C.Compress().Dense()
+	c, _ := stampJac(dev, n, x)
+	return c.Dense()
 }
 
 func assertJacobianConsistent(t *testing.T, dev Device, n int, x []float64, tol float64) {

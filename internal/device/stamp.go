@@ -25,14 +25,14 @@ func FullDrive() EvalCtx { return EvalCtx{Lambda: 1} }
 
 // Stamp is the accumulator devices write their contributions into. The
 // simulator solves d/dt q(x) + f(x) + b(t) = 0; devices add to Q, F, B and,
-// when Jac is set, to the sparse Jacobian builders C = ∂q/∂x and G = ∂f/∂x.
+// when Jac is set, to the compiled Jacobian stamps C = ∂q/∂x and G = ∂f/∂x.
 type Stamp struct {
 	X    []float64 // current iterate (read-only for devices)
 	Q    []float64 // charge/flux residual accumulator
 	F    []float64 // conductive residual accumulator
 	B    []float64 // independent-source accumulator
-	C    *la.Triplet
-	G    *la.Triplet
+	C    *la.StampMap
+	G    *la.StampMap
 	Jac  bool
 	Ctx  EvalCtx
 	Gmin float64 // solver-supplied minimum conductance to ground
@@ -70,14 +70,14 @@ func (s *Stamp) AddB(idx int, v float64) {
 // AddC accumulates ∂q_i/∂x_j.
 func (s *Stamp) AddC(i, j int, v float64) {
 	if i >= 0 && j >= 0 {
-		s.C.Append(i, j, v)
+		s.C.Add(i, j, v)
 	}
 }
 
 // AddG accumulates ∂f_i/∂x_j.
 func (s *Stamp) AddG(i, j int, v float64) {
 	if i >= 0 && j >= 0 {
-		s.G.Append(i, j, v)
+		s.G.Add(i, j, v)
 	}
 }
 

@@ -160,6 +160,24 @@ func BenchmarkTripletCompress(b *testing.B) {
 	}
 }
 
+// BenchmarkStampMapReplay is the device-evaluation replacement: the same
+// 12k stamps replayed by slot through a compiled StampMap.
+func BenchmarkStampMapReplay(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	tr := NewTriplet(1200, 1200)
+	for k := 0; k < 12000; k++ {
+		tr.Append(rng.Intn(1200), rng.Intn(1200), rng.NormFloat64())
+	}
+	m := NewStampMap(1200, 1200)
+	var dst CSR
+	stampPass(m, &dst, tr, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stampPass(m, &dst, tr, false)
+	}
+}
+
 // BenchmarkRowStamperRestamp is the in-place replacement: same 12k stamps
 // into a frozen pattern.
 func BenchmarkRowStamperRestamp(b *testing.B) {

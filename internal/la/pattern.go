@@ -148,8 +148,8 @@ func Fill32(x []int32, v int32) {
 // Triplet's compression.
 type Combiner struct {
 	j CSR
-	// Pattern snapshots the slot maps were built for (copies: callers
-	// re-evaluate C and G in place).
+	// The C and G patterns the slot maps were built for. Patterns are never
+	// rewritten in place (see SamePattern), so these alias the callers'.
 	cRowPtr, cColIdx []int
 	gRowPtr, gColIdx []int
 	// cSlot/gSlot map entry k of C/G to its index in j.Val; cShared marks
@@ -159,16 +159,20 @@ type Combiner struct {
 }
 
 // Combine returns s·C + G. The result is owned by the Combiner and
-// overwritten by the next call; its pattern slices are reused while the
+// overwritten by the next call; its pattern slices are kept while the
 // inputs' patterns are unchanged.
 //
 //mpde:hotpath
 func (b *Combiner) Combine(c, g *CSR, s float64) *CSR {
 	if c.Cols != b.j.Cols || g.Cols != b.j.Cols ||
-		!sameInts(c.RowPtr, b.cRowPtr) || !sameInts(c.ColIdx, b.cColIdx) ||
-		!sameInts(g.RowPtr, b.gRowPtr) || !sameInts(g.ColIdx, b.gColIdx) {
+		!samePattern(c.RowPtr, c.ColIdx, b.cRowPtr, b.cColIdx) ||
+		!samePattern(g.RowPtr, g.ColIdx, b.gRowPtr, b.gColIdx) {
 		b.rebuild(c, g)
 	}
+	// An equal pattern in other slices keeps the maps; holding the new
+	// slices makes the next call's check O(1).
+	b.cRowPtr, b.cColIdx = c.RowPtr, c.ColIdx
+	b.gRowPtr, b.gColIdx = g.RowPtr, g.ColIdx
 	v := b.j.Val
 	for k, gv := range g.Val {
 		v[b.gSlot[k]] = gv
@@ -186,15 +190,12 @@ func (b *Combiner) Combine(c, g *CSR, s float64) *CSR {
 }
 
 // rebuild merges C's and G's row patterns (each sorted and duplicate-free)
-// into J's and records where every entry of each lands.
+// into a freshly allocated J pattern — one handed out earlier is never
+// rewritten — and records where every entry of each lands.
 func (b *Combiner) rebuild(c, g *CSR) {
 	if c.Rows != g.Rows || c.Cols != g.Cols {
 		panic(ErrShape)
 	}
-	b.cRowPtr = append(b.cRowPtr[:0], c.RowPtr...)
-	b.cColIdx = append(b.cColIdx[:0], c.ColIdx...)
-	b.gRowPtr = append(b.gRowPtr[:0], g.RowPtr...)
-	b.gColIdx = append(b.gColIdx[:0], g.ColIdx...)
 	b.cSlot = growInts(b.cSlot, len(c.ColIdx))
 	b.gSlot = growInts(b.gSlot, len(g.ColIdx))
 	if cap(b.cShared) < len(c.ColIdx) {
@@ -203,9 +204,8 @@ func (b *Combiner) rebuild(c, g *CSR) {
 	b.cShared = b.cShared[:len(c.ColIdx)]
 	j := &b.j
 	j.Rows, j.Cols = g.Rows, g.Cols
-	j.RowPtr = growInts(j.RowPtr, g.Rows+1)
-	j.ColIdx = j.ColIdx[:0]
-	j.RowPtr[0] = 0
+	j.RowPtr = make([]int, g.Rows+1)
+	j.ColIdx = make([]int, 0, len(g.ColIdx)+len(c.ColIdx))
 	for i := 0; i < g.Rows; i++ {
 		p, pEnd := g.RowPtr[i], g.RowPtr[i+1]
 		q, qEnd := c.RowPtr[i], c.RowPtr[i+1]

@@ -40,26 +40,6 @@ func csrEqual(t *testing.T, a, b *CSR, tol float64) {
 	}
 }
 
-// TestCompressIntoMatchesCompress pins the reusable-storage compression to
-// the allocating one, including duplicate merging.
-func TestCompressIntoMatchesCompress(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	tr := randomTriplet(rng, 30, 200)
-	want := tr.Compress()
-	var dst CSR
-	got := tr.CompressInto(&dst)
-	if got != &dst {
-		t.Fatal("CompressInto must return its destination")
-	}
-	csrEqual(t, got, want, 0)
-	// Restamp different values into the same triplet shape and recompress
-	// into the same storage: no stale state may leak.
-	tr2 := randomTriplet(rng, 30, 200)
-	want2 := tr2.Compress()
-	got2 := tr2.CompressInto(&dst)
-	csrEqual(t, got2, want2, 0)
-}
-
 // TestPatternBuilderAndRowStamper checks that symbolic-pattern stamping
 // reproduces a triplet-compressed matrix exactly, and that out-of-pattern
 // stamps are rejected without modifying the matrix.

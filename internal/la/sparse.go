@@ -11,10 +11,6 @@ type Triplet struct {
 	Rows, Cols int
 	I, J       []int
 	V          []float64
-
-	// Compression scratch, reused across CompressInto calls.
-	scRowCount, scNext, scCol []int
-	scVal                     []float64
 }
 
 // NewTriplet returns an empty builder for an r×c matrix.
@@ -41,46 +37,24 @@ func (t *Triplet) Reset() {
 
 // Compress converts to CSR, summing duplicates.
 func (t *Triplet) Compress() *CSR {
-	return t.CompressInto(nil)
-}
-
-// CompressInto is Compress with caller-owned storage: the result is built
-// into dst (pattern and values overwritten, slices grown only when capacity
-// is short) and scratch buffers persist on the Triplet, so a hot loop that
-// compresses the same-shaped matrix every iteration performs no steady-state
-// allocations. dst == nil allocates a fresh matrix.
-func (t *Triplet) CompressInto(dst *CSR) *CSR {
-	if dst == nil {
-		dst = &CSR{}
-	}
-	dst.Rows, dst.Cols = t.Rows, t.Cols
-	nnzEst := len(t.V)
-	t.scRowCount = growInts(t.scRowCount, t.Rows+1)
-	rowCount := t.scRowCount
-	for i := range rowCount {
-		rowCount[i] = 0
-	}
+	dst := &CSR{Rows: t.Rows, Cols: t.Cols, RowPtr: make([]int, t.Rows+1),
+		ColIdx: make([]int, 0, len(t.V)), Val: make([]float64, 0, len(t.V))}
+	rowCount := make([]int, t.Rows+1)
 	for _, i := range t.I {
 		rowCount[i+1]++
 	}
 	for i := 0; i < t.Rows; i++ {
 		rowCount[i+1] += rowCount[i]
 	}
-	t.scCol = growInts(t.scCol, nnzEst)
-	t.scVal = growFloats(t.scVal, nnzEst)
-	t.scNext = growInts(t.scNext, t.Rows)
-	colIdx, vals, next := t.scCol, t.scVal, t.scNext
-	copy(next, rowCount[:t.Rows])
+	colIdx := make([]int, len(t.V))
+	vals := make([]float64, len(t.V))
+	next := append([]int(nil), rowCount[:t.Rows]...)
 	for k, i := range t.I {
 		p := next[i]
 		colIdx[p] = t.J[k]
 		vals[p] = t.V[k]
 		next[i]++
 	}
-	dst.RowPtr = growInts(dst.RowPtr, t.Rows+1)
-	dst.ColIdx = dst.ColIdx[:0]
-	dst.Val = dst.Val[:0]
-	dst.RowPtr[0] = 0
 	for i := 0; i < t.Rows; i++ {
 		lo, hi := rowCount[i], rowCount[i+1]
 		sortRowSeg(colIdx[lo:hi], vals[lo:hi])
@@ -116,8 +90,9 @@ func growFloats(s []float64, n int) []float64 {
 // sortRowSeg orders one row's (column, value) pairs by column with a stable
 // insertion sort: MNA rows are short, the sort allocates nothing (unlike a
 // sort.Interface conversion), and stability makes duplicate summation order
-// — and therefore the compressed bits — independent of the sort.
-func sortRowSeg(col []int, val []float64) {
+// — and therefore the compressed bits — independent of the sort. StampMap
+// sorts (column, stamp index) pairs with it.
+func sortRowSeg[T int | float64](col []int, val []T) {
 	for k := 1; k < len(col); k++ {
 		c, v := col[k], val[k]
 		kk := k
@@ -132,7 +107,10 @@ func sortRowSeg(col []int, val []float64) {
 }
 
 // CSR is a compressed-sparse-row matrix with sorted, duplicate-free columns in
-// each row.
+// each row. Its pattern (RowPtr, ColIdx) is never rewritten in place once
+// built: code whose structure changes builds fresh slices, and only Val is
+// restamped. Combiner and SparseLU rely on this to recognise an unchanged
+// pattern by slice identity.
 type CSR struct {
 	Rows, Cols int
 	RowPtr     []int

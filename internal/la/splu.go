@@ -31,11 +31,10 @@ type SparseLU struct {
 	q          []int // column k of the factorisation is column q[k] of A
 	FillFactor float64
 
-	// Symbolic-reuse state: a snapshot of the pattern the factorisation was
-	// computed from (copies, not references — the caller may rebuild its
-	// matrix in place, so aliasing the original slices would make the
-	// pattern check vacuous) and the CSC view of A, in q order, with a
-	// gather map into the CSR value array.
+	// Symbolic-reuse state: the pattern the factorisation was computed
+	// from (the caller's slices, which are never rewritten in place; see
+	// SamePattern) and the CSC view of A, in q order, with a gather map
+	// into the CSR value array.
 	aRowPtr, aColIdx []int
 	atp, ati, atMap  []int
 	work             []float64 // refactor scratch, zero between columns
@@ -255,8 +254,8 @@ func SparseLUFactor(a *CSR, tol float64) (*SparseLU, error) {
 		lp: lp, li: li, lx: lx,
 		up: up, ui: ui, ux: ux,
 		pinv: pinv, q: q,
-		aRowPtr: append([]int(nil), a.RowPtr...),
-		aColIdx: append([]int(nil), a.ColIdx...),
+		aRowPtr: a.RowPtr,
+		aColIdx: a.ColIdx,
 		atp:     atp, ati: ati, atMap: atMap}
 	if nnz := a.NNZ(); nnz > 0 {
 		f.FillFactor = float64(len(lx)+len(ux)) / float64(nnz)
@@ -269,26 +268,28 @@ func SparseLUFactor(a *CSR, tol float64) (*SparseLU, error) {
 const refactorGrowth = 1e8
 
 // SamePattern reports whether a has exactly the sparsity pattern this
-// factorisation was computed from, by comparing against the pattern
-// snapshot taken at factor time. The O(nnz) integer compare is noise next
-// to the numeric refactorisation it gates, and — unlike a slice-identity
-// shortcut — it stays correct when the caller rebuilds a matrix in place
-// (e.g. Triplet.CompressInto into the same destination).
+// factorisation was computed from. A pattern, once handed to a Combiner or
+// a SparseLU, is never rewritten in place: compiled stamps, PatternBuilder
+// and Combiner all allocate a fresh one when the structure changes. So the
+// common case — the very slices factored before — is decided in O(1) by
+// identity; an equal pattern in other slices (the LUShare clones of a
+// warm-start group each hold their own) falls back to an O(nnz) compare.
 func (f *SparseLU) SamePattern(a *CSR) bool {
 	return a.Rows == f.n && a.Cols == f.n &&
-		sameInts(a.RowPtr, f.aRowPtr) && sameInts(a.ColIdx, f.aColIdx)
+		samePattern(a.RowPtr, a.ColIdx, f.aRowPtr, f.aColIdx)
 }
 
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// samePattern compares two CSR patterns, by slice identity (same length,
+// same first element) first and by content when that misses.
+func samePattern(rowPtr, colIdx, rowPtr0, colIdx0 []int) bool {
+	if sameSlice(rowPtr, rowPtr0) && sameSlice(colIdx, colIdx0) {
+		return true
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(rowPtr, rowPtr0) && slices.Equal(colIdx, colIdx0)
+}
+
+func sameSlice(a, b []int) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Refactor recomputes the numeric factorisation for a matrix with the same

@@ -37,12 +37,14 @@ func Norm2(x []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// NormInf returns max |x_i|.
+// NormInf returns max |x_i|, or NaN when any x_i is NaN.
 func NormInf(x []float64) float64 {
 	mx := 0.0
 	for _, v := range x {
 		if a := math.Abs(v); a > mx {
 			mx = a
+		} else if math.IsNaN(a) {
+			return a
 		}
 	}
 	return mx
@@ -92,6 +94,7 @@ func Fill(x []float64, v float64) {
 
 // WeightedMaxNorm returns max_i |x_i| / (abstol + reltol·|ref_i|), the SPICE
 // style convergence norm: a value ≤ 1 means every component meets tolerance.
+// It is NaN when any ratio is NaN.
 func WeightedMaxNorm(x, ref []float64, abstol, reltol float64) float64 {
 	mx := 0.0
 	for i, v := range x {
@@ -101,6 +104,8 @@ func WeightedMaxNorm(x, ref []float64, abstol, reltol float64) float64 {
 		}
 		if r := math.Abs(v) / den; r > mx {
 			mx = r
+		} else if math.IsNaN(r) {
+			return r
 		}
 	}
 	return mx

@@ -252,11 +252,11 @@ func (g *integrator) sensitivityStep(m *la.Dense, c, gm *la.CSR) error {
 	return nil
 }
 
-// copyCSR copies src into dst, reusing dst's storage.
+// copyCSR copies src's values into dst, reusing dst's storage. The pattern
+// is shared, not copied: patterns are never rewritten in place.
 func copyCSR(dst, src *la.CSR) {
 	dst.Rows, dst.Cols = src.Rows, src.Cols
-	dst.RowPtr = append(dst.RowPtr[:0], src.RowPtr...)
-	dst.ColIdx = append(dst.ColIdx[:0], src.ColIdx...)
+	dst.RowPtr, dst.ColIdx = src.RowPtr, src.ColIdx
 	dst.Val = append(dst.Val[:0], src.Val...)
 }
 

@@ -302,6 +302,24 @@ func interruptShim(ctx context.Context) func() bool {
 	}
 }
 
+// clock times the Newton loop's intervals from one time.Now per solve.
+// Each interval boundary is a single monotonic read, shared by the
+// intervals on either side of it: the end of a Jacobian evaluation is the
+// start of its factorisation.
+type clock struct {
+	start time.Time
+	last  time.Duration // the previous boundary, since start
+}
+
+// lap returns the time since the previous boundary and makes now the next
+// one.
+func (c *clock) lap() time.Duration {
+	now := time.Since(c.start)
+	d := now - c.last
+	c.last = now
+	return d
+}
+
 // directFactor owns the sparse LU state across iterations so a refresh can
 // reuse the symbolic analysis when the Jacobian pattern is unchanged.
 type directFactor struct {
@@ -450,11 +468,12 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 	dx, xTrial, neg := w.vec[:n], w.vec[n:2*n], w.vec[2*n:3*n]
 	r, rNew := w.vec[3*n:4*n], w.vec[4*n:]
 
+	clk := clock{start: time.Now()}
 	//mpde:alloc-ok one closure per solve, shared by every iteration
 	evalInto := func(xx, dst []float64, jac bool) (*la.CSR, error) {
-		t0 := time.Now()
+		clk.lap() // the evaluation starts
 		rr, j, err := sys.Eval(xx, jac)
-		st.AssemblyTime += time.Since(t0)
+		st.AssemblyTime += clk.lap()
 		if err != nil {
 			return nil, err
 		}
@@ -497,9 +516,9 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 		st.NewtonIters = it + 1
 		if jacAge < 0 || jacAge >= opt.JacobianRefresh {
 			if opt.Linear == MatrixFree {
-				t0 := time.Now()
+				clk.lap() // the linearisation starts
 				rr, oo, err := mfs.Linearize(x)
-				st.AssemblyTime += time.Since(t0)
+				st.AssemblyTime += clk.lap()
 				if err != nil {
 					return st, err
 				}
@@ -507,26 +526,23 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 				copy(r, rr)
 				op = oo
 				cop = countingOp{op, &st.OperatorApplies} //mpde:alloc-ok boxed once per refresh
-				t0 = time.Now()
 				if p, perr := mfs.BuildPreconditioner(); perr == nil {
 					prec = p
 					st.PrecondBuilds++
 				} else {
 					prec = nil
 				}
-				st.FactorTime += time.Since(t0)
+				st.FactorTime += clk.lap()
 			} else {
 				j, err := evalInto(x, r, true)
 				if err != nil {
 					return st, err
 				}
-				t0 := time.Now()
-				if err := direct.factor(j, &st, opt); err != nil {
-					st.FactorTime += time.Since(t0)
-					//mpde:coldpath a failed factorisation aborts the solve
+				err = direct.factor(j, &st, opt)
+				st.FactorTime += clk.lap()
+				if err != nil { //mpde:coldpath a failed factorisation aborts the solve
 					return st, fmt.Errorf("solver: Jacobian factorisation failed at iter %d: %w", it, err)
 				}
-				st.FactorTime += time.Since(t0)
 			}
 			if it == 0 {
 				rNorm = la.NormInf(r)
@@ -554,9 +570,8 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 				if err != nil {
 					return st, err
 				}
-				t0 := time.Now()
 				err = direct.factor(jj, &st, opt)
-				st.FactorTime += time.Since(t0)
+				st.FactorTime += clk.lap()
 				if err != nil {
 					return st, fmt.Errorf("solver: linear solve failed: %w", err)
 				}
@@ -607,6 +622,10 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 			}
 			jacAge = opt.JacobianRefresh // force refresh next iteration
 			continue
+		}
+		if math.IsNaN(nrm) || math.IsInf(nrm, 0) { //mpde:coldpath a residual still non-finite after every halving fails the solve
+			st.Residual = nrm
+			return st, fmt.Errorf("%w: residual %v at iteration %d after damping", ErrNewton, nrm, it+1)
 		}
 		rNorm = nrm
 		copy(x, xTrial)

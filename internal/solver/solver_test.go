@@ -2,7 +2,9 @@ package solver
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/la"
@@ -33,6 +35,37 @@ func TestNewtonScalarSqrt(t *testing.T) {
 	}
 	if math.Abs(x[0]-math.Sqrt2) > 1e-10 {
 		t.Fatalf("x = %v, want √2", x[0])
+	}
+}
+
+// TestNewtonFailsOnNaNResidual: r = 1 at x = 3 and NaN everywhere else,
+// J = 1. Every damped trial lands on a NaN residual, so the solve must fail
+// with ErrNewton naming the iteration — not report convergence (an all-NaN
+// residual once had ∞-norm 0).
+func TestNewtonFailsOnNaNResidual(t *testing.T) {
+	sys := FuncSystem{N: 1, F: func(x []float64, jac bool) ([]float64, *la.CSR, error) {
+		r := []float64{math.NaN()}
+		if x[0] == 3 {
+			r[0] = 1
+		}
+		var j *la.CSR
+		if jac {
+			tr := la.NewTriplet(1, 1)
+			tr.Append(0, 0, 1)
+			j = tr.Compress()
+		}
+		return r, j, nil
+	}}
+	x := []float64{3}
+	st, err := Solve(context.Background(), sys, x, NewOptions())
+	if !errors.Is(err, ErrNewton) {
+		t.Fatalf("err = %v, want ErrNewton (x = %v, converged %v)", err, x, st.Converged)
+	}
+	if st.Converged || !strings.Contains(err.Error(), "iteration 1") {
+		t.Fatalf("converged %v, err %q: want a failure at iteration 1", st.Converged, err)
+	}
+	if x[0] != 3 {
+		t.Fatalf("x = %v: a non-finite trial must not be accepted", x)
 	}
 }
 

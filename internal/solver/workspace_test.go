@@ -12,7 +12,6 @@ import (
 // [[2x0, 2x1], [1, −b]] keeps its pattern for every (a, b) — the shape of a
 // time march, where each step solves a same-pattern system.
 func circleLine(a, b float64) FuncSystem {
-	var j la.CSR
 	return FuncSystem{N: 2, F: func(x []float64, jac bool) ([]float64, *la.CSR, error) {
 		r := []float64{x[0]*x[0] + x[1]*x[1] - a, x[0] - b*x[1]}
 		if !jac {
@@ -23,7 +22,7 @@ func circleLine(a, b float64) FuncSystem {
 		tr.Append(0, 1, 2*x[1])
 		tr.Append(1, 0, 1)
 		tr.Append(1, 1, -b)
-		return r, tr.CompressInto(&j), nil
+		return r, tr.Compress(), nil
 	}}
 }
 
