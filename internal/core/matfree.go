@@ -31,6 +31,8 @@ type mfSystem struct {
 
 	// Linearisation-point residual (private copy: the assembler reuses a.r).
 	r0 []float64
+	// cv holds every grid point's C(p)·v_p during one Apply.
+	cv []float64
 
 	prec *linePrecond
 }
@@ -40,10 +42,10 @@ var _ solver.MatrixFreeSystem = (*mfSystem)(nil)
 // batchStats reports the preconditioner's shared-analysis reuse: slots
 // refactored against the frozen pivot order vs fresh-factor fallbacks.
 func (s *mfSystem) batchStats() (reused, fallbacks int) {
-	if s.prec == nil || s.prec.batch == nil {
+	if s.prec == nil {
 		return 0, 0
 	}
-	return s.prec.batch.Refactored, s.prec.batch.Fallbacks
+	return s.prec.refactored, s.prec.fallbacks
 }
 
 func newMFSystem(asm *assembler) *mfSystem {
@@ -51,6 +53,7 @@ func newMFSystem(asm *assembler) *mfSystem {
 	return &mfSystem{
 		asm: asm, nTot: nTot,
 		r0: make([]float64, nTot),
+		cv: make([]float64, nTot),
 	}
 }
 
@@ -74,39 +77,57 @@ func (s *mfSystem) Linearize(x []float64) ([]float64, la.Operator, error) {
 // Apply computes y = J(x₀)·v exactly from the per-point local Jacobians:
 // row block p gets G(p)·v_p plus the d1 (fast-axis) and d2 (slow-axis)
 // stencil sums of coef·C(pp)·v_pp over the neighbour points pp — precisely
-// the terms stampPoint would have written into the global matrix. Each grid
-// point owns its output rows and reads only the frozen linearisation data,
-// so the parallel fan-out is race-free and byte-deterministic.
+// the terms stampPoint would have written into the global matrix. A first
+// pass forms every point's C(p)·v_p once, since each is read by up to four
+// stencil terms (offset 0 of both stencils among them); the second adds the
+// terms up. Each grid point owns its output rows in both passes and reads
+// only frozen linearisation data or the finished first pass, so the
+// parallel fan-out is race-free and byte-deterministic.
 //
 //mpde:hotpath
 //mpde:deterministic-parallel
 func (s *mfSystem) Apply(v, y []float64) {
 	a := s.asm
-	n, N1 := a.n, a.N1
-	//mpde:alloc-ok one closure per apply, amortised over the whole grid
-	blockMAC := func(dst []float64, m *la.CSR, src []float64, coef float64) {
-		for li := 0; li < n; li++ {
-			sum := 0.0
-			for k := m.RowPtr[li]; k < m.RowPtr[li+1]; k++ {
-				sum += m.Val[k] * src[m.ColIdx[k]]
-			}
-			dst[li] += coef * sum
-		}
-	}
+	n, N1, N2 := a.n, a.N1, a.N2
+	cv := s.cv
 	//mpde:alloc-ok one worker closure per apply, amortised over the whole grid
-	a.parallel(a.N1*a.N2, func(_, lo, hi int) {
+	a.parallel(N1*N2, func(_, lo, hi int) {
+		for p := lo; p < hi; p++ {
+			vp, up := v[p*n:(p+1)*n], cv[p*n:(p+1)*n]
+			c := a.cs[p]
+			for li := range up {
+				sum := 0.0
+				for k := c.RowPtr[li]; k < c.RowPtr[li+1]; k++ {
+					sum += c.Val[k] * vp[c.ColIdx[k]]
+				}
+				up[li] = sum
+			}
+		}
+	})
+	//mpde:alloc-ok one worker closure per apply, amortised over the whole grid
+	a.parallel(N1*N2, func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			i, j := p%N1, p/N1
-			yp := y[p*n : (p+1)*n]
-			la.Fill(yp, 0)
-			blockMAC(yp, a.gs[p], v[p*n:(p+1)*n], 1)
+			vp, yp := v[p*n:(p+1)*n], y[p*n:(p+1)*n]
+			g := a.gs[p]
+			for li := range yp {
+				sum := 0.0
+				for k := g.RowPtr[li]; k < g.RowPtr[li+1]; k++ {
+					sum += g.Val[k] * vp[g.ColIdx[k]]
+				}
+				yp[li] = 0 + 1*sum // the sum into a zeroed row, as stamped
+			}
 			for sIdx, coef := range a.d1c {
 				pp := j*N1 + mod(i+a.d1off[sIdx], N1)
-				blockMAC(yp, a.cs[pp], v[pp*n:(pp+1)*n], coef)
+				for li, u := range cv[pp*n : (pp+1)*n] {
+					yp[li] += coef * u
+				}
 			}
 			for sIdx, coef := range a.d2c {
-				pp := mod(j+a.d2off[sIdx], a.N2)*N1 + i
-				blockMAC(yp, a.cs[pp], v[pp*n:(pp+1)*n], coef)
+				pp := mod(j+a.d2off[sIdx], N2)*N1 + i
+				for li, u := range cv[pp*n : (pp+1)*n] {
+					yp[li] += coef * u
+				}
 			}
 		}
 	})
@@ -131,16 +152,33 @@ func (s *mfSystem) BuildPreconditioner() (la.Preconditioner, error) {
 // strength scales like h1/h2 ≪ 1 on the sheared grid. All N2 blocks share
 // one sparsity pattern (the union over every grid point's local stamps), so
 // a BatchLU factors one representative line symbolically and refactors the
-// rest numerics-only.
+// rest numerics-only. Lines are independent slots: the builds and the solves
+// both fan them over the assembly pool.
 type linePrecond struct {
 	asm *assembler
 	ln  int // block dimension N1·n
 
-	jm      *la.CSR // shared line pattern, restamped per line
-	stamper *la.RowStamper
+	workers []lineWorker // one per assembly worker
 	pattern symbolicPattern
 	batch   *la.BatchLU
-	line    int // line currently being stamped (restamp callback input)
+
+	// Batch slots that reused the shared analysis and that fell back to a
+	// fresh factorisation, summed over the builds since the pattern was
+	// last built.
+	refactored, fallbacks int
+}
+
+// lineWorker is one pool worker's private state for stamping, factoring and
+// solving lines.
+type lineWorker struct {
+	m    *la.CSR // line values over the shared line pattern
+	st   *la.RowStamper
+	work []float64 // LU scratch for this worker's slot refactors and solves
+
+	// The worker's share of the last build.
+	refactored, fallbacks int
+	missed                bool  // a stamp fell outside the pattern
+	err                   error // the worker's first unfactorable line
 }
 
 func newLinePrecond(a *assembler) *linePrecond {
@@ -148,7 +186,9 @@ func newLinePrecond(a *assembler) *linePrecond {
 }
 
 // buildLinePattern unions every grid point's local stamps at their in-line
-// block positions, so one pattern covers all N2 lines.
+// block positions, so one pattern covers all N2 lines. Every worker's line
+// matrix shares its RowPtr/ColIdx, which keeps the batch's pattern checks
+// O(1).
 func (p *linePrecond) buildLinePattern() {
 	a := p.asm
 	n, N1, N2 := a.n, a.N1, a.N2
@@ -164,18 +204,27 @@ func (p *linePrecond) buildLinePattern() {
 			}
 		}
 	}
-	p.jm = pb.Build()
-	p.stamper = la.NewRowStamper(p.jm)
-	p.batch = nil // pattern changed: the old symbolic analysis is void
+	jm := pb.Build()
+	p.workers = make([]lineWorker, a.workers)
+	for w := range p.workers {
+		m := jm
+		if w > 0 {
+			m = &la.CSR{Rows: jm.Rows, Cols: jm.Cols, RowPtr: jm.RowPtr, ColIdx: jm.ColIdx,
+				Val: make([]float64, len(jm.Val))}
+		}
+		p.workers[w] = lineWorker{m: m, st: la.NewRowStamper(m), work: make([]float64, p.ln)}
+	}
+	// The pattern changed: the old symbolic analysis, and what it counted,
+	// are void.
+	p.batch = nil
+	p.refactored, p.fallbacks = 0, 0
 }
 
-// stampLine restamps the shared line matrix with line j's values; false
-// reports a pattern miss.
-func (p *linePrecond) stampLine() bool {
+// stampLine restamps st's line matrix with line j's values; false reports a
+// pattern miss.
+func (p *linePrecond) stampLine(st *la.RowStamper, j int) bool {
 	a := p.asm
 	n, N1 := a.n, a.N1
-	j := p.line
-	st := p.stamper
 	st.ZeroRows(0, p.ln)
 	for i := 0; i < N1; i++ {
 		gp := j*N1 + i
@@ -210,37 +259,91 @@ func (p *linePrecond) stampLine() bool {
 
 // build restamps and refactors every line block against the shared symbolic
 // analysis: the first build factors line 0 as the representative, and every
-// line of every build (including later Newton refreshes, via Reset) is a
-// numeric-only batch slot reusing that analysis.
+// line of every build (including later Newton refreshes) is a numeric-only
+// refactor into its batch slot reusing that analysis. A pattern miss on any
+// line rebuilds the pattern once and redoes the whole pass.
 func (p *linePrecond) build() error {
-	a := p.asm
-	if p.batch != nil {
-		p.batch.Reset()
+	var err error
+	if perr := p.pattern.restamp(p.buildLinePattern, func() (ok bool) {
+		ok, err = p.factorLines()
+		return ok
+	}, "line"); perr != nil {
+		return perr
 	}
-	for j := 0; j < a.N2; j++ {
-		p.line = j
-		if err := p.pattern.restamp(p.buildLinePattern, p.stampLine, "line"); err != nil {
-			return err
-		}
-		if p.batch == nil {
-			b, err := la.NewBatchLU(p.jm, a.opt.Newton.PivotTol, a.N2)
-			if err != nil {
-				return err
-			}
-			p.batch = b
-		}
-		if _, err := p.batch.Add(p.jm); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
-// Precondition applies z = M⁻¹·r line by line; each line's unknowns are
-// contiguous in the (j·N1+i)·n+k layout, so the block solves work on slices.
-func (p *linePrecond) Precondition(r, z []float64) {
-	for j := 0; j < p.asm.N2; j++ {
-		lo := j * p.ln
-		p.batch.Solve(j, r[lo:lo+p.ln], z[lo:lo+p.ln])
+// factorLines runs one build pass, the N2 lines fanned over the assembly
+// pool, each worker stamping into its own line matrix and factoring into
+// the line's own slot. ok is false on a pattern miss; err is the first
+// unfactorable line's error.
+//
+//mpde:deterministic-parallel
+func (p *linePrecond) factorLines() (ok bool, err error) {
+	a := p.asm
+	if p.batch == nil {
+		rep := &p.workers[0]
+		if !p.stampLine(rep.st, 0) {
+			return false, nil
+		}
+		b, err := la.NewBatchLU(rep.m, a.opt.Newton.PivotTol, a.N2)
+		if err != nil {
+			return true, err
+		}
+		p.batch = b
 	}
+	for w := range p.workers {
+		lw := &p.workers[w]
+		lw.refactored, lw.fallbacks, lw.missed, lw.err = 0, 0, false, nil
+	}
+	a.parallel(a.N2, func(w, lo, hi int) {
+		lw := &p.workers[w]
+		for j := lo; j < hi; j++ {
+			if !p.stampLine(lw.st, j) {
+				lw.missed = true
+				return
+			}
+			fb, err := p.batch.Refactor(j, lw.m, lw.work)
+			if err != nil {
+				lw.err = err
+				return
+			}
+			if fb {
+				lw.fallbacks++
+			} else {
+				lw.refactored++
+			}
+		}
+	})
+	for w := range p.workers {
+		if p.workers[w].missed {
+			return false, nil
+		}
+	}
+	for w := range p.workers {
+		lw := &p.workers[w]
+		p.refactored += lw.refactored
+		p.fallbacks += lw.fallbacks
+		if err == nil {
+			err = lw.err
+		}
+	}
+	return true, err
+}
+
+// Precondition applies z = M⁻¹·r line by line, the N2 line solves fanned
+// over the assembly pool; each line's unknowns are contiguous in the
+// (j·N1+i)·n+k layout, so the block solves work on disjoint slices.
+//
+//mpde:hotpath
+//mpde:deterministic-parallel
+func (p *linePrecond) Precondition(r, z []float64) {
+	ln := p.ln
+	//mpde:alloc-ok one worker closure per apply, amortised over the N2 line solves
+	p.asm.parallel(p.asm.N2, func(w, lo, hi int) {
+		work := p.workers[w].work
+		for j := lo; j < hi; j++ {
+			p.batch.Solve(j, r[j*ln:(j+1)*ln], z[j*ln:(j+1)*ln], work)
+		}
+	})
 }

@@ -133,6 +133,49 @@ func TestQPSSParallelAssemblyDeterminism(t *testing.T) {
 	}
 }
 
+// TestQPSSMatrixFreeParallelDeterminism: the matrix-free path fans the
+// operator apply, the line-preconditioner builds and the line solves over
+// the assembly pool; for any worker count — including more workers than
+// slow-axis lines — the solution bits and every linear-solver counter must
+// match the sequential run.
+func TestQPSSMatrixFreeParallelDeterminism(t *testing.T) {
+	sh := Shear{F1: 1e6, F2: 0.875e6, K: 1}
+	solve := func(workers int) *Solution {
+		t.Helper()
+		opt := Options{N1: 24, N2: 16, Shear: sh, AssemblyWorkers: workers}
+		opt.Newton.Linear = solver.MatrixFree
+		sol, err := QPSS(context.Background(), nonlinearMixer(sh), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sol
+	}
+	seq := solve(1)
+	if seq.Stats.OperatorApplies == 0 || seq.Stats.PrecondBuilds == 0 {
+		t.Fatalf("matrix-free path did not run: %+v", seq.Stats)
+	}
+	// Every line of every build refactors against the shared analysis.
+	if want := seq.Stats.PrecondBuilds * 16; seq.Stats.BatchReuse != want {
+		t.Fatalf("BatchReuse = %d, want %d (16 lines per build)", seq.Stats.BatchReuse, want)
+	}
+	for _, workers := range []int{2, 4, runtime.NumCPU(), 40} {
+		par := solve(workers)
+		ps, ss := par.Stats, seq.Stats
+		if ps.LinearIters != ss.LinearIters || ps.OperatorApplies != ss.OperatorApplies ||
+			ps.PrecondBuilds != ss.PrecondBuilds || ps.BatchReuse != ss.BatchReuse {
+			t.Fatalf("workers=%d: linear iters/applies/builds/batch reuse %d/%d/%d/%d, sequential %d/%d/%d/%d",
+				workers, ps.LinearIters, ps.OperatorApplies, ps.PrecondBuilds, ps.BatchReuse,
+				ss.LinearIters, ss.OperatorApplies, ss.PrecondBuilds, ss.BatchReuse)
+		}
+		for i := range par.X {
+			if math.Float64bits(par.X[i]) != math.Float64bits(seq.X[i]) {
+				t.Fatalf("workers=%d: X[%d] differs bitwise: %x vs %x",
+					workers, i, math.Float64bits(par.X[i]), math.Float64bits(seq.X[i]))
+			}
+		}
+	}
+}
+
 // TestQPSSPatternAndFactorizationReuse checks the hot-path bookkeeping: one
 // symbolic pattern build per solve, every later Jacobian assembly a reuse
 // hit, and at most one full LU factorisation when the pattern is stable.

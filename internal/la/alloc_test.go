@@ -76,8 +76,8 @@ func TestSparseLURefactorNoAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchLUSolveNoAllocs: a slot solve through the shared, column-permuted
-// symbolic analysis runs in the owned scratch.
+// TestBatchLUSolveNoAllocs: a slot solve and a slot refactor through the
+// shared, column-permuted symbolic analysis run in the caller's scratch.
 func TestBatchLUSolveNoAllocs(t *testing.T) {
 	skipUnderRace(t)
 	spec := mnaSpec{nodes: 150, sources: 10, links: 250, vccs: 30}
@@ -93,22 +93,26 @@ func TestBatchLUSolveNoAllocs(t *testing.T) {
 	if !permuted {
 		t.Fatal("the ordering left the columns in natural order; the test wants a permuted solve")
 	}
-	for _, m := range ms {
-		if _, err := b.Add(m); err != nil {
-			t.Fatal(err)
+	n := b.N()
+	work := make([]float64, n)
+	for k, m := range ms {
+		if fb, err := b.Refactor(k, m, work); err != nil || fb {
+			t.Fatalf("slot %d: Refactor = %v, %v; want shared-analysis reuse", k, fb, err)
 		}
 	}
-	if b.Fallbacks != 0 {
-		t.Fatalf("%d slots fell back to a private factorisation", b.Fallbacks)
-	}
-	n := b.N()
 	rhs, x := make([]float64, n), make([]float64, n)
 	for i := range rhs {
 		rhs[i] = math.Cos(float64(i))
 	}
-	b.Solve(1, rhs, x) // warm-up sizes the shared scratch
-	if allocs := testing.AllocsPerRun(100, func() { b.Solve(1, rhs, x) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { b.Solve(1, rhs, x, work) }); allocs != 0 {
 		t.Fatalf("BatchLU.Solve allocates %v/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := b.Refactor(1, ms[1], work); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("BatchLU.Refactor allocates %v/op, want 0", allocs)
 	}
 }
 

@@ -6,113 +6,102 @@ import (
 )
 
 // BatchLU factors one representative matrix and then numeric-only-refactors
-// any number of same-pattern value arrays against that shared symbolic
-// analysis. The per-matrix factors live in two contiguous arrays (slot k's
-// L values at lx[k·nl:(k+1)·nl], likewise for U), so a batch of N MPDE
-// Jacobians costs one symbolic analysis plus N numeric sweeps — the
-// block-structure payoff the sweep engine and the matrix-free preconditioner
-// both lean on.
+// a fixed number of same-pattern value arrays — its slots — against that
+// shared symbolic analysis. The per-slot factors live in two contiguous
+// arrays (slot k's L values at lx[k·nl:(k+1)·nl], likewise for U), so a
+// batch of N MPDE Jacobians costs one symbolic analysis plus N numeric
+// sweeps — the block-structure payoff the matrix-free preconditioner leans
+// on.
 //
 // When the frozen pivot order goes unstable for a particular matrix
 // (vanishing pivot, growth past the stability bound), that slot silently
-// falls back to a fresh fully-pivoted factorisation; Solve routes through
-// whichever factor the slot ended up with. Fallbacks is the count of such
-// slots, Refactored the count that reused the shared analysis.
+// falls back to a fresh fully-pivoted factorisation that stays private to
+// the slot; Solve routes through whichever factor the slot ended up with.
 //
-// A BatchLU is not safe for concurrent use: Add and Solve share the
-// symbolic factorisation's scratch.
+// Every call addresses one slot and runs in caller-owned scratch, so
+// distinct slots may be refactored and solved concurrently; one slot must
+// not be used by two goroutines at once.
 type BatchLU struct {
 	sym    *SparseLU
 	nl, nu int // per-slot L and U value lengths
 
-	lx, ux []float64   // contiguous batch value storage
+	lx, ux []float64   // contiguous slot value storage
 	fresh  []*SparseLU // per-slot fallback factorisations (nil = shared path)
-	len    int
-
-	Refactored int // slots solved via the shared symbolic analysis
-	Fallbacks  int // slots that needed a fresh pivoted factorisation
 }
 
 // NewBatchLU factors the representative matrix rep (threshold pivot tol as in
-// SparseLUFactor) and reserves contiguous storage for capacity slots.
-// capacity is a pre-allocation hint only — Add grows past it.
-func NewBatchLU(rep *CSR, tol float64, capacity int) (*BatchLU, error) {
+// SparseLUFactor) and allocates storage for slots factors.
+func NewBatchLU(rep *CSR, tol float64, slots int) (*BatchLU, error) {
 	sym, err := SparseLUFactor(rep, tol)
 	if err != nil {
 		return nil, err
 	}
-	if capacity < 0 {
-		capacity = 0
-	}
+	slots = max(slots, 0)
 	b := &BatchLU{sym: sym, nl: len(sym.lx), nu: len(sym.ux)}
-	b.lx = make([]float64, 0, capacity*b.nl)
-	b.ux = make([]float64, 0, capacity*b.nu)
+	// Every slot starts as a copy of the representative's factors: L's unit
+	// diagonal, which refactors never rewrite, must already be in place.
+	b.lx = make([]float64, 0, slots*b.nl)
+	b.ux = make([]float64, 0, slots*b.nu)
+	for k := 0; k < slots; k++ {
+		b.lx = append(b.lx, sym.lx...)
+		b.ux = append(b.ux, sym.ux...)
+	}
+	b.fresh = make([]*SparseLU, slots)
 	return b, nil
 }
 
 // N returns the matrix dimension.
 func (b *BatchLU) N() int { return b.sym.n }
 
-// Len returns the number of matrices added to the batch.
-func (b *BatchLU) Len() int { return b.len }
-
 // FillFactor reports the shared symbolic factorisation's LU fill.
 func (b *BatchLU) FillFactor() float64 { return b.sym.FillFactor }
 
-// Add factors a — which must share the representative's sparsity pattern —
-// into the next slot and returns its index. The shared-analysis refactor is
-// attempted first; on a stability bailout the slot gets a private fresh
-// factorisation instead. The error is non-nil only when a is singular beyond
-// recovery (fresh factorisation also failed) or its pattern differs; the
-// slot is not consumed in that case.
-func (b *BatchLU) Add(a *CSR) (int, error) {
-	if !b.sym.SamePattern(a) {
-		return 0, fmt.Errorf("la: batch add pattern mismatch (want the representative %d×%d pattern)", b.sym.n, b.sym.n)
-	}
-	k := b.len
-	lo, uo := k*b.nl, k*b.nu
-	b.lx = append(b.lx, b.sym.lx...) // carries L's unit diagonal 1s
-	b.ux = append(b.ux, b.sym.ux...)
-	if err := b.sym.refactorInto(a, b.lx[lo:lo+b.nl], b.ux[uo:uo+b.nu]); err != nil {
-		f, ferr := SparseLUFactor(a, 1)
-		if ferr != nil {
-			b.lx, b.ux = b.lx[:lo], b.ux[:uo]
-			return 0, ferr
-		}
-		for len(b.fresh) <= k {
-			b.fresh = append(b.fresh, nil)
-		}
-		b.fresh[k] = f
-		b.Fallbacks++
-	} else {
-		b.Refactored++
-	}
-	b.len++
-	return k, nil
-}
-
-// Solve solves slot k's system A_k·x = b. x and rhs may alias.
-func (b *BatchLU) Solve(k int, rhs, x []float64) {
-	if k < 0 || k >= b.len {
+// Refactor factors a — which must share the representative's sparsity
+// pattern — into slot k, replacing what the slot held. The shared-analysis
+// refactor is attempted first; on a stability bailout the slot gets a
+// private fresh factorisation instead, and fallback reports that. work is
+// N-vector scratch whose contents on entry do not matter, so one scratch
+// can serve a goroutine's refactors and solves alike. The error is non-nil
+// only when a is singular beyond recovery (fresh factorisation also failed)
+// or its pattern differs; the slot is unusable until a later Refactor
+// succeeds.
+//
+//mpde:hotpath
+func (b *BatchLU) Refactor(k int, a *CSR, work []float64) (fallback bool, err error) {
+	if k < 0 || k >= len(b.fresh) || len(work) < b.sym.n {
 		panic(ErrShape)
 	}
-	if k < len(b.fresh) && b.fresh[k] != nil {
-		b.fresh[k].Solve(rhs, x)
+	if !b.sym.SamePattern(a) { //mpde:coldpath pattern mismatch refuses the slot
+		return false, fmt.Errorf("la: batch refactor pattern mismatch (want the representative %d×%d pattern)", b.sym.n, b.sym.n)
+	}
+	b.fresh[k] = nil
+	clear(work[:b.sym.n]) // the refactor scatters into zeroed scratch
+	lo, uo := k*b.nl, k*b.nu
+	if err := b.sym.refactorInto(a, b.lx[lo:lo+b.nl], b.ux[uo:uo+b.nu], work); err != nil {
+		f, ferr := SparseLUFactor(a, 1)
+		if ferr != nil {
+			return false, ferr
+		}
+		b.fresh[k] = f
+		return true, nil
+	}
+	return false, nil
+}
+
+// Solve solves slot k's system A_k·x = rhs, using the N-vector work as
+// scratch. x and rhs may alias.
+//
+//mpde:hotpath
+func (b *BatchLU) Solve(k int, rhs, x, work []float64) {
+	if k < 0 || k >= len(b.fresh) || len(work) < b.sym.n {
+		panic(ErrShape)
+	}
+	if f := b.fresh[k]; f != nil {
+		f.solveWith(f.lx, f.ux, rhs, x, work)
 		return
 	}
 	lo, uo := k*b.nl, k*b.nu
-	b.sym.solveWith(b.lx[lo:lo+b.nl], b.ux[uo:uo+b.nu], rhs, x)
-}
-
-// Reset empties the batch while keeping the symbolic analysis and the
-// contiguous storage, so the next round of same-pattern matrices reuses
-// both. The Refactored/Fallbacks counters keep accumulating across rounds.
-func (b *BatchLU) Reset() {
-	b.lx, b.ux = b.lx[:0], b.ux[:0]
-	for i := range b.fresh {
-		b.fresh[i] = nil
-	}
-	b.len = 0
+	b.sym.solveWith(b.lx[lo:lo+b.nl], b.ux[uo:uo+b.nu], rhs, x, work)
 }
 
 // LUShare lets concurrent solves of same-pattern systems share one symbolic

@@ -3,6 +3,8 @@ package la
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -40,25 +42,20 @@ func TestBatchLUMatchesFreshFactorisation(t *testing.T) {
 	for i := range rhs {
 		rhs[i] = math.Sin(float64(i + 1))
 	}
+	work := make([]float64, n)
 	for c, a := range fam {
-		k, err := b.Add(a)
+		fb, err := b.Refactor(c, a, work)
 		if err != nil {
-			t.Fatalf("Add(%d): %v", c, err)
+			t.Fatalf("Refactor(%d): %v", c, err)
 		}
-		if k != c {
-			t.Fatalf("Add(%d) slot = %d", c, k)
+		if fb {
+			t.Fatalf("slot %d fell back to a fresh factorisation", c)
 		}
-	}
-	if b.Len() != count {
-		t.Fatalf("Len = %d, want %d", b.Len(), count)
-	}
-	if b.Refactored != count || b.Fallbacks != 0 {
-		t.Fatalf("Refactored/Fallbacks = %d/%d, want %d/0", b.Refactored, b.Fallbacks, count)
 	}
 	x := make([]float64, n)
 	want := make([]float64, n)
 	for c, a := range fam {
-		b.Solve(c, rhs, x)
+		b.Solve(c, rhs, x, work)
 		ref, err := SparseLUFactor(a, 0.001)
 		if err != nil {
 			t.Fatal(err)
@@ -72,11 +69,10 @@ func TestBatchLUMatchesFreshFactorisation(t *testing.T) {
 	}
 }
 
-// TestBatchLUFallbackSlot drives one slot through the frozen-pivot growth
-// bailout: the representative keeps the diagonal pivots, and a same-pattern
-// matrix with a tiny (0,0) entry makes that order unstable. The slot must
-// silently re-pivot via a fresh factorisation and still solve correctly.
-func TestBatchLUFallbackSlot(t *testing.T) {
+// fallbackPair returns a 2×2 representative and a same-pattern matrix with a
+// tiny (0,0) entry: the representative keeps the diagonal pivots, and the
+// tiny entry makes that frozen order's growth 1/1e-12 ≫ refactorGrowth.
+func fallbackPair() (rep, bad *CSR) {
 	build := func(a00 float64) *CSR {
 		tr := NewTriplet(2, 2)
 		tr.Append(0, 0, a00)
@@ -85,24 +81,31 @@ func TestBatchLUFallbackSlot(t *testing.T) {
 		tr.Append(1, 1, 2)
 		return tr.Compress()
 	}
-	rep := build(1)
-	bad := build(1e-12) // growth 1/1e-12 ≫ refactorGrowth under the frozen order
+	return build(1), build(1e-12)
+}
+
+// TestBatchLUFallbackSlot drives one slot through the frozen-pivot growth
+// bailout. The slot must silently re-pivot via a fresh factorisation and
+// still solve correctly.
+func TestBatchLUFallbackSlot(t *testing.T) {
+	rep, bad := fallbackPair()
 	b, err := NewBatchLU(rep, 0.001, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Add(rep); err != nil {
-		t.Fatal(err)
+	work := make([]float64, 2)
+	if fb, err := b.Refactor(0, rep, work); err != nil || fb {
+		t.Fatalf("Refactor(0) = %v, %v; want shared-analysis reuse", fb, err)
 	}
-	k, err := b.Add(bad)
+	fb, err := b.Refactor(1, bad, work)
 	if err != nil {
-		t.Fatalf("fallback Add: %v", err)
+		t.Fatalf("fallback Refactor: %v", err)
 	}
-	if b.Fallbacks != 1 || b.Refactored != 1 {
-		t.Fatalf("Refactored/Fallbacks = %d/%d, want 1/1", b.Refactored, b.Fallbacks)
+	if !fb {
+		t.Fatal("the unstable slot did not report a fallback")
 	}
 	x := make([]float64, 2)
-	b.Solve(k, []float64{1, 0}, x)
+	b.Solve(1, []float64{1, 0}, x, work)
 	// Exact inverse of [[1e-12,1],[1,2]]·x = [1,0].
 	r0 := 1e-12*x[0] + x[1] - 1
 	r1 := x[0] + 2*x[1]
@@ -111,25 +114,40 @@ func TestBatchLUFallbackSlot(t *testing.T) {
 	}
 }
 
-func TestBatchLUResetReusesStorage(t *testing.T) {
-	fam := batchFamily(40, 4, 11)
-	b, err := NewBatchLU(fam[0], 0.001, 4)
+// TestBatchLURefactorOverwritesSlots: a second round of refactors into the
+// same slots — one of them a former fallback slot — must solve like fresh
+// factorisations of the new matrices.
+func TestBatchLURefactorOverwritesSlots(t *testing.T) {
+	rep, bad := fallbackPair()
+	b, err := NewBatchLU(rep, 0.001, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range fam {
-		if _, err := b.Add(a); err != nil {
+	work := make([]float64, 2)
+	if fb, err := b.Refactor(0, bad, work); err != nil || !fb {
+		t.Fatalf("Refactor(bad) = %v, %v; want a fallback", fb, err)
+	}
+	if fb, err := b.Refactor(0, rep, work); err != nil || fb {
+		t.Fatalf("Refactor(rep) = %v, %v; want the shared path back", fb, err)
+	}
+	x := make([]float64, 2)
+	b.Solve(0, []float64{1, 0}, x, work)
+	// Exact inverse of [[1,1],[1,2]]·x = [1,0] is (2, −1).
+	if math.Abs(x[0]-2) > 1e-12 || math.Abs(x[1]+1) > 1e-12 {
+		t.Fatalf("slot after the second round solves to %v, want (2, -1)", x)
+	}
+
+	fam := batchFamily(40, 4, 11)
+	bl, err := NewBatchLU(fam[0], 0.001, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work = make([]float64, 40)
+	for c, a := range fam {
+		if _, err := bl.Refactor(c, a, work); err != nil {
 			t.Fatal(err)
 		}
 	}
-	b.Reset()
-	if b.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", b.Len())
-	}
-	if b.Refactored != 4 {
-		t.Fatalf("Reset cleared counters: Refactored = %d", b.Refactored)
-	}
-	// A second round must produce the same answers as fresh factorisation.
 	fam2 := batchFamily(40, 4, 13)
 	rhs := make([]float64, 40)
 	for i := range rhs {
@@ -137,10 +155,10 @@ func TestBatchLUResetReusesStorage(t *testing.T) {
 	}
 	x, want := make([]float64, 40), make([]float64, 40)
 	for c, a := range fam2 {
-		if _, err := b.Add(a); err != nil {
+		if _, err := bl.Refactor(c, a, work); err != nil {
 			t.Fatal(err)
 		}
-		b.Solve(c, rhs, x)
+		bl.Solve(c, rhs, x, work)
 		ref, _ := SparseLUFactor(a, 0.001)
 		ref.Solve(rhs, want)
 		for i := range x {
@@ -151,18 +169,116 @@ func TestBatchLUResetReusesStorage(t *testing.T) {
 	}
 }
 
-func TestBatchLUAddRejectsPatternMismatch(t *testing.T) {
+func TestBatchLURefactorRejectsPatternMismatch(t *testing.T) {
 	fam := batchFamily(20, 1, 3)
 	b, err := NewBatchLU(fam[0], 0.001, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := batchFamily(21, 1, 3)[0]
-	if _, err := b.Add(other); err == nil {
-		t.Fatal("Add accepted a different pattern")
+	if _, err := b.Refactor(0, other, make([]float64, 21)); err == nil {
+		t.Fatal("Refactor accepted a different pattern")
 	}
-	if b.Len() != 0 {
-		t.Fatalf("failed Add consumed a slot: Len = %d", b.Len())
+}
+
+// TestBatchLUConcurrentSlotsMatchSerial: slots refactored and solved from
+// concurrent goroutines, each with one scratch for both — one slot forced
+// onto the fresh-factor fallback — give the serial pass's solutions bit for
+// bit and the same reuse/fallback counts. The MNA-like family fills in, so
+// a refactor that trusted scratch left dirty by a solve would go wrong.
+func TestBatchLUConcurrentSlotsMatchSerial(t *testing.T) {
+	const count, badSlot = 12, 5
+	spec := mnaSpec{nodes: 60, sources: 6, links: 100, vccs: 12}
+	fam := make([]*CSR, count)
+	for k := range fam {
+		fam[k] = mnaMatrix(spec, 31, int64(k+1))
+	}
+	probe, err := NewBatchLU(fam[0], 0.001, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := probe.N()
+	// Shrink one pivot entry the frozen order relies on — the first, in
+	// factor order, whose loss makes the refactor unstable: same pattern,
+	// but the representative's pivot sequence fails on this slot.
+	bad := &CSR{Rows: n, Cols: n, RowPtr: fam[badSlot].RowPtr, ColIdx: fam[badSlot].ColIdx}
+	work := make([]float64, n)
+	for k, fell := 0, false; !fell; k++ {
+		if k == n {
+			t.Fatal("no single pivot entry forces a fallback")
+		}
+		bad.Val = append(bad.Val[:0], fam[badSlot].Val...)
+		r := slices.Index(probe.sym.pinv, k)
+		for p := bad.RowPtr[r]; p < bad.RowPtr[r+1]; p++ {
+			if bad.ColIdx[p] == probe.sym.q[k] {
+				bad.Val[p] = 1e-14
+			}
+		}
+		fell, _ = probe.Refactor(0, bad, work)
+	}
+	fam[badSlot] = bad
+	rhs := make([]float64, n)
+	for i := range rhs {
+		rhs[i] = math.Cos(float64(3 * i))
+	}
+	type result struct {
+		x                     [][]float64
+		refactored, fallbacks int
+	}
+	run := func(workers int) result {
+		b, err := NewBatchLU(fam[0], 0.001, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := result{x: make([][]float64, count)}
+		fell := make([]bool, count)
+		errs := make([]error, count)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				work := make([]float64, n)
+				for k := w; k < count; k += workers {
+					if fell[k], errs[k] = b.Refactor(k, fam[k], work); errs[k] != nil {
+						return
+					}
+					res.x[k] = make([]float64, n)
+					b.Solve(k, rhs, res.x[k], work)
+				}
+			}(w)
+		}
+		wg.Wait()
+		for k := range fell {
+			if errs[k] != nil {
+				t.Fatalf("workers=%d: slot %d: %v", workers, k, errs[k])
+			}
+			if fell[k] {
+				res.fallbacks++
+			} else {
+				res.refactored++
+			}
+			checkAgainstDense(t, "batch slot", fam[k], rhs, res.x[k])
+		}
+		return res
+	}
+	serial := run(1)
+	if serial.fallbacks != 1 || serial.refactored != count-1 {
+		t.Fatalf("serial Refactored/Fallbacks = %d/%d, want %d/1", serial.refactored, serial.fallbacks, count-1)
+	}
+	for _, workers := range []int{2, 3, 4} {
+		par := run(workers)
+		if par.refactored != serial.refactored || par.fallbacks != serial.fallbacks {
+			t.Fatalf("workers=%d: Refactored/Fallbacks = %d/%d, serial %d/%d",
+				workers, par.refactored, par.fallbacks, serial.refactored, serial.fallbacks)
+		}
+		for k := range serial.x {
+			for i, v := range serial.x[k] {
+				if math.Float64bits(par.x[k][i]) != math.Float64bits(v) {
+					t.Fatalf("workers=%d: slot %d x[%d] = %v, serial %v", workers, k, i, par.x[k][i], v)
+				}
+			}
+		}
 	}
 }
 

@@ -67,12 +67,18 @@ func BenchmarkBatchLU64(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, a := range fam {
-			if _, err := bl.Add(a); err != nil {
+		work := make([]float64, bl.N())
+		fallbacks := 0
+		for k, a := range fam {
+			fb, err := bl.Refactor(k, a, work)
+			if err != nil {
 				b.Fatal(err)
 			}
+			if fb {
+				fallbacks++
+			}
 		}
-		b.ReportMetric(float64(bl.Fallbacks), "fallbacks")
+		b.ReportMetric(float64(fallbacks), "fallbacks")
 	}
 }
 

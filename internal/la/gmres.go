@@ -2,6 +2,7 @@ package la
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"time"
 )
@@ -59,10 +60,12 @@ var ErrNoConvergence = errors.New("la: iterative solver did not converge")
 // repeated Solve calls (one per Newton iteration on the iterative path)
 // reuse storage instead of reallocating it. The zero value is ready to use;
 // the workspace is sized lazily on first Solve and grows when a later call
-// needs a larger n or restart length. Not safe for concurrent use.
+// needs a larger n or restart length. Basis vectors are allocated when the
+// Arnoldi process first reaches them: a solve that converges in k
+// iterations holds k+1, not m+1. Not safe for concurrent use.
 type GMRESSolver struct {
 	n, m    int
-	v       [][]float64 // Krylov basis, m+1 vectors of length n
+	v       [][]float64 // Krylov basis, up to m+1 vectors of length n (nil until used)
 	h       *Dense      // Hessenberg, (m+1)×m
 	cs, sn  []float64
 	g, y    []float64
@@ -82,9 +85,6 @@ func (s *GMRESSolver) ensure(n, m int) {
 	}
 	s.n, s.m = n, m
 	s.v = make([][]float64, m+1)
-	for i := range s.v {
-		s.v[i] = make([]float64, n)
-	}
 	s.h = NewDense(m+1, m)
 	s.cs = make([]float64, m)
 	s.sn = make([]float64, m)
@@ -140,8 +140,13 @@ func (s *GMRESSolver) Solve(a Operator, b, x []float64, opt GMRESOptions) (res G
 	v, h, cs, sn := s.v, s.h, s.cs, s.sn
 	g := s.g
 	r, w, z := s.r[:n], s.w[:n], s.z[:n]
-	for i := range v {
-		v[i] = v[i][:n]
+	for i, vi := range v {
+		if vi != nil {
+			v[i] = vi[:n]
+		}
+	}
+	if v[0] == nil {
+		v[0] = make([]float64, n, s.n) //mpde:alloc-ok basis vector allocated on first use, reused after
 	}
 
 	totalIters := 0
@@ -156,8 +161,10 @@ func (s *GMRESSolver) Solve(a Operator, b, x []float64, opt GMRESOptions) (res G
 		if rel <= opt.Tol {
 			return GMRESResult{Iterations: totalIters, Residual: rel, Converged: true}, nil
 		}
-		copy(v[0], r)
-		Scal(1/beta, v[0])
+		if !finite(beta) { //mpde:coldpath a non-finite residual never recovers
+			return nonFinite(totalIters, rel, "residual")
+		}
+		scaleInto(v[0], 1/beta, r)
 		Fill(g, 0)
 		g[0] = beta
 
@@ -167,17 +174,25 @@ func (s *GMRESSolver) Solve(a Operator, b, x []float64, opt GMRESOptions) (res G
 			// w = A·M⁻¹·v_k (right preconditioning)
 			opt.M.Precondition(v[k], z)
 			a.Apply(z, w)
-			// Modified Gram–Schmidt.
-			for i := 0; i <= k; i++ {
-				hik := Dot(w, v[i])
+			// Modified Gram–Schmidt, one pass per basis vector: projection
+			// i's Axpy runs fused with projection i+1's Dot, and the last
+			// Axpy with the norm.
+			hik := Dot(w, v[0])
+			for i := 0; i < k; i++ {
 				h.Set(i, k, hik)
-				Axpy(-hik, v[i], w)
+				hik = axpyDot(-hik, v[i], w, v[i+1])
 			}
-			hk1 := Norm2(w)
+			h.Set(k, k, hik)
+			hk1 := axpyNorm2(-hik, v[k], w)
+			if !finite(hk1) { //mpde:coldpath a non-finite Krylov vector never recovers
+				return nonFinite(totalIters, math.NaN(), "Krylov vector")
+			}
 			h.Set(k+1, k, hk1)
+			if v[k+1] == nil {
+				v[k+1] = make([]float64, n, s.n) //mpde:alloc-ok basis vector allocated on first use, reused after
+			}
 			if hk1 > 0 {
-				copy(v[k+1], w)
-				Scal(1/hk1, v[k+1])
+				scaleInto(v[k+1], 1/hk1, w)
 			}
 			// Apply accumulated Givens rotations to the new column.
 			for i := 0; i < k; i++ {
@@ -194,6 +209,9 @@ func (s *GMRESSolver) Solve(a Operator, b, x []float64, opt GMRESOptions) (res G
 			}
 			h.Set(k, k, cs[k]*h.At(k, k)+sn[k]*h.At(k+1, k))
 			h.Set(k+1, k, 0)
+			if !finite(h.At(k, k)) { //mpde:coldpath a non-finite Hessenberg never recovers
+				return nonFinite(totalIters, math.NaN(), "Hessenberg diagonal")
+			}
 			g[k+1] = -sn[k] * g[k]
 			g[k] = cs[k] * g[k]
 			if math.Abs(g[k+1])/normB <= opt.Tol {
@@ -237,6 +255,16 @@ func (s *GMRESSolver) Solve(a Operator, b, x []float64, opt GMRESOptions) (res G
 	}
 	rel := Norm2(r) / normB
 	return GMRESResult{Iterations: totalIters, Residual: rel, Converged: false}, ErrNoConvergence
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// nonFinite ends a solve whose Krylov process produced a NaN or ±Inf: every
+// later iterate would inherit it, so running on to MaxIter only burns
+// operator applies.
+func nonFinite(iters int, rel float64, what string) (GMRESResult, error) {
+	return GMRESResult{Iterations: iters, Residual: rel},
+		fmt.Errorf("%w: non-finite %s at iteration %d", ErrNoConvergence, what, iters)
 }
 
 // SparseLUPreconditioner wraps an exact sparse LU as a (direct) preconditioner,

@@ -303,28 +303,32 @@ func sameSlice(a, b []int) bool {
 //
 //mpde:hotpath
 func (f *SparseLU) Refactor(a *CSR) error {
-	return f.refactorInto(a, f.lx, f.ux)
+	if f.work == nil { //mpde:alloc-ok lazy scratch init, amortised over refactors
+		f.work = make([]float64, f.n)
+	}
+	return f.refactorInto(a, f.lx, f.ux, f.work)
 }
 
 // refactorInto runs the numeric-only refactorisation against the shared
 // symbolic analysis, writing the factors into lx/ux (which must have the
 // factorisation's own layout — either its private arrays or a batch slot
 // initialised from them). L's unit-diagonal positions are never rewritten,
-// so destination slots must already carry the 1s.
+// so destination slots must already carry the 1s. work is an n-vector of
+// scratch that must be zero on entry; it is zero again on return, so one
+// scratch serves any number of refactors. Refactors into distinct lx/ux
+// with distinct scratch may run concurrently: the symbolic analysis is
+// only read.
 //
 //mpde:hotpath
-func (f *SparseLU) refactorInto(a *CSR, lx, ux []float64) error {
+func (f *SparseLU) refactorInto(a *CSR, lx, ux, work []float64) error {
 	if !f.SamePattern(a) { //mpde:coldpath pattern mismatch aborts the refactor
 		return fmt.Errorf("la: refactor pattern mismatch (want the factored %d×%d pattern)", f.n, f.n)
 	}
 	n := f.n
-	if f.work == nil { //mpde:alloc-ok lazy scratch init, amortised over refactors
-		f.work = make([]float64, n)
-	}
 	// Local views of the symbolic analysis: the loops below read no fields
 	// and, with the lengths pinned, index the value arrays without bounds
 	// checks.
-	x := f.work[:n]
+	x := work[:n]
 	lp, li := f.lp[:n+1], f.li
 	up, ui := f.up[:n+1], f.ui
 	atp, ati := f.atp[:n+1], f.ati
@@ -387,22 +391,23 @@ func (f *SparseLU) refactorInto(a *CSR, lx, ux []float64) error {
 //
 //mpde:hotpath
 func (f *SparseLU) Solve(b, x []float64) {
-	f.solveWith(f.lx, f.ux, b, x)
+	if f.swork == nil { //mpde:alloc-ok lazy scratch init, amortised over solves
+		f.swork = make([]float64, f.n)
+	}
+	f.solveWith(f.lx, f.ux, b, x, f.swork)
 }
 
 // solveWith runs the triangular solves against the given value arrays
-// (the factorisation's own, or a batch slot sharing its layout).
+// (the factorisation's own, or a batch slot sharing its layout), using the
+// n-vector work as scratch.
 //
 //mpde:hotpath
-func (f *SparseLU) solveWith(lx, ux, b, x []float64) {
+func (f *SparseLU) solveWith(lx, ux, b, x, work []float64) {
 	n := f.n
 	if len(b) != n || len(x) != n {
 		panic(ErrShape)
 	}
-	if f.swork == nil { //mpde:alloc-ok lazy scratch init, amortised over solves
-		f.swork = make([]float64, n)
-	}
-	y := f.swork[:n]
+	y := work[:n]
 	lp, li := f.lp[:n+1], f.li
 	up, ui := f.up[:n+1], f.ui
 	lx, ux = lx[:len(li)], ux[:len(ui)]

@@ -190,17 +190,15 @@ func TestSparseLUMatchesDenseLU(t *testing.T) {
 				t.Fatal(err)
 			}
 			ms := []*CSR{a0, a1, a2}
-			for _, m := range ms {
-				if _, err := bl.Add(m); err != nil {
-					t.Fatal(err)
+			work := make([]float64, bl.N())
+			for k, m := range ms {
+				if fb, err := bl.Refactor(k, m, work); err != nil || fb {
+					t.Fatalf("slot %d: Refactor = %v, %v; want shared-analysis reuse", k, fb, err)
 				}
-			}
-			if bl.Refactored != len(ms) {
-				t.Fatalf("Refactored/Fallbacks = %d/%d, want %d/0", bl.Refactored, bl.Fallbacks, len(ms))
 			}
 			for k, m := range ms {
 				y := append([]float64(nil), b...)
-				bl.Solve(k, y, y)
+				bl.Solve(k, y, y, work)
 				checkAgainstDense(t, "batch slot", m, b, y)
 			}
 		})
