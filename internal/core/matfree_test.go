@@ -92,6 +92,40 @@ func TestQPSSMatrixFreeMixerNoFallbacks(t *testing.T) {
 	}
 }
 
+// TestQPSSMatrixFreeForcingTermMatchesDirect solves the stiff mixer with
+// the direct path and with matrix-free GMRES, whose Newton steps are only as
+// accurate as the Eisenstat–Walker forcing term asks, on three grids. The
+// grids must agree far inside the Newton tolerance (about 3e-6 here): a loose
+// GMRES step is shorter than the Newton step, so a solve that declared
+// convergence on one would stop early, around 4e-4 off the direct grid.
+func TestQPSSMatrixFreeForcingTermMatchesDirect(t *testing.T) {
+	sh := Shear{F1: 1e6, F2: 0.875e6, K: 1}
+	for _, g := range [][2]int{{24, 16}, {40, 30}, {64, 48}} {
+		opt := Options{N1: g[0], N2: g[1], Shear: sh}
+		direct, err := QPSS(context.Background(), nonlinearMixer(sh), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Newton.Linear = solver.MatrixFree
+		mf, err := QPSS(context.Background(), nonlinearMixer(sh), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxDiff := 0.0
+		for i := range mf.X {
+			maxDiff = math.Max(maxDiff, math.Abs(mf.X[i]-direct.X[i]))
+		}
+		t.Logf("%dx%d: max|ΔX| = %.3g, %d Newton, %d GMRES iterations",
+			g[0], g[1], maxDiff, mf.Stats.NewtonIters, mf.Stats.LinearIters)
+		if maxDiff > 1e-8 {
+			t.Errorf("%dx%d: matrix-free grid deviates from direct by %v", g[0], g[1], maxDiff)
+		}
+		if mf.Stats.GMRESFallbacks != 0 {
+			t.Errorf("%dx%d: %d GMRES fallbacks", g[0], g[1], mf.Stats.GMRESFallbacks)
+		}
+	}
+}
+
 // TestAdaptiveQPSSMatrixFree runs the adaptive loop in matrix-free mode: the
 // coarse round is solved direct (the refinement anchor), refined rounds go
 // matrix-free, and the result must match the all-direct adaptive solve.

@@ -448,13 +448,23 @@ func (q *Queue) journalPath(t Task) string {
 	return filepath.Join(q.opt.JournalDir, t.ID+".json")
 }
 
+// journalWrite persists t atomically: the entry is written under a name
+// RecoverPending skips and renamed into place, so a process killed mid-write
+// leaves a stray temp file rather than a torn entry.
 func (q *Queue) journalWrite(t Task) {
 	if q.opt.JournalDir == "" {
 		return
 	}
 	enc, err := json.Marshal(t)
 	if err == nil {
-		err = os.WriteFile(q.journalPath(t), enc, 0o644)
+		path := q.journalPath(t)
+		tmp := path + ".tmp"
+		if err = os.WriteFile(tmp, enc, 0o644); err == nil {
+			err = os.Rename(tmp, path)
+		}
+		if err != nil {
+			_ = os.Remove(tmp) // best effort: RecoverPending skips it anyway
+		}
 	}
 	if err != nil {
 		q.opt.Logf("dispatch: journal %s: %v", t.ID, err)

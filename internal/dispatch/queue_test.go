@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -207,6 +208,35 @@ func TestQueueJournalLifecycle(t *testing.T) {
 	}
 	if _, err := RecoverPending(dir); err == nil {
 		t.Fatal("RecoverPending accepted a corrupt entry")
+	}
+}
+
+// TestRecoverPendingSkipsTornTempFile: a process killed inside journalWrite
+// leaves its half-written temp file next to the good entries. Recovery must
+// read the good entries and ignore the temp file.
+func TestRecoverPendingSkipsTornTempFile(t *testing.T) {
+	dir := t.TempDir()
+	q := newTestQueue(t, time.Second, 3, dir)
+	q.Enqueue("g1", testEnv(0))
+	q.Enqueue("g1", testEnv(1))
+	if err := os.WriteFile(filepath.Join(dir, "t000003.json.tmp"), []byte(`{"id":"t0000`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := RecoverPending(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tasks) != 2 {
+		t.Fatalf("recovered %d tasks, want the 2 good entries", len(tasks))
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if e.Name() != "t000003.json.tmp" && strings.HasSuffix(e.Name(), ".tmp") {
+			t.Fatalf("journalWrite left its temp file %s behind", e.Name())
+		}
 	}
 }
 

@@ -258,6 +258,11 @@ type manager struct {
 	wg        sync.WaitGroup
 	baseCtx   context.Context
 	cancelAll context.CancelFunc
+
+	// onRunning, when set, runs with the job's context once a job is
+	// running and before the engine starts. Tests use it to hold a job at
+	// a known point; it is set before the first submit.
+	onRunning func(ctx context.Context)
 }
 
 func newManager(srv *Server, maxConcurrent int) *manager {
@@ -443,6 +448,9 @@ func (m *manager) run(j *jobState, rs *runSpec) {
 	j.status = StatusRunning
 	j.appendEventLocked(Event{Type: "start", Total: j.total})
 	j.mu.Unlock()
+	if m.onRunning != nil {
+		m.onRunning(jctx)
+	}
 
 	progress := func(ev sweep.ProgressEvent) {
 		e := Event{Done: ev.Done, Total: ev.Total}

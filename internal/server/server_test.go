@@ -488,10 +488,13 @@ func TestEventStreamKeepsJobAlive(t *testing.T) {
 
 // TestShutdownDrainsAndFlushes: SIGTERM-path semantics via Shutdown — new
 // submits rejected, the running job interrupted at the drain deadline, and
-// its partial aggregate spooled to disk before Shutdown returns.
+// its partial aggregate spooled to disk before Shutdown returns. The job is
+// held running until the drain cancels it, so however fast the engine runs
+// the deck, the drain deadline always finds it in flight.
 func TestShutdownDrainsAndFlushes(t *testing.T) {
 	spool := t.TempDir()
 	s, ts := newTestServer(t, Options{SpoolDir: spool})
+	s.mgr.onRunning = func(ctx context.Context) { <-ctx.Done() }
 	resp := postJSON(t, ts.URL+"/v1/jobs", map[string]any{"deck": slowDeck})
 	info := decodeJSON[JobInfo](t, resp.Body)
 	resp.Body.Close()
@@ -499,7 +502,6 @@ func TestShutdownDrainsAndFlushes(t *testing.T) {
 		t.Fatalf("submit: %d", resp.StatusCode)
 	}
 	waitStatus(t, ts.URL, info.ID, 10*time.Second, StatusRunning)
-	time.Sleep(100 * time.Millisecond)
 
 	dctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()

@@ -258,6 +258,36 @@ func TestNewtonMatrixFree(t *testing.T) {
 	}
 }
 
+// TestForcingTerm pins the matrix-free Newton step's GMRES tolerance:
+// Eisenstat–Walker choice 2 with its safeguard, capped at 0.1 and floored at
+// GMRESTol, and the floor outright when a loose step passed the convergence
+// test.
+func TestForcingTerm(t *testing.T) {
+	const floor = 1e-10
+	cases := []struct {
+		name                string
+		etaPrev, r2, r2Prev float64
+		first, strict       bool
+		want                float64
+	}{
+		{"first step", 0, 5, 0, true, false, 0.1},
+		{"EW ratio", 0.1, 1, 4, false, false, 0.9 / 16},
+		{"safeguard", 0.5, 1e-3, 1, false, false, 0.1}, // 0.9·0.5² = 0.225 beats 9e-7
+		{"safeguard idle", 0.1, 1e-2, 1, false, false, 0.9e-4},
+		{"cap", 0.01, 3, 3, false, false, 0.1},
+		{"NaN ratio", 0.01, 0, 0, false, false, 0.1},
+		{"floor", 0.1, 1e-8, 1, false, false, floor},
+		{"strict", 0.1, 1, 4, false, true, floor},
+		{"strict first", 0, 5, 0, true, true, floor},
+	}
+	for _, c := range cases {
+		got := forcingTerm(c.etaPrev, c.r2, c.r2Prev, floor, c.first, c.strict)
+		if math.Abs(got-c.want) > 1e-15*c.want {
+			t.Errorf("%s: η = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestNewtonMatrixFreeNeedsInterface(t *testing.T) {
 	opt := NewOptions()
 	opt.Linear = MatrixFree

@@ -105,7 +105,7 @@ type Options struct {
 	MaxHalve  int     // max step halvings per iteration (default 8)
 	Linear    LinearSolverKind
 	PivotTol  float64 // sparse LU threshold-pivoting tolerance (default 0.001)
-	GMRESTol  float64 // default 1e-10
+	GMRESTol  float64 // the floor of the matrix-free forcing term (default 1e-10)
 	GMRESIter int     // default 400
 	// JacobianRefresh is the modified-Newton policy: the Jacobian is
 	// re-evaluated and re-factorised only every JacobianRefresh-th
@@ -360,6 +360,35 @@ func (d *directFactor) factor(j *la.CSR, st *Stats, opt Options) error {
 	return nil
 }
 
+// etaMax is the matrix-free forcing term's cap, and its value on the first
+// Newton step.
+const etaMax = 0.1
+
+// forcingTerm returns the relative GMRES tolerance η for a matrix-free
+// Newton step: Eisenstat–Walker choice 2 (SIAM J. Sci. Comput. 17, 1996),
+// η = 0.9·(‖r‖₂/‖r_prev‖₂)², raised to 0.9·η_prev² when that exceeds
+// etaMax, capped at etaMax and never below floor (Options.GMRESTol). The
+// first step uses etaMax. strict asks for a full-accuracy step: a looser
+// one passed the convergence test, which must be confirmed on a step
+// solved to the floor.
+func forcingTerm(etaPrev, r2, r2Prev, floor float64, first, strict bool) float64 {
+	if strict {
+		return floor
+	}
+	eta := etaMax
+	if !first {
+		q := r2 / r2Prev
+		eta = 0.9 * q * q
+		if s := 0.9 * etaPrev * etaPrev; s > etaMax {
+			eta = math.Max(eta, s)
+		}
+		if !(eta < etaMax) { // also catches a NaN ratio
+			eta = etaMax
+		}
+	}
+	return math.Max(eta, floor)
+}
+
 // iterRecord builds one convergence record from the counter deltas between
 // the top of iteration it (base) and now (st).
 func iterRecord(st, base *Stats, it int, nrm, alpha float64, accepted bool) IterTrace {
@@ -498,6 +527,10 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 	var cop la.Operator // op wrapped with the OperatorApplies counter; boxed
 	// once per Jacobian refresh rather than re-boxed every iteration
 	var prec la.Preconditioner
+	// The inexact-Newton state of the matrix-free path: the forcing term η
+	// of the last step, ‖r‖₂ at the previous iterate, and whether the next
+	// step must be solved to the floor before convergence may be declared.
+	eta, r2Prev, strict := 0.0, 0.0, false
 	// itBase snapshots the cumulative counters at the top of each iteration
 	// so trace records carry per-iteration deltas.
 	var itBase Stats
@@ -558,11 +591,16 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 			neg[i] = -r[i]
 		}
 		if opt.Linear == MatrixFree {
+			r2 := la.Norm2(r)
+			eta = forcingTerm(eta, r2, r2Prev, opt.GMRESTol, it == 0, strict)
+			r2Prev = r2
 			la.Fill(dx, 0)
 			res, gerr := gmres.Solve(cop, neg, dx, la.GMRESOptions{
-				Tol: opt.GMRESTol, MaxIter: opt.GMRESIter, M: prec})
+				Tol: eta, MaxIter: opt.GMRESIter, M: prec})
 			st.LinearIters += res.Iterations
 			if gerr != nil {
+				// The direct solve is exact: a full-accuracy step.
+				eta = opt.GMRESTol
 				// Assemble the true Jacobian once and solve directly rather
 				// than failing Newton.
 				st.GMRESFallbacks++
@@ -580,11 +618,17 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 		} else {
 			direct.f.Solve(neg, dx)
 		}
-		// Optional ∞-norm clamp (device-voltage limiting in the large).
-		if opt.MaxStep > 0 {
-			if m := la.NormInf(dx); m > opt.MaxStep {
-				la.Scal(opt.MaxStep/m, dx)
-			}
+		// A non-finite step (an overflowing solve on finite r and J) fails
+		// here: no damping can make a trial point out of it. The same norm
+		// serves the optional ∞-norm clamp (device-voltage limiting in the
+		// large).
+		m := la.NormInf(dx)
+		if math.IsNaN(m) || math.IsInf(m, 0) { //mpde:coldpath a non-finite step fails the solve
+			st.Residual = rNorm
+			return st, fmt.Errorf("%w: step %v at iteration %d", ErrNewton, m, it+1)
+		}
+		if opt.MaxStep > 0 && m > opt.MaxStep {
+			la.Scal(opt.MaxStep/m, dx)
 		}
 		// Damped update: halve until the residual stops increasing badly.
 		// Trials evaluate the residual only — the Jacobian is assembled once
@@ -648,21 +692,24 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 		// iteration is at numerical stationarity — the residual has hit its
 		// floating-point floor (common when charge differences are divided
 		// by very small time steps) and further iterations cannot help.
-		if st.StepNorm <= 1 && rNorm <= residCap {
+		// Tertiary: a residual many orders below tolerance is a solution
+		// even when the step norm is noisy (ill-conditioned Jacobians
+		// amplify round-off into wandering but physically irrelevant
+		// updates).
+		if (st.StepNorm <= 1 && rNorm <= residCap) ||
+			(st.StepNorm <= 0.01 && alpha == 1) ||
+			rNorm <= 1e-6*residCap {
+			// A matrix-free step GMRES cut off above the floor is shorter
+			// than the Newton step, so its step norm passes too soon:
+			// decide on one more step solved to the floor.
+			if opt.Linear == MatrixFree && eta > opt.GMRESTol {
+				strict = true
+				continue
+			}
 			st.Converged = true
 			return st, nil
 		}
-		if st.StepNorm <= 0.01 && alpha == 1 {
-			st.Converged = true
-			return st, nil
-		}
-		// A residual many orders below tolerance is a solution even when
-		// the step norm is noisy (ill-conditioned Jacobians amplify
-		// round-off into wandering but physically irrelevant updates).
-		if rNorm <= 1e-6*residCap {
-			st.Converged = true
-			return st, nil
-		}
+		strict = false
 	}
 	st.Residual = rNorm
 	//mpde:coldpath non-convergence is the failure exit

@@ -69,6 +69,38 @@ func TestNewtonFailsOnNaNResidual(t *testing.T) {
 	}
 }
 
+// TestNewtonFailsOnNonFiniteStep: r = 1e300 and J = 1e-10·I are finite, but
+// the step −J⁻¹r overflows. The solve must fail at once with ErrNewton
+// naming the iteration, without halving or evaluating a trial point.
+func TestNewtonFailsOnNonFiniteStep(t *testing.T) {
+	trials := 0
+	sys := FuncSystem{N: 2, F: func(x []float64, jac bool) ([]float64, *la.CSR, error) {
+		if !jac {
+			trials++
+		}
+		var j *la.CSR
+		if jac {
+			tr := la.NewTriplet(2, 2)
+			tr.Append(0, 0, 1e-10)
+			tr.Append(1, 1, 1e-10)
+			j = tr.Compress()
+		}
+		return []float64{1e300, 1e300}, j, nil
+	}}
+	x := []float64{0, 0}
+	st, err := Solve(context.Background(), sys, x, NewOptions())
+	if !errors.Is(err, ErrNewton) || !strings.Contains(err.Error(), "iteration 1") {
+		t.Fatalf("err = %v, want ErrNewton at iteration 1", err)
+	}
+	if st.Converged || st.Halvings != 0 || trials != 0 {
+		t.Fatalf("converged %v, %d halvings, %d trial evaluations: want a failure before damping",
+			st.Converged, st.Halvings, trials)
+	}
+	if x[0] != 0 || x[1] != 0 {
+		t.Fatalf("x = %v: a non-finite step must not be taken", x)
+	}
+}
+
 func TestNewtonQuadraticConvergenceIterationCount(t *testing.T) {
 	x := []float64{1.5}
 	st, err := Solve(context.Background(), sqrtSystem(2), x, NewOptions())
