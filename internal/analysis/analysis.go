@@ -123,7 +123,9 @@ type Request struct {
 type Stats struct {
 	// AssemblyTime totals residual/Jacobian assembly; FactorTime totals
 	// factorisation time. Both are wall-clock and excluded from the
-	// byte-stable exports.
+	// byte-stable exports. Shooting and transient report both as zero:
+	// their step solves do not read the clock (see solver.Workspace), and
+	// the job's wall time covers them.
 	AssemblyTime time.Duration `json:"assembly_ns,omitempty"`
 	FactorTime   time.Duration `json:"factor_ns,omitempty"`
 	// NewtonIters totals nonlinear iterations.

@@ -1,6 +1,7 @@
 package circuit_test
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -110,5 +111,131 @@ func TestEvalRecompilesChangedStamps(t *testing.T) {
 	}
 	if !slices.Equal(g0.RowPtr, rowPtr) || !slices.Equal(g0.ColIdx, colIdx) {
 		t.Fatal("a Jacobian pattern handed out before a recompile changed")
+	}
+}
+
+// countingWave is a waveform that counts its evaluations.
+type countingWave struct{ calls int }
+
+func (w *countingWave) Eval(t float64) float64 { w.calls++; return math.Sin(1e3*t) + 0.25 }
+
+func (w *countingWave) EvalTorus(th1, th2 float64) float64 {
+	w.calls++
+	return math.Cos(2*math.Pi*th1) * math.Sin(2*math.Pi*th2)
+}
+
+// multiSource injects SourceValue(W) into node p once per call count: a
+// device whose number of SourceValue calls the test changes.
+type multiSource struct {
+	p, calls int
+	W        device.Waveform
+}
+
+func (d *multiSource) Name() string { return "IM" }
+
+func (d *multiSource) Stamp(s *device.Stamp) {
+	for range d.calls {
+		s.AddB(d.p, s.SourceValue(d.W))
+	}
+}
+
+// sourceCircuit is a voltage and a current source driven by counting
+// waveforms, plus a device with a variable number of source calls.
+func sourceCircuit() (*circuit.Circuit, *countingWave, *multiSource) {
+	w := &countingWave{}
+	ckt := circuit.New("sources")
+	ckt.V("V1", "in", "0", device.Sum{device.DC(0.5), w})
+	ckt.R("R1", "in", "out", 1e3)
+	ckt.I("I1", "out", "0", w)
+	m := &multiSource{p: ckt.Node("out"), calls: 1, W: w}
+	ckt.Add(m)
+	ckt.C("C1", "out", "0", 1e-9)
+	ckt.Finalize()
+	return ckt, w, m
+}
+
+// sameBits fails unless got and want are equal bit for bit.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: B[%d] = %v, fresh evaluation %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestEvalReplaysSources: a second evaluation at the same context replays
+// the recorded source values — no waveform call — and its B is the fresh
+// evaluation's bit for bit; any context field that changes, -0 vs +0 time
+// included, evaluates the waveforms afresh.
+func TestEvalReplaysSources(t *testing.T) {
+	ckt, w, _ := sourceCircuit()
+	ev := ckt.NewEval()
+	x := []float64{0.3, -0.1, 2e-4}
+	base := device.EvalCtx{T: 1.5e-3, Lambda: 0.75}
+	ev.EvalAt(x, base, true)
+	if w.calls == 0 {
+		t.Fatal("the first evaluation called no waveform")
+	}
+	check := func(what string, ctx device.EvalCtx, wantCalls bool) {
+		t.Helper()
+		x[0] += 0.01 // the iterate does not matter to the sources
+		w.calls = 0
+		got := slices.Clone(ev.EvalAt(x, ctx, false).B)
+		if calls := w.calls; (calls > 0) != wantCalls {
+			t.Fatalf("%s: %d waveform calls, want re-evaluation %v", what, calls, wantCalls)
+		}
+		sameBits(t, what, got, ckt.NewEval().EvalAt(x, ctx, false).B)
+	}
+	check("same context", base, false)
+	for _, c := range []struct {
+		name string
+		edit func(*device.EvalCtx)
+	}{
+		{"T", func(c *device.EvalCtx) { c.T = 2e-3 }},
+		{"Lambda", func(c *device.EvalCtx) { c.Lambda = 0.5 }},
+		{"SignalOnlyLambda", func(c *device.EvalCtx) { c.SignalOnlyLambda = true }},
+		{"Torus", func(c *device.EvalCtx) { c.Torus = true }},
+		{"Th1", func(c *device.EvalCtx) { c.Th1 = 0.25 }},
+		{"Th2", func(c *device.EvalCtx) { c.Th2 = 0.125 }},
+	} {
+		ctx := base
+		c.edit(&ctx)
+		check(c.name+" changed", ctx, true)
+		check(c.name+" repeated", ctx, false)
+		check(c.name+" restored", base, true)
+	}
+	zero := device.EvalCtx{Lambda: 1}
+	negZero := zero
+	negZero.T = math.Copysign(0, -1)
+	check("T = +0", zero, true)
+	check("T = -0 after +0", negZero, true)
+	check("T = +0 after -0", zero, true)
+}
+
+// TestEvalRerecordsChangedSourceCalls: a device that changes how many
+// times it calls SourceValue at an unchanged context is re-recorded, and
+// every result matches a fresh evaluation bit for bit. The Jacobian
+// pattern, whose stamps did not change, is not recompiled.
+func TestEvalRerecordsChangedSourceCalls(t *testing.T) {
+	ckt, w, m := sourceCircuit()
+	ev := ckt.NewEval()
+	x := []float64{0.3, -0.1, 2e-4}
+	ctx := device.EvalCtx{T: 1e-3, Lambda: 1}
+	var c, g la.CSR
+	ev.EvalAtInto(x, ctx, true, &c, &g)
+	colIdx := g.ColIdx
+	for _, calls := range []int{3, 0, 2, 2} {
+		m.calls = calls
+		res := ev.EvalAtInto(x, ctx, true, &c, &g)
+		sameBits(t, fmt.Sprintf("%d calls", calls), res.B, ckt.NewEval().EvalAt(x, ctx, false).B)
+		if &g.ColIdx[0] != &colIdx[0] {
+			t.Fatalf("%d calls: a source re-recording recompiled the Jacobian pattern", calls)
+		}
+	}
+	w.calls = 0
+	ev.EvalAt(x, ctx, false)
+	if w.calls != 0 {
+		t.Fatalf("%d waveform calls after the re-recording settled, want 0", w.calls)
 	}
 }

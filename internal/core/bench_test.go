@@ -105,21 +105,3 @@ func BenchmarkQPSSLinearSolver(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkQPSSSolveModifiedNewton is the same solve under the
-// JacobianRefresh=3 factorisation-reuse policy.
-func BenchmarkQPSSSolveModifiedNewton(b *testing.B) {
-	sh := Shear{F1: 1e6, F2: 0.875e6, K: 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var opt Options
-		opt.N1, opt.N2 = 40, 30
-		opt.Shear = sh
-		opt.Newton.JacobianRefresh = 3
-		sol, err := QPSS(context.Background(), nonlinearMixer(sh), opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(sol.Stats.JacobianNNZ), "nnz")
-	}
-}

@@ -215,31 +215,3 @@ func TestQPSSFillFactorOrdered(t *testing.T) {
 		t.Fatalf("FillFactor = %.3f, want in (0, 2.5]", fill)
 	}
 }
-
-// TestQPSSJacobianRefreshPolicy: the modified-Newton knob must still
-// converge to the same answer within tolerance while evaluating fewer
-// Jacobians than iterations.
-func TestQPSSJacobianRefreshPolicy(t *testing.T) {
-	sh := Shear{F1: 1e6, F2: 0.875e6, K: 1}
-	base, err := QPSS(context.Background(), nonlinearMixer(sh), Options{N1: 24, N2: 16, Shear: sh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var opt Options
-	opt.N1, opt.N2 = 24, 16
-	opt.Shear = sh
-	opt.Newton.JacobianRefresh = 3
-	sol, err := QPSS(context.Background(), nonlinearMixer(sh), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := sol.Stats.Factorizations + sol.Stats.Refactorizations; f >= sol.Stats.NewtonIters && sol.Stats.NewtonIters > 2 {
-		t.Fatalf("refresh policy did not skip factorisations: %d decompositions over %d iterations",
-			f, sol.Stats.NewtonIters)
-	}
-	for i := range sol.X {
-		if d := math.Abs(sol.X[i] - base.X[i]); d > 1e-6 {
-			t.Fatalf("modified Newton diverged from classic at %d by %v", i, d)
-		}
-	}
-}

@@ -1,6 +1,10 @@
 package device
 
-import "repro/internal/la"
+import (
+	"math"
+
+	"repro/internal/la"
+)
 
 // EvalCtx tells devices where and how the circuit is being evaluated.
 type EvalCtx struct {
@@ -36,6 +40,9 @@ type Stamp struct {
 	Jac  bool
 	Ctx  EvalCtx
 	Gmin float64 // solver-supplied minimum conductance to ground
+	// Tape, when non-nil, records SourceValue results and replays them at
+	// an unchanged Ctx (see SourceTape); nil evaluates every call.
+	Tape *SourceTape
 }
 
 // V returns the voltage of an unknown index (-1 means ground → 0).
@@ -85,11 +92,106 @@ func (s *Stamp) AddG(i, j int, v float64) {
 // and continuation scaling. Sum waveforms are scaled member-wise so that
 // SignalOnlyLambda keeps embedded DC bias terms at full strength while
 // ramping the AC parts — the usual "bias on, signal stepped" homotopy.
+//
+// The value depends only on the waveform and Ctx, never on the iterate,
+// and a device calls SourceValue in a sequence that does not depend on X
+// either: the same calls, in the same order, on every pass. That is what
+// lets a Tape replay the values of an earlier pass at the same Ctx.
 func (s *Stamp) SourceValue(w Waveform) float64 {
-	return evalScaled(w, s.Ctx)
+	if s.Tape != nil {
+		return s.Tape.value(w, &s.Ctx)
+	}
+	return evalScaled(w, &s.Ctx)
 }
 
-func evalScaled(w Waveform, ctx EvalCtx) float64 {
+// SourceTape records the SourceValue results of one stamp pass, in device
+// order with the calling device's index, and replays them into later
+// passes at an equal EvalCtx. A time-march step evaluates the circuit at
+// one time for its Jacobian, every damping trial and the accepted point;
+// with a tape the waveforms are evaluated once for all of them. Replayed
+// values are the recorded float64s, so the accumulated B is bit-identical
+// to a fresh evaluation. A replay whose call sequence differs from the
+// recording — a device calling more or fewer times — is detected at End,
+// and the caller re-runs the pass with record set, as for la.StampMap.
+// The zero value records on its first pass.
+type SourceTape struct {
+	ctx    EvalCtx
+	valid  bool // rec holds a complete recording at ctx
+	record bool
+	miss   bool
+	cur    int32 // the device stamping now
+	k      int   // next replay position
+	rec    []tapeEntry
+}
+
+// tapeEntry is one recorded SourceValue result and the device that asked.
+type tapeEntry struct {
+	v   float64
+	dev int32
+}
+
+// Begin starts a pass at ctx. The pass replays when the tape holds a
+// complete recording at a context equal to ctx field by field (floats
+// compared by Float64bits, so -0 and +0 differ) and record is unset;
+// otherwise it records afresh.
+func (t *SourceTape) Begin(ctx *EvalCtx, record bool) {
+	t.k, t.miss, t.cur = 0, false, -1
+	t.record = record || !t.valid || !sameCtx(&t.ctx, ctx)
+	if t.record {
+		t.ctx, t.valid = *ctx, false
+		t.rec = t.rec[:0]
+	}
+}
+
+// Device marks the start of device k's stamps in the current pass.
+func (t *SourceTape) Device(k int) { t.cur = int32(k) }
+
+// End finishes the pass. A recording pass completes the tape and reports
+// true. A replay reports whether it saw the recorded sequence exactly; on
+// false the pass's values are not to be trusted and the caller must re-run
+// it with record set.
+func (t *SourceTape) End() bool {
+	if t.record {
+		t.valid = true
+		return true
+	}
+	if t.miss || t.k != len(t.rec) {
+		t.valid = false
+		return false
+	}
+	return true
+}
+
+// value is SourceValue through the tape.
+//
+//mpde:hotpath
+func (t *SourceTape) value(w Waveform, ctx *EvalCtx) float64 {
+	if !t.record {
+		k := t.k
+		t.k = k + 1
+		if k < len(t.rec) && t.rec[k].dev == t.cur {
+			return t.rec[k].v
+		}
+		t.miss = true
+		return evalScaled(w, ctx)
+	}
+	v := evalScaled(w, ctx)
+	t.rec = append(t.rec, tapeEntry{v, t.cur}) //mpde:alloc-ok grows only while recording, to the pass's call count
+	return v
+}
+
+// sameCtx reports whether a and b are equal field by field, floats by
+// their bits.
+func sameCtx(a, b *EvalCtx) bool {
+	return math.Float64bits(a.T) == math.Float64bits(b.T) &&
+		a.Torus == b.Torus &&
+		math.Float64bits(a.Th1) == math.Float64bits(b.Th1) &&
+		math.Float64bits(a.Th2) == math.Float64bits(b.Th2) &&
+		math.Float64bits(a.Lambda) == math.Float64bits(b.Lambda) &&
+		a.SignalOnlyLambda == b.SignalOnlyLambda
+}
+
+func evalScaled(w Waveform, ctx *EvalCtx) float64 {
 	if sum, ok := w.(Sum); ok {
 		total := 0.0
 		for _, part := range sum {

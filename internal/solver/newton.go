@@ -107,14 +107,6 @@ type Options struct {
 	PivotTol  float64 // sparse LU threshold-pivoting tolerance (default 0.001)
 	GMRESTol  float64 // the floor of the matrix-free forcing term (default 1e-10)
 	GMRESIter int     // default 400
-	// JacobianRefresh is the modified-Newton policy: the Jacobian is
-	// re-evaluated and re-factorised only every JacobianRefresh-th
-	// iteration, with the stale factorisation reused in between (and sparse
-	// LU refactorised numerically into the same symbolic analysis when the
-	// pattern allows). A damping failure on a stale Jacobian forces an
-	// immediate refresh. 0 or 1 refreshes every iteration — classic Newton,
-	// the default.
-	JacobianRefresh int
 	// Progress, when non-nil, is called at the top of every Newton
 	// iteration with the 1-based iteration count and the current residual
 	// ∞-norm (NaN on iteration 1 before the first evaluation). Analyses
@@ -168,9 +160,6 @@ func (o *Options) Fill() {
 	if o.GMRESIter <= 0 {
 		o.GMRESIter = 400
 	}
-	if o.JacobianRefresh <= 0 {
-		o.JacobianRefresh = 1
-	}
 }
 
 // Stats reports how a Newton solve went.
@@ -181,8 +170,8 @@ type Stats struct {
 	Converged   bool
 	Halvings    int // total damping halvings
 	LinearIters int // total GMRES iterations (matrix-free mode)
-	// JacobianEvals counts full (residual + Jacobian) system evaluations;
-	// with JacobianRefresh > 1 it runs below NewtonIters.
+	// JacobianEvals counts full (residual + Jacobian) system evaluations:
+	// one per Newton iteration, plus one per GMRES rescue.
 	JacobianEvals int
 	// Factorizations counts full symbolic+numeric LU factorisations;
 	// Refactorizations counts the cheaper numeric-only decompositions that
@@ -203,7 +192,9 @@ type Stats struct {
 	GMRESFallbacks  int
 	BatchReuse      int
 	// AssemblyTime totals the time spent inside System.Eval (residual and
-	// Jacobian assembly); FactorTime totals LU factorisation time.
+	// Jacobian assembly); FactorTime totals LU factorisation time. Both
+	// are zero for time-march steps solved through a Workspace, which do
+	// not read the clock; the march's wall time covers them.
 	AssemblyTime time.Duration
 	FactorTime   time.Duration
 	// Trace holds one convergence record per iteration — recorded only when
@@ -235,15 +226,14 @@ func (s *Stats) Add(o Stats) {
 }
 
 // IterTrace is one Newton iteration's convergence record: the per-iteration
-// view the summed Stats counters cannot give. A stalled damping loop, a
-// thrashing preconditioner, or a chord iteration bouncing off a stale
-// Jacobian is visible here and invisible in the totals. Non-finite residuals
-// are sanitised to -1 so records always serialise as JSON.
+// view the summed Stats counters cannot give. A stalled damping loop or a
+// thrashing preconditioner is visible here and invisible in the totals.
+// Non-finite residuals are sanitised to -1 so records always serialise as
+// JSON.
 type IterTrace struct {
 	// Iter is 1-based. Residual is the trial residual ∞-norm after the
-	// damping loop; StepNorm the weighted step norm (0 on rejected
-	// iterations, where no step was taken); Alpha the accepted damping
-	// factor.
+	// damping loop; StepNorm the weighted step norm; Alpha the accepted
+	// damping factor.
 	Iter     int     `json:"iter"`
 	Residual float64 `json:"residual"`
 	StepNorm float64 `json:"step_norm,omitempty"`
@@ -257,8 +247,8 @@ type IterTrace struct {
 	Factor   bool `json:"factor,omitempty"`
 	Refactor bool `json:"refactor,omitempty"`
 	Fallback bool `json:"fallback,omitempty"`
-	// Accepted is false when damping exhausted on a stale Jacobian and the
-	// trial was rejected in favour of an immediate refresh.
+	// Accepted is always true: every iteration takes its damped step. The
+	// field stays in the trace schema for its readers.
 	Accepted bool `json:"accepted"`
 }
 
@@ -284,44 +274,31 @@ var ErrInterrupted = errors.New("solver: solve interrupted")
 // Interrupted reports whether err stems from a context-cancellation abort.
 func Interrupted(err error) bool { return errors.Is(err, ErrInterrupted) }
 
-// interruptShim derives the solver's internal cooperative-cancellation poll
-// from ctx.Done(). A nil-Done context (context.Background()) polls as never
-// interrupted without the select.
-func interruptShim(ctx context.Context) func() bool {
-	done := ctx.Done()
-	if done == nil {
-		return nil
-	}
-	return func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-}
-
 // clock times the Newton loop's intervals from one time.Now per solve.
 // Each interval boundary is a single monotonic read, shared by the
 // intervals on either side of it: the end of a Jacobian evaluation is the
-// start of its factorisation.
+// start of its factorisation. The zero clock is off and reads nothing.
 type clock struct {
+	on    bool
 	start time.Time
 	last  time.Duration // the previous boundary, since start
 }
 
 // lap returns the time since the previous boundary and makes now the next
-// one.
+// one; an off clock returns 0.
 func (c *clock) lap() time.Duration {
+	if !c.on {
+		return 0
+	}
 	now := time.Since(c.start)
 	d := now - c.last
 	c.last = now
 	return d
 }
 
-// directFactor owns the sparse LU state across iterations so a refresh can
-// reuse the symbolic analysis when the Jacobian pattern is unchanged.
+// directFactor owns the sparse LU state across iterations so each
+// iteration's factorisation can reuse the symbolic analysis when the
+// Jacobian pattern is unchanged.
 type directFactor struct {
 	f *la.SparseLU
 }
@@ -391,7 +368,7 @@ func forcingTerm(etaPrev, r2, r2Prev, floor float64, first, strict bool) float64
 
 // iterRecord builds one convergence record from the counter deltas between
 // the top of iteration it (base) and now (st).
-func iterRecord(st, base *Stats, it int, nrm, alpha float64, accepted bool) IterTrace {
+func iterRecord(st, base *Stats, it int, nrm, alpha float64) IterTrace {
 	return IterTrace{
 		Iter:        it + 1,
 		Residual:    finiteOr(nrm, -1),
@@ -401,18 +378,18 @@ func iterRecord(st, base *Stats, it int, nrm, alpha float64, accepted bool) Iter
 		Factor:      st.Factorizations > base.Factorizations,
 		Refactor:    st.Refactorizations > base.Refactorizations,
 		Fallback:    st.GMRESFallbacks > base.GMRESFallbacks,
-		Accepted:    accepted,
+		Accepted:    true,
 	}
 }
 
-// countingOp wraps an Operator, counting applications into a Stats field.
+// countingOp wraps an Operator, counting its applications.
 type countingOp struct {
 	op la.Operator
-	n  *int
+	n  int
 }
 
-func (c countingOp) Apply(x, y []float64) { *c.n++; c.op.Apply(x, y) }
-func (c countingOp) Size() int            { return c.op.Size() }
+func (c *countingOp) Apply(x, y []float64) { c.n++; c.op.Apply(x, y) }
+func (c *countingOp) Size() int            { return c.op.Size() }
 
 // Workspace carries the Newton loop's LU factorisation across consecutive
 // solves. A time march solves one same-pattern system per step; solving
@@ -421,20 +398,33 @@ func (c countingOp) Size() int            { return c.op.Size() }
 // factorisation, and falls back to a fresh pivoted factorisation when that
 // order turns unstable or the pattern changes. The zero value is ready to
 // use; a Workspace must not serve two solves at once. It also keeps the
-// loop's vectors, so a march allocates them once.
+// loop's vectors and its operator counter, so a warm Workspace's solve
+// allocates nothing.
+//
+// A march step is too small to time: on a few unknowns the clock reads
+// around each assembly and factorisation cost about as much as the work
+// they time. Solves through a Workspace therefore leave Stats.AssemblyTime
+// and Stats.FactorTime zero; the march's own wall time accounts for them.
+// The one-shot Solve keeps both timers.
 type Workspace struct {
 	direct directFactor
 	vec    []float64 // the loop's five n-vectors: dx, xTrial, neg, r, rNew
+	// cop is the matrix-free Jacobian operator with its application
+	// counter. It lives here, not in the solve's Stats, so that handing
+	// it to GMRES boxes a pointer into the Workspace and allocates nothing.
+	cop countingOp
 }
 
 // Solve runs damped Newton from x (updated in place to the solution); it is
-// a one-shot Workspace's Solve.
+// a one-shot Workspace's solve, and it also times the assembly and
+// factorisation intervals into Stats.AssemblyTime and Stats.FactorTime.
 func Solve(ctx context.Context, sys System, x []float64, opt Options) (Stats, error) {
-	return new(Workspace).Solve(ctx, sys, x, opt)
+	return new(Workspace).solveSpan(ctx, sys, x, opt, true)
 }
 
 // Solve runs damped Newton from x (updated in place to the solution),
 // starting from the factorisation the previous solve through w left behind.
+// It reads no clock: Stats.AssemblyTime and Stats.FactorTime stay zero.
 // Cancelling ctx aborts the iteration cooperatively: the cancellation is
 // polled before every iteration (including the first, so an already-canceled
 // context returns before any assembly or factorisation work) and the
@@ -445,11 +435,17 @@ func Solve(ctx context.Context, sys System, x []float64, opt Options) (Stats, er
 // attached to the span as its data payload); without one the instrumentation
 // is a single context lookup — no allocation, no timestamps.
 func (w *Workspace) Solve(ctx context.Context, sys System, x []float64, opt Options) (Stats, error) {
+	return w.solveSpan(ctx, sys, x, opt, false)
+}
+
+// solveSpan runs solve under the "newton.solve" span; timed turns the
+// interval clock on.
+func (w *Workspace) solveSpan(ctx context.Context, sys System, x []float64, opt Options, timed bool) (Stats, error) {
 	ctx, span := obs.Start(ctx, "newton.solve")
 	if span == nil {
-		return w.solve(ctx, sys, x, opt, false)
+		return w.solve(ctx, sys, x, opt, false, timed)
 	}
-	st, err := w.solve(ctx, sys, x, opt, true)
+	st, err := w.solve(ctx, sys, x, opt, true, timed)
 	span.SetInt("unknowns", int64(sys.Size()))
 	span.SetStr("linear", opt.Linear.String())
 	span.SetInt("iterations", int64(st.NewtonIters))
@@ -469,10 +465,11 @@ func (w *Workspace) Solve(ctx context.Context, sys System, x []float64, opt Opti
 }
 
 // solve is the Newton loop proper; trace turns the per-iteration convergence
-// records on (the caller owns the enclosing span).
+// records on (the caller owns the enclosing span), and timed the interval
+// clock.
 //
 //mpde:hotpath
-func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Options, trace bool) (Stats, error) {
+func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Options, trace, timed bool) (Stats, error) {
 	opt.Fill()
 	if opt.Linear != DirectSparse && opt.Linear != MatrixFree { //mpde:coldpath an unknown kind rejects the solve up front
 		return Stats{}, fmt.Errorf("solver: unknown linear solver kind %d", opt.Linear)
@@ -488,7 +485,8 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 			return Stats{}, errors.New("solver: Options.Linear=MatrixFree requires a system implementing MatrixFreeSystem")
 		}
 	}
-	interrupt := interruptShim(ctx)
+	// A nil-Done context (context.Background()) is never polled.
+	done := ctx.Done()
 	var st Stats
 	var gmres la.GMRESSolver
 	if len(w.vec) != 5*n {
@@ -497,7 +495,10 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 	dx, xTrial, neg := w.vec[:n], w.vec[n:2*n], w.vec[2*n:3*n]
 	r, rNew := w.vec[3*n:4*n], w.vec[4*n:]
 
-	clk := clock{start: time.Now()}
+	var clk clock
+	if timed {
+		clk = clock{on: true, start: time.Now()}
+	}
 	//mpde:alloc-ok one closure per solve, shared by every iteration
 	evalInto := func(xx, dst []float64, jac bool) (*la.CSR, error) {
 		clk.lap() // the evaluation starts
@@ -517,15 +518,12 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 	}
 
 	// rNorm and residCap are established by iteration 0's Jacobian
-	// evaluation (jacAge starts negative, so it always runs) rather than a
-	// separate pre-loop residual pass — one full assembly saved per Solve,
-	// which the envelope march pays once per slow timestep.
+	// evaluation rather than a separate pre-loop residual pass — one full
+	// assembly saved per Solve, which the envelope march pays once per slow
+	// timestep.
 	rNorm, residCap := math.NaN(), 0.0
 
 	direct := &w.direct
-	var op la.Operator  // matrix-free Jacobian operator at the refresh point
-	var cop la.Operator // op wrapped with the OperatorApplies counter; boxed
-	// once per Jacobian refresh rather than re-boxed every iteration
 	var prec la.Preconditioner
 	// The inexact-Newton state of the matrix-free path: the forcing term η
 	// of the last step, ‖r‖₂ at the previous iterate, and whether the next
@@ -534,10 +532,13 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 	// itBase snapshots the cumulative counters at the top of each iteration
 	// so trace records carry per-iteration deltas.
 	var itBase Stats
-	jacAge := -1 // -1: no Jacobian factored yet
 	for it := 0; it < opt.MaxIter; it++ {
-		if interrupt != nil && interrupt() { //mpde:coldpath cancellation exits the solve
-			return st, fmt.Errorf("%w after %d iterations: %w", ErrInterrupted, st.NewtonIters, ctx.Err())
+		if done != nil {
+			select {
+			case <-done: //mpde:coldpath cancellation exits the solve
+				return st, fmt.Errorf("%w after %d iterations: %w", ErrInterrupted, st.NewtonIters, ctx.Err())
+			default:
+			}
 		}
 		if trace {
 			itBase = st
@@ -547,44 +548,40 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 			opt.Progress(it+1, rNorm)
 		}
 		st.NewtonIters = it + 1
-		if jacAge < 0 || jacAge >= opt.JacobianRefresh {
-			if opt.Linear == MatrixFree {
-				clk.lap() // the linearisation starts
-				rr, oo, err := mfs.Linearize(x)
-				st.AssemblyTime += clk.lap()
-				if err != nil {
-					return st, err
-				}
-				st.JacobianEvals++
-				copy(r, rr)
-				op = oo
-				cop = countingOp{op, &st.OperatorApplies} //mpde:alloc-ok boxed once per refresh
-				if p, perr := mfs.BuildPreconditioner(); perr == nil {
-					prec = p
-					st.PrecondBuilds++
-				} else {
-					prec = nil
-				}
-				st.FactorTime += clk.lap()
+		if opt.Linear == MatrixFree {
+			clk.lap() // the linearisation starts
+			rr, op, err := mfs.Linearize(x)
+			st.AssemblyTime += clk.lap()
+			if err != nil {
+				return st, err
+			}
+			st.JacobianEvals++
+			copy(r, rr)
+			w.cop.op = op
+			if p, perr := mfs.BuildPreconditioner(); perr == nil {
+				prec = p
+				st.PrecondBuilds++
 			} else {
-				j, err := evalInto(x, r, true)
-				if err != nil {
-					return st, err
-				}
-				err = direct.factor(j, &st, opt)
-				st.FactorTime += clk.lap()
-				if err != nil { //mpde:coldpath a failed factorisation aborts the solve
-					return st, fmt.Errorf("solver: Jacobian factorisation failed at iter %d: %w", it, err)
-				}
+				prec = nil
 			}
-			if it == 0 {
-				rNorm = la.NormInf(r)
-				// Residual acceptance is scaled by the starting residual so
-				// the same tolerances work for milliamp-level MNA residuals
-				// and unit-level normalised systems alike.
-				residCap = opt.ResidTol * math.Max(1, rNorm)
+			st.FactorTime += clk.lap()
+		} else {
+			j, err := evalInto(x, r, true)
+			if err != nil {
+				return st, err
 			}
-			jacAge = 0
+			err = direct.factor(j, &st, opt)
+			st.FactorTime += clk.lap()
+			if err != nil { //mpde:coldpath a failed factorisation aborts the solve
+				return st, fmt.Errorf("solver: Jacobian factorisation failed at iter %d: %w", it, err)
+			}
+		}
+		if it == 0 {
+			rNorm = la.NormInf(r)
+			// Residual acceptance is scaled by the starting residual so the
+			// same tolerances work for milliamp-level MNA residuals and
+			// unit-level normalised systems alike.
+			residCap = opt.ResidTol * math.Max(1, rNorm)
 		}
 		// Solve J·dx = −r.
 		for i := range neg {
@@ -595,8 +592,10 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 			eta = forcingTerm(eta, r2, r2Prev, opt.GMRESTol, it == 0, strict)
 			r2Prev = r2
 			la.Fill(dx, 0)
-			res, gerr := gmres.Solve(cop, neg, dx, la.GMRESOptions{
+			w.cop.n = 0
+			res, gerr := gmres.Solve(&w.cop, neg, dx, la.GMRESOptions{
 				Tol: eta, MaxIter: opt.GMRESIter, M: prec})
+			st.OperatorApplies += w.cop.n
 			st.LinearIters += res.Iterations
 			if gerr != nil {
 				// The direct solve is exact: a full-accuracy step.
@@ -632,9 +631,8 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 		}
 		// Damped update: halve until the residual stops increasing badly.
 		// Trials evaluate the residual only — the Jacobian is assembled once
-		// per refresh at the accepted iterate, never at discarded trials.
+		// per iteration at the accepted iterate, never at discarded trials.
 		alpha := 1.0
-		accepted := true
 		var nrm float64
 		for h := 0; ; h++ {
 			for i := range xTrial {
@@ -650,22 +648,10 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 					st.Halvings++
 					continue
 				}
-				// Damping exhausted on a stale Jacobian: reject the trial and
-				// refresh instead — the chord direction was the problem.
-				if opt.Damping && jacAge > 0 && h >= opt.MaxHalve && nrm > 2*rNorm && !math.IsNaN(rNorm) {
-					accepted = false
-				}
 				break
 			}
 			alpha /= 2
 			st.Halvings++
-		}
-		if !accepted {
-			if trace { //mpde:coldpath trace records accumulate only under tracing
-				st.Trace = append(st.Trace, iterRecord(&st, &itBase, it, nrm, alpha, false))
-			}
-			jacAge = opt.JacobianRefresh // force refresh next iteration
-			continue
 		}
 		if math.IsNaN(nrm) || math.IsInf(nrm, 0) { //mpde:coldpath a residual still non-finite after every halving fails the solve
 			st.Residual = nrm
@@ -674,7 +660,6 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 		rNorm = nrm
 		copy(x, xTrial)
 		copy(r, rNew)
-		jacAge++
 
 		// Convergence: weighted step norm AND residual check.
 		for i := range xTrial {
@@ -683,7 +668,7 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 		st.StepNorm = la.WeightedMaxNorm(xTrial, x, opt.AbsTol, opt.RelTol)
 		st.Residual = rNorm
 		if trace { //mpde:coldpath trace records accumulate only under tracing
-			rec := iterRecord(&st, &itBase, it, nrm, alpha, true)
+			rec := iterRecord(&st, &itBase, it, nrm, alpha)
 			rec.StepNorm = finiteOr(st.StepNorm, -1)
 			st.Trace = append(st.Trace, rec)
 		}

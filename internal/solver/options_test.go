@@ -3,7 +3,6 @@ package solver
 import (
 	"context"
 	"errors"
-	"math"
 	"reflect"
 	"testing"
 
@@ -23,9 +22,6 @@ func TestNewOptionsMatchesFill(t *testing.T) {
 	}
 	if got := NewOptions().GMRESIter; got != 400 {
 		t.Fatalf("NewOptions().GMRESIter = %d, want the documented 400", got)
-	}
-	if got := NewOptions().JacobianRefresh; got != 1 {
-		t.Fatalf("NewOptions().JacobianRefresh = %d, want 1 (classic Newton)", got)
 	}
 }
 
@@ -108,43 +104,6 @@ func (s chordSystem) Eval(x []float64, jac bool) ([]float64, *la.CSR, error) {
 	tr.Append(1, 0, 1)
 	tr.Append(1, 1, 3*x[1]*x[1])
 	return r, tr.Compress(), nil
-}
-
-// TestJacobianRefreshSkipsEvaluations: with JacobianRefresh = K the solver
-// must evaluate and factor fewer Jacobians than iterations, still converge,
-// and agree with classic Newton.
-func TestJacobianRefreshSkipsEvaluations(t *testing.T) {
-	solve := func(refresh int) ([]float64, Stats, int) {
-		evals := 0
-		x := []float64{5, 5}
-		opt := NewOptions()
-		opt.JacobianRefresh = refresh
-		st, err := Solve(context.Background(), chordSystem{&evals}, x, opt)
-		if err != nil {
-			t.Fatalf("refresh=%d: %v", refresh, err)
-		}
-		return x, st, evals
-	}
-	xClassic, stClassic, _ := solve(1)
-	xChord, stChord, evalsChord := solve(4)
-	if stChord.NewtonIters <= 1 {
-		t.Skip("converged too fast to exercise the policy")
-	}
-	if evalsChord >= stChord.NewtonIters {
-		t.Fatalf("refresh=4 evaluated %d Jacobians over %d iterations; expected fewer",
-			evalsChord, stChord.NewtonIters)
-	}
-	if got := stChord.Factorizations + stChord.Refactorizations; got != evalsChord {
-		t.Fatalf("decompositions (%d) should match Jacobian evaluations (%d)", got, evalsChord)
-	}
-	for i := range xChord {
-		if math.Abs(xChord[i]-xClassic[i]) > 1e-6 {
-			t.Fatalf("chord solution differs from classic: %v vs %v", xChord, xClassic)
-		}
-	}
-	if !stClassic.Converged || !stChord.Converged {
-		t.Fatal("both variants must report convergence")
-	}
 }
 
 // TestSolveStatsBookkeeping: the default path reports one factorisation per

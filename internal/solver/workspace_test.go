@@ -159,3 +159,42 @@ func TestWorkspaceSolveAllocsFlat(t *testing.T) {
 			aOne, one.NewtonIters, aTen, ten.NewtonIters)
 	}
 }
+
+// TestWorkspaceSolveNoAllocs: under a cancellable context — the sweep's
+// and the server's — a warm Workspace's solve allocates nothing, at one
+// Newton iteration or at ten.
+func TestWorkspaceSolveNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds do not hold under the race detector")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tr := la.NewTriplet(2, 2)
+	tr.Append(0, 0, 1)
+	tr.Append(1, 1, 1)
+	sys := &shiftSystem{b: []float64{1, 1}, r: make([]float64, 2), j: tr.Compress()}
+	var ws Workspace
+	x := make([]float64, 2)
+	solveFrom0 := func(opt Options) Stats {
+		x[0], x[1] = 0, 0
+		st, err := ws.Solve(ctx, sys, x, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	clamped := NewOptions()
+	clamped.MaxStep = 0.1
+	one, ten := solveFrom0(NewOptions()), solveFrom0(clamped)
+	if one.NewtonIters > 2 || ten.NewtonIters < 10 {
+		t.Fatalf("iterations %d and %d, want ≤ 2 and ≥ 10", one.NewtonIters, ten.NewtonIters)
+	}
+	for _, c := range []struct {
+		opt   Options
+		iters int
+	}{{NewOptions(), one.NewtonIters}, {clamped, ten.NewtonIters}} {
+		if a := testing.AllocsPerRun(50, func() { solveFrom0(c.opt) }); a != 0 {
+			t.Fatalf("allocs/solve = %v at %d iterations, want 0", a, c.iters)
+		}
+	}
+}
