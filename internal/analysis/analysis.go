@@ -142,8 +142,8 @@ type Stats struct {
 	PatternReuse     int `json:"pattern_reuse,omitempty"`
 	// OperatorApplies counts matrix-free Jacobian-vector products;
 	// PrecondBuilds counts preconditioner constructions; BatchReuse counts
-	// factorisations that reused a shared symbolic analysis (batched line
-	// preconditioner slots or a sweep group's published LU).
+	// batched line-preconditioner slots refactored against the batch's
+	// shared symbolic analysis.
 	OperatorApplies int `json:"operator_applies,omitempty"`
 	PrecondBuilds   int `json:"precond_builds,omitempty"`
 	BatchReuse      int `json:"batch_reuse,omitempty"`

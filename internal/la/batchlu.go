@@ -1,9 +1,6 @@
 package la
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // BatchLU factors one representative matrix and then numeric-only-refactors
 // a fixed number of same-pattern value arrays — its slots — against that
@@ -77,7 +74,7 @@ func (b *BatchLU) Refactor(k int, a *CSR, work []float64) (fallback bool, err er
 	b.fresh[k] = nil
 	clear(work[:b.sym.n]) // the refactor scatters into zeroed scratch
 	lo, uo := k*b.nl, k*b.nu
-	if err := b.sym.refactorInto(a, b.lx[lo:lo+b.nl], b.ux[uo:uo+b.nu], work); err != nil {
+	if err := b.sym.refactorInto(a, b.lx[lo:lo+b.nl], b.ux[uo:uo+b.nu], work, false, 0); err != nil {
 		f, ferr := SparseLUFactor(a, 1)
 		if ferr != nil {
 			return false, ferr
@@ -102,43 +99,4 @@ func (b *BatchLU) Solve(k int, rhs, x, work []float64) {
 	}
 	lo, uo := k*b.nl, k*b.nu
 	b.sym.solveWith(b.lx[lo:lo+b.nl], b.ux[uo:uo+b.nu], rhs, x, work)
-}
-
-// LUShare lets concurrent solves of same-pattern systems share one symbolic
-// analysis: the first solver to complete a full pivoted factorisation
-// publishes an immutable snapshot, and later solvers clone it and refactor
-// numerics only. It is safe for concurrent use.
-type LUShare struct {
-	mu sync.Mutex
-	f  *SparseLU
-}
-
-// Publish offers f's symbolic analysis to the group. Only the first offer
-// is kept; the snapshot is cloned under the lock while the publisher still
-// owns f, so the publisher may keep refactoring f afterwards.
-func (s *LUShare) Publish(f *SparseLU) {
-	if s == nil || f == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.f == nil {
-		s.f = f.CloneSymbolic()
-	}
-	s.mu.Unlock()
-}
-
-// Acquire returns a private clone of the published factorisation when one
-// exists and matches a's sparsity pattern, else nil. The caller owns the
-// clone and must Refactor it against a before solving.
-func (s *LUShare) Acquire(a *CSR) *SparseLU {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	f := s.f
-	s.mu.Unlock()
-	if f == nil || !f.SamePattern(a) {
-		return nil
-	}
-	return f.CloneSymbolic()
 }

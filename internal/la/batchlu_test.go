@@ -315,50 +315,3 @@ func TestCloneSymbolicIndependence(t *testing.T) {
 		}
 	}
 }
-
-func TestLUSharePublishAcquire(t *testing.T) {
-	fam := batchFamily(30, 3, 23)
-	var s *LUShare
-	s.Publish(nil) // nil receiver and nil factor are both no-ops
-	if s.Acquire(fam[0]) != nil {
-		t.Fatal("nil LUShare acquired a factorisation")
-	}
-	s = &LUShare{}
-	if s.Acquire(fam[0]) != nil {
-		t.Fatal("empty LUShare acquired a factorisation")
-	}
-	leader, err := SparseLUFactor(fam[0], 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Publish(leader)
-	// The published snapshot must be frozen at publish time: the leader
-	// keeps refactoring its own factorisation afterwards.
-	if err := leader.Refactor(fam[2]); err != nil {
-		t.Fatal(err)
-	}
-	got := s.Acquire(fam[1])
-	if got == nil {
-		t.Fatal("Acquire returned nil for a same-pattern matrix")
-	}
-	if err := got.Refactor(fam[1]); err != nil {
-		t.Fatalf("acquired clone Refactor: %v", err)
-	}
-	rhs := make([]float64, 30)
-	for i := range rhs {
-		rhs[i] = math.Cos(float64(i))
-	}
-	x, want := make([]float64, 30), make([]float64, 30)
-	got.Solve(rhs, x)
-	ref, _ := SparseLUFactor(fam[1], 0.001)
-	ref.Solve(rhs, want)
-	for i := range x {
-		if math.Abs(x[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-			t.Fatalf("acquired clone: x[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-	// Pattern mismatch → nil, never a wrong-shape factorisation.
-	if s.Acquire(batchFamily(31, 1, 23)[0]) != nil {
-		t.Fatal("Acquire matched a different pattern")
-	}
-}

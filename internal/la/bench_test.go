@@ -23,9 +23,27 @@ func benchMatrix(n int) *CSR {
 	return tr.Compress()
 }
 
-// BenchmarkSparseLUFactor is the full symbolic+numeric factorisation.
+// BenchmarkSparseLUFactor is the full symbolic+numeric factorisation, the
+// cost of a pattern the symbolic table has not seen.
 func BenchmarkSparseLUFactor(b *testing.B) {
 	a := benchMatrix(2000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := factorFresh(a, 0.001); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSparseLUFactorHit is SparseLUFactor on a pattern the symbolic
+// table holds: a clone of the stored analysis and a pivot-verified
+// refactor.
+func BenchmarkSparseLUFactorHit(b *testing.B) {
+	a := benchMatrix(2000)
+	if _, err := SparseLUFactor(a, 0.001); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -83,14 +101,15 @@ func BenchmarkBatchLU64(b *testing.B) {
 }
 
 // BenchmarkPerJobFactor64 is the per-job baseline BatchLU replaces: every
-// matrix pays its own symbolic analysis and pivot search.
+// matrix pays its own symbolic analysis and pivot search (factorFresh, so
+// the symbolic table does not serve them).
 func BenchmarkPerJobFactor64(b *testing.B) {
 	fam := batchBenchFamily()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, a := range fam {
-			if _, err := SparseLUFactor(a, 0.001); err != nil {
+			if _, err := factorFresh(a, 0.001); err != nil {
 				b.Fatal(err)
 			}
 		}

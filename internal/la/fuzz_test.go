@@ -3,6 +3,7 @@ package la
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -59,13 +60,34 @@ func allFinite(x []float64) bool {
 	return true
 }
 
+// secondValues derives another value set for the same pattern from the
+// fuzz input's last byte: an even byte scales every value by one power of
+// two, which keeps every pivot choice; an odd one adds an input-derived
+// offset to each value, which may move them.
+func secondValues(val []float64, data []byte) []float64 {
+	out := slices.Clone(val)
+	s := data[len(data)-1]
+	for p := range out {
+		if s&1 == 0 {
+			out[p] = math.Ldexp(out[p], int(s%7)-3)
+		} else {
+			out[p] += math.Ldexp(float64(int8(data[p%len(data)])), int(s%9)-8)
+		}
+	}
+	return out
+}
+
 // FuzzSparseLU drives the ordered sparse LU with arbitrary small matrices. It
 // must never panic, and a failed factorisation must say the matrix is
-// singular. On success the solve must be backward stable — its residual
-// within a few n·ε of ‖A‖‖x‖+‖b‖, scaled by the factorisation's own growth —
-// and a Refactor on the same values must reproduce the solution bit for bit.
-// A numerically singular matrix that slips past the exact-zero pivot test may
-// give a non-finite solution; only finite solutions are checked.
+// singular. Factoring through the symbolic table must give the uncached
+// factorisation bit for bit, or its error, both for the input's values and
+// for a second value set on the same pattern, which the first factor's
+// analysis serves. On success the solve must be backward stable — its
+// residual within a few n·ε of ‖A‖‖x‖+‖b‖, scaled by the factorisation's own
+// growth — and a Refactor on the same values must reproduce the solution bit
+// for bit. A numerically singular matrix that slips past the exact-zero
+// pivot test may give a non-finite solution; only finite solutions are
+// checked.
 func FuzzSparseLU(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})
@@ -87,6 +109,8 @@ func FuzzSparseLU(f *testing.F) {
 			return
 		}
 		n := a.Rows
+		checkAgainstFresh(t, "input values", a, tol)
+		checkAgainstFresh(t, "second values", withValues(a, secondValues(a.Val, data)), tol)
 		lu, err := SparseLUFactor(a, tol)
 		if err != nil {
 			if !errors.Is(err, ErrSingular) {

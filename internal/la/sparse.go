@@ -28,13 +28,6 @@ func (t *Triplet) Append(i, j int, v float64) {
 	t.V = append(t.V, v)
 }
 
-// Reset clears the builder while keeping capacity.
-func (t *Triplet) Reset() {
-	t.I = t.I[:0]
-	t.J = t.J[:0]
-	t.V = t.V[:0]
-}
-
 // Compress converts to CSR, summing duplicates.
 func (t *Triplet) Compress() *CSR {
 	dst := &CSR{Rows: t.Rows, Cols: t.Cols, RowPtr: make([]int, t.Rows+1),

@@ -42,19 +42,6 @@ func TestTripletCompressSumsDuplicates(t *testing.T) {
 	}
 }
 
-func TestTripletResetKeepsCapacity(t *testing.T) {
-	tr := NewTriplet(4, 4)
-	tr.Append(0, 0, 1)
-	tr.Reset()
-	if len(tr.I) != 0 {
-		t.Fatal("Reset should empty the builder")
-	}
-	tr.Append(1, 1, 2)
-	if got := tr.Compress().At(1, 1); got != 2 {
-		t.Fatalf("after reset, At(1,1)=%v", got)
-	}
-}
-
 func TestTripletAppendOutOfRangePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,6 +1,7 @@
 package la
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -79,6 +80,24 @@ func cscView(a *CSR, q []int) (atp, ati, atMap []int, atv []float64) {
 // when its magnitude is at least tol·max|column|; tol=1 is classic partial
 // pivoting, tol≈0.001 keeps fill low on diagonally dominant MNA systems.
 // A must be square.
+//
+// The symbolic analysis — both orders, the L/U structure and the CSC view
+// of A — is reused across calls through a process-wide table keyed by the
+// pattern's content and the normalised tol, bounded to symbolicCacheBytes
+// with least-recently-used eviction (see symcache.go). A hit skips the
+// ordering and the DFS: it runs a pivot-verified refactor, the numeric
+// elimination in the recorded order that checks at every column that the
+// threshold rule above would have picked the recorded pivot. Candidates
+// are the pivot row and the rows of L(:,k), and amax their largest |x|
+// (NaNs skipped). A recorded diagonal pivot must pass the rule itself,
+// amax > 0 and |x_d| ≥ tol·amax. A recorded off-diagonal pivot needs the
+// diagonal to be already pivotal or to fail that test, and must be the
+// strict unique maximum, since a tie is broken by DFS order. The DFS, the
+// symmetric pruning and the elimination order depend only on the pattern
+// and the pivot sequence, so a verified refactor reproduces pinv, the L/U
+// structure and every bit of a fresh factorisation. Any failed check falls
+// back to the fresh factorisation, which then replaces the table's entry:
+// the result is bit-identical either way.
 func SparseLUFactor(a *CSR, tol float64) (*SparseLU, error) {
 	if a.Rows != a.Cols {
 		return nil, ErrShape
@@ -86,6 +105,12 @@ func SparseLUFactor(a *CSR, tol float64) (*SparseLU, error) {
 	if tol <= 0 || tol > 1 {
 		tol = 1
 	}
+	return symbolic.factor(a, tol)
+}
+
+// factorFresh is SparseLUFactor without the table: ordering, DFS and
+// threshold pivoting from scratch. tol is already normalised.
+func factorFresh(a *CSR, tol float64) (*SparseLU, error) {
 	n := a.Rows
 	q := amdOrder(a)
 	atp, ati, atMap, atv := cscView(a, q)
@@ -272,8 +297,9 @@ const refactorGrowth = 1e8
 // a SparseLU, is never rewritten in place: compiled stamps, PatternBuilder
 // and Combiner all allocate a fresh one when the structure changes. So the
 // common case — the very slices factored before — is decided in O(1) by
-// identity; an equal pattern in other slices (the LUShare clones of a
-// warm-start group each hold their own) falls back to an O(nnz) compare.
+// identity; an equal pattern in other slices falls back to an O(nnz)
+// compare. A factorisation served from the symbolic table holds the
+// caller's slices, so its later checks take the O(1) path too.
 func (f *SparseLU) SamePattern(a *CSR) bool {
 	return a.Rows == f.n && a.Cols == f.n &&
 		samePattern(a.RowPtr, a.ColIdx, f.aRowPtr, f.aColIdx)
@@ -301,13 +327,22 @@ func sameSlice(a, b []int) bool {
 // vanishes, or element growth exceeds a stability bound; callers then fall
 // back to SparseLUFactor.
 //
+// Refactor keeps the frozen pivot order whatever the values, so its factors
+// may differ from a fresh factorisation of the same matrix. SparseLUFactor's
+// reuse of a table entry is the other kind of refactor: it checks every
+// pivot against the threshold rule and is bit-identical to a fresh factor.
+//
 //mpde:hotpath
 func (f *SparseLU) Refactor(a *CSR) error {
 	if f.work == nil { //mpde:alloc-ok lazy scratch init, amortised over refactors
 		f.work = make([]float64, f.n)
 	}
-	return f.refactorInto(a, f.lx, f.ux, f.work)
+	return f.refactorInto(a, f.lx, f.ux, f.work, false, 0)
 }
+
+// errPivotMoved reports a pivot-verified refactor whose values would make
+// threshold pivoting pick another pivot than the recorded one.
+var errPivotMoved = errors.New("la: recorded pivot order does not match threshold pivoting")
 
 // refactorInto runs the numeric-only refactorisation against the shared
 // symbolic analysis, writing the factors into lx/ux (which must have the
@@ -319,8 +354,12 @@ func (f *SparseLU) Refactor(a *CSR) error {
 // with distinct scratch may run concurrently: the symbolic analysis is
 // only read.
 //
+// With verify set, each column's recorded pivot must be the one threshold
+// pivoting with tol would pick (pivotHolds) instead of passing the growth
+// bound; a column that fails returns errPivotMoved.
+//
 //mpde:hotpath
-func (f *SparseLU) refactorInto(a *CSR, lx, ux, work []float64) error {
+func (f *SparseLU) refactorInto(a *CSR, lx, ux, work []float64, verify bool, tol float64) error {
 	if !f.SamePattern(a) { //mpde:coldpath pattern mismatch aborts the refactor
 		return fmt.Errorf("la: refactor pattern mismatch (want the factored %d×%d pattern)", f.n, f.n)
 	}
@@ -372,7 +411,12 @@ func (f *SparseLU) refactorInto(a *CSR, lx, ux, work []float64) error {
 				maxBelow = v
 			}
 		}
-		if pivot == 0 || math.IsNaN(pivot) || maxBelow > refactorGrowth*math.Abs(pivot) { //mpde:coldpath singular pivot aborts the refactor
+		if verify {
+			if !f.pivotHolds(k, pivot, maxBelow, x, tol) {
+				clear(x)
+				return errPivotMoved
+			}
+		} else if pivot == 0 || math.IsNaN(pivot) || maxBelow > refactorGrowth*math.Abs(pivot) { //mpde:coldpath singular pivot aborts the refactor
 			clear(x) // leave the scratch zero for the next refactor
 			return fmt.Errorf("%w (refactor: unstable pivot %.3e at column %d)", ErrSingular, pivot, f.q[k])
 		}
@@ -383,6 +427,35 @@ func (f *SparseLU) refactorInto(a *CSR, lx, ux, work []float64) error {
 		}
 	}
 	return nil
+}
+
+// pivotHolds reports whether threshold pivoting with tol, run on column k
+// of a refactor in progress, would pick the recorded pivot. pivot is the
+// recorded pivot's value, maxBelow the largest |x| over the rows of L(:,k)
+// (NaNs skipped) and x the column, in pivotal numbering, with those rows
+// still in place. It mirrors factorFresh's selection: the strict v > amax
+// scan that skips NaNs, then the diagonal preference |x_d| ≥ tol·amax.
+func (f *SparseLU) pivotHolds(k int, pivot, maxBelow float64, x []float64, tol float64) bool {
+	p := math.Abs(pivot)
+	amax := maxBelow
+	if p > amax {
+		amax = p
+	}
+	if !(amax > 0) {
+		return false // singular column: let the fresh factorisation say so
+	}
+	d := f.pinv[f.q[k]] // the diagonal row's pivotal index
+	if d == k {
+		return p >= tol*amax
+	}
+	// An off-diagonal pivot needs the diagonal to lose the threshold test,
+	// when it is still a candidate (x is zero at a structurally absent
+	// one), and must be the strict maximum: the fresh scan breaks a tie by
+	// DFS order, which the refactor does not know.
+	if d > k && math.Abs(x[d]) >= tol*amax {
+		return false
+	}
+	return p > maxBelow
 }
 
 // Solve solves A·x = b. x and b may alias. The factorisation owns the solve

@@ -181,9 +181,9 @@ func TestStampMapReplayNoAllocs(t *testing.T) {
 	}
 }
 
-// TestPatternChecksAcceptEqualCopies: Combiner and SamePattern accept an
-// equal pattern held in other slices — the LUShare path, where each
-// warm-start job holds its own copy — and refuse a different one.
+// TestPatternChecksAcceptEqualCopies: Combiner, SamePattern and the symbolic
+// table accept an equal pattern held in other slices — each job of a sweep
+// builds its own copy — and refuse a different one.
 func TestPatternChecksAcceptEqualCopies(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := randomTriplet(rng, 20, 80).Compress()
@@ -204,13 +204,20 @@ func TestPatternChecksAcceptEqualCopies(t *testing.T) {
 	if f.SamePattern(other) {
 		t.Fatal("SamePattern accepted a different pattern")
 	}
-	var share LUShare
-	share.Publish(f)
-	if share.Acquire(cp) == nil {
-		t.Fatal("LUShare refused an equal pattern in other slices")
+	// A private table, so that what other tests (or an earlier -count run)
+	// left in the process-wide one cannot turn the misses into hits.
+	tab := newSymbolicTable(symbolicCacheBytes)
+	for _, m := range []*CSR{a, cp, other} {
+		g, err := tab.factor(m, 0.001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameSlice(g.aRowPtr, m.RowPtr) || !sameSlice(g.aColIdx, m.ColIdx) || !g.SamePattern(m) {
+			t.Fatal("a factorisation does not hold the caller's pattern slices")
+		}
 	}
-	if share.Acquire(other) != nil {
-		t.Fatal("LUShare accepted a different pattern")
+	if c := countsOf(tab); c != (tableCounts{1, 2, 0}) {
+		t.Fatalf("table counts %+v: the equal copy must hit and the other pattern miss", c)
 	}
 
 	var b Combiner

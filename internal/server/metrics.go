@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/dispatch"
+	"repro/internal/la"
 )
 
 // metrics is the server's counter set, exposed at GET /metrics in
@@ -55,7 +56,7 @@ var solverSeries = [...]struct{ name, help, field string }{
 	{"mpde_solver_pattern_reuse_total", "Jacobian assemblies restamped into an existing sparsity pattern.", "PatternReuse"},
 	{"mpde_solver_operator_applies_total", "Matrix-free Jacobian-vector products summed over engine runs.", "OperatorApplies"},
 	{"mpde_solver_precond_builds_total", "Iterative-mode preconditioner builds summed over engine runs.", "PrecondBuilds"},
-	{"mpde_solver_batch_reuse_total", "Numeric refactorisations against a batched or shared symbolic analysis.", "BatchReuse"},
+	{"mpde_solver_batch_reuse_total", "Batched line-preconditioner slots refactored against the batch's shared symbolic analysis.", "BatchReuse"},
 	{"mpde_solver_linear_iters_total", "Inner GMRES iterations summed over engine runs.", "LinearIters"},
 	{"mpde_solver_gmres_fallbacks_total", "GMRES failures rescued by a direct solve.", "GMRESFallbacks"},
 	{"mpde_solver_damping_halvings_total", "Newton damping step halvings summed over engine runs.", "Halvings"},
@@ -208,7 +209,13 @@ func (m *metrics) snapshot(cache *resultCache, start time.Time, ds dispatch.Stat
 			pts = append(pts, intPoint(s.name, s.help, false, v))
 		}
 	}
+	// The symbolic-LU table is process-wide, outside any job's counters:
+	// per-job stats never depend on what earlier jobs left in it.
+	symHits, symMisses, symRejections := la.SymbolicCacheStats()
 	pts = append(pts,
+		intPoint("mpde_la_symbolic_cache_hits_total", "Sparse-LU factorisations served by a pivot-verified refactor of a stored symbolic analysis.", false, symHits),
+		intPoint("mpde_la_symbolic_cache_misses_total", "Sparse-LU factorisations that found no stored symbolic analysis for their pattern.", false, symMisses),
+		intPoint("mpde_la_symbolic_cache_rejections_total", "Stored symbolic analyses whose pivots the new values would not pick; factored fresh.", false, symRejections),
 		intPoint("mpde_sweep_jobs_ok_total", "Per-analysis ok outcomes inside engine runs.", false, m.sweepOK.Load()),
 		intPoint("mpde_sweep_jobs_failed_total", "Per-analysis failures inside engine runs.", false, m.sweepFailed.Load()),
 		intPoint("mpde_sweep_jobs_canceled_total", "Per-analysis cancellations inside engine runs.", false, m.sweepCanc.Load()),

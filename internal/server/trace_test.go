@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/la"
 	"repro/internal/solver"
 )
 
@@ -299,5 +301,50 @@ func TestDebugHandlerServesPprof(t *testing.T) {
 	buf.ReadFrom(resp.Body)
 	if !strings.Contains(buf.String(), "goroutine") {
 		t.Fatal("pprof index does not list profiles")
+	}
+}
+
+// TestSymbolicCacheMetricsExposed: the process-wide symbolic-LU table's
+// counters appear in both renderings, and a repeated factorisation shows
+// up as a hit.
+func TestSymbolicCacheMetricsExposed(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	tr := la.NewTriplet(2, 2)
+	tr.Append(0, 0, 4)
+	tr.Append(0, 1, 1)
+	tr.Append(1, 0, 1)
+	tr.Append(1, 1, 3)
+	a := tr.Compress()
+	before, _, _ := la.SymbolicCacheStats()
+	for r := 0; r < 2; r++ {
+		if _, err := la.SparseLUFactor(a, 0.001); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	names := []string{
+		"mpde_la_symbolic_cache_hits_total",
+		"mpde_la_symbolic_cache_misses_total",
+		"mpde_la_symbolic_cache_rejections_total",
+	}
+	for _, n := range names {
+		if !bytes.Contains(prom, []byte("\n# TYPE "+n+" counter\n"+n+" ")) {
+			t.Errorf("/metrics missing counter %s", n)
+		}
+	}
+	m := metricsSnapshot(t, ts.URL)
+	for _, n := range names {
+		if _, ok := m[n]; !ok {
+			t.Errorf("/metrics?format=json missing %s", n)
+		}
+	}
+	if got := m["mpde_la_symbolic_cache_hits_total"]; got < float64(before+1) {
+		t.Errorf("mpde_la_symbolic_cache_hits_total = %v after a repeated factorisation, want at least %d", got, before+1)
 	}
 }

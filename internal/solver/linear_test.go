@@ -173,47 +173,6 @@ func TestNewtonGMRESFallbackCounted(t *testing.T) {
 	}
 }
 
-// TestShareLUBatchReuse runs two same-pattern solves against one LUShare:
-// the first publishes its symbolic analysis, the second must start from a
-// numeric-only refactorisation (BatchReuse) and never pay a symbolic phase.
-func TestShareLUBatchReuse(t *testing.T) {
-	affine := func(b0, b1 float64) FuncSystem {
-		return FuncSystem{N: 2, F: func(x []float64, jac bool) ([]float64, *la.CSR, error) {
-			r := []float64{3*x[0] + x[1] - b0, x[0] + 2*x[1] - b1}
-			var j *la.CSR
-			if jac {
-				j = fullTwoByTwo(3)
-			}
-			return r, j, nil
-		}}
-	}
-	share := &la.LUShare{}
-	opt := NewOptions()
-	opt.ShareLU = share
-	x := []float64{0, 0}
-	st1, err := Solve(context.Background(), affine(4, 5), x, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.Factorizations == 0 || st1.BatchReuse != 0 {
-		t.Fatalf("leader stats: %+v", st1)
-	}
-	y := []float64{0, 0}
-	st2, err := Solve(context.Background(), affine(-1, 7), y, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.BatchReuse == 0 {
-		t.Fatal("follower did not reuse the published symbolic analysis")
-	}
-	if st2.Factorizations != 0 {
-		t.Fatalf("follower paid %d symbolic factorisations", st2.Factorizations)
-	}
-	if math.Abs(3*y[0]+y[1]+1) > 1e-9 || math.Abs(y[0]+2*y[1]-7) > 1e-9 {
-		t.Fatalf("follower solution %v", y)
-	}
-}
-
 // linearMFS is a minimal MatrixFreeSystem: an affine residual with its exact
 // Jacobian presented only as an operator.
 type linearMFS struct {

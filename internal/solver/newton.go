@@ -113,12 +113,6 @@ type Options struct {
 	// thread the analysis.Request progress hook through here. It must be
 	// cheap and must not block.
 	Progress func(iter int, residual float64)
-	// ShareLU, when non-nil, lets same-pattern solves share one symbolic LU
-	// analysis: the first full factorisation is published to the group and
-	// later solves start from a numeric-only refactorisation of the shared
-	// analysis instead of their own symbolic phase. Sweep warm-start groups
-	// set this.
-	ShareLU *la.LUShare
 }
 
 // NewOptions returns the defaults used across the analyses.
@@ -173,9 +167,10 @@ type Stats struct {
 	// JacobianEvals counts full (residual + Jacobian) system evaluations:
 	// one per Newton iteration, plus one per GMRES rescue.
 	JacobianEvals int
-	// Factorizations counts full symbolic+numeric LU factorisations;
+	// Factorizations counts pivoting LU factorisations (la.SparseLUFactor
+	// calls, whether or not the process-wide symbolic table served them);
 	// Refactorizations counts the cheaper numeric-only decompositions that
-	// reused a previous symbolic analysis (pattern-reuse hits).
+	// reused the solve's previous factorisation (pattern-reuse hits).
 	Factorizations   int
 	Refactorizations int
 	// FillFactor is the L+U fill of the last direct factorisation relative
@@ -185,8 +180,8 @@ type Stats struct {
 	// PrecondBuilds counts matrix-free preconditioner constructions;
 	// GMRESFallbacks counts GMRES failures that were rescued
 	// by a direct solve — a thrashing iterative path shows up here.
-	// BatchReuse counts factorisations that started from a shared symbolic
-	// analysis published by another solve (Options.ShareLU hits).
+	// BatchReuse counts batched line-preconditioner slots refactored
+	// against the batch's shared symbolic analysis.
 	OperatorApplies int
 	PrecondBuilds   int
 	GMRESFallbacks  int
@@ -304,19 +299,6 @@ type directFactor struct {
 }
 
 func (d *directFactor) factor(j *la.CSR, st *Stats, opt Options) error {
-	// First factorisation of this solve: try the warm-start group's shared
-	// symbolic analysis before paying a symbolic phase of our own.
-	if d.f == nil && opt.ShareLU != nil {
-		if f := opt.ShareLU.Acquire(j); f != nil {
-			if err := f.Refactor(j); err == nil {
-				d.f = f
-				st.Refactorizations++
-				st.BatchReuse++
-				st.FillFactor = f.FillFactor
-				return nil
-			}
-		}
-	}
 	if d.f != nil && d.f.SamePattern(j) {
 		if err := d.f.Refactor(j); err == nil {
 			st.Refactorizations++
@@ -333,7 +315,6 @@ func (d *directFactor) factor(j *la.CSR, st *Stats, opt Options) error {
 	d.f = f
 	st.Factorizations++
 	st.FillFactor = f.FillFactor
-	opt.ShareLU.Publish(f)
 	return nil
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/circuit"
-	"repro/internal/la"
 	"repro/internal/obs"
 	"repro/internal/solver"
 )
@@ -122,25 +121,6 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		return seeds[groupKey{j.Method, j.Point.N1, j.Point.N2}]
 	}
 
-	// Symbolic-LU sharing rides the same warm-start staging: each seedable
-	// group gets one LUShare, the stage-one leader publishes its pivoted
-	// factorisation, and the group's stage-two jobs refactor numerics-only
-	// against it. Leader-only publishing (first-wins inside LUShare) keeps
-	// the shared analysis — and therefore every follower's factorisation
-	// path — independent of worker scheduling.
-	shares := map[groupKey]*la.LUShare{}
-	if spec.WarmStart {
-		for _, j := range run {
-			k := groupKey{j.Method, j.Point.N1, j.Point.N2}
-			if seedable(j.Method) && shares[k] == nil {
-				shares[k] = &la.LUShare{}
-			}
-		}
-	}
-	shareFor := func(j Job) *la.LUShare {
-		return shares[groupKey{j.Method, j.Point.N1, j.Point.N2}]
-	}
-
 	start := time.Now()
 	var doneCount atomic.Int64
 	runStage := func(ids []int, storeSeeds bool) {
@@ -160,7 +140,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 							Done: int(doneCount.Load()), Total: len(run),
 						})
 					}
-					jr, raw := spec.runJob(ctx, jobs[id], seedFor(jobs[id]), len(jobs), shareFor(jobs[id]))
+					jr, raw := spec.runJob(ctx, jobs[id], seedFor(jobs[id]), len(jobs))
 					all[id] = jr
 					if storeSeeds && raw != nil && jr.Status == StatusOK {
 						seedMu.Lock()
@@ -266,9 +246,8 @@ func (s *Spec) tuning(nJobs int) analysis.Tuning {
 // runJob executes one job under its per-job context through the analysis
 // registry and returns the result plus, for seedable methods, the converged
 // raw grid. nJobs is the spec's total job count (it gates intra-job
-// assembly parallelism); share, when non-nil, is the job's warm-start
-// group's shared symbolic-LU handle.
-func (s *Spec) runJob(ctx context.Context, job Job, seed []float64, nJobs int, share *la.LUShare) (jr JobResult, raw []float64) {
+// assembly parallelism).
+func (s *Spec) runJob(ctx context.Context, job Job, seed []float64, nJobs int) (jr JobResult, raw []float64) {
 	jr = JobResult{Job: job}
 	if err := ctx.Err(); err != nil {
 		jr.Status, jr.Err = StatusCanceled, err.Error()
@@ -333,7 +312,7 @@ func (s *Spec) runJob(ctx context.Context, job Job, seed []float64, nJobs int, s
 	// Sweep points run 60 damped Newton iterations for every method (the
 	// runners' own defaults are the solver-wide 50, tuned for single
 	// solves; sweep points lean on the extra headroom).
-	newton := solver.Options{MaxIter: 60, Damping: true, ShareLU: share}
+	newton := solver.Options{MaxIter: 60, Damping: true}
 	res, err := analysis.Run(jctx, analysis.Request{
 		Method:  string(job.Method),
 		Circuit: tgt.Ckt,
