@@ -63,10 +63,10 @@ type EnvelopeResult struct {
 	Lines [][]float64
 
 	// Stats totals the Newton work of every per-step solve, rejected
-	// attempts included. PatternBuilds/PatternReuse report the line
-	// Jacobian's symbolic assembly (the pattern is shared by every slow
-	// step — one symbolic build serves every step size the controller
-	// tries).
+	// attempts included. PatternBuilds/PatternReuse count the line
+	// Jacobian's block-stencil compiles and its replays into an unchanged
+	// pattern (the pattern is shared by every slow step — one compile
+	// serves every step size the controller tries).
 	Stats         solver.Stats
 	PatternBuilds int
 	PatternReuse  int
@@ -100,9 +100,9 @@ func (e *EnvelopeResult) Baseband(k int) []float64 {
 // lineAssembler assembles the fast-axis periodic BVP at one slow time:
 // D1[q] + (q − qPrev)/h2 + f + b̂(·, t2) = 0 ; a nil qPrev drops the slow
 // derivative (the initial fast-periodic line). Like the QPSS grid assembler
-// it computes the line Jacobian's sparsity once and restamps values in
-// place — the pattern is identical for every slow step, so the whole march
-// shares one symbolic assembly.
+// it compiles the line Jacobian's block stencil once and replays it — the
+// pattern is identical for every slow step, so the whole march shares one
+// compile.
 type lineAssembler struct {
 	ev    *circuit.Eval
 	sh    Shear
@@ -110,31 +110,40 @@ type lineAssembler struct {
 	h1    float64
 
 	q, r   []float64
-	cs, gs []*la.CSR
+	gs, cs []*la.CSR // views of src: every point's G, then every point's C
 
-	jm      *la.CSR
-	st      *la.RowStamper
-	pattern symbolicPattern
+	// Block row i sums G(i), cDiag·C(i) and the wrap term (-1/h1)·C(i-1),
+	// weighted by coef = [1, cDiag, -1/h1]; cDiag = 1/h1, plus 1/h2 when
+	// marching.
+	jac           *la.BlockStencil
+	coef          [3]float64
+	jm            la.CSR
+	builds, reuse int
 }
 
 func newLineAssembler(ckt *circuit.Circuit, sh Shear, n, N1 int, h1 float64) *lineAssembler {
 	a := &lineAssembler{
 		ev: ckt.NewEval(), sh: sh, n: n, N1: N1, h1: h1,
-		q:  make([]float64, N1*n),
-		r:  make([]float64, N1*n),
-		cs: make([]*la.CSR, N1),
-		gs: make([]*la.CSR, N1),
+		q: make([]float64, N1*n),
+		r: make([]float64, N1*n),
 	}
-	for i := range a.cs {
-		a.cs[i] = &la.CSR{}
-		a.gs[i] = &la.CSR{}
+	src := make([]*la.CSR, 2*N1)
+	for i := range src {
+		src[i] = &la.CSR{}
 	}
+	a.gs, a.cs = src[:N1], src[N1:]
+	terms := make([]la.BlockTerm, 0, 3*N1)
+	for i := 0; i < N1; i++ {
+		im := mod(i-1, N1)
+		terms = append(terms, blockTerm(i, i, i, 0), blockTerm(i, i, N1+i, 1), blockTerm(i, im, N1+im, 2))
+	}
+	a.jac = la.NewBlockStencil(n, N1, N1, src, [][]la.BlockTerm{terms})
 	return a
 }
 
 // assemble returns the residual, the Jacobian (nil unless jac), and the line
 // charges. All returned slices are reused by the next call.
-func (a *lineAssembler) assemble(xx []float64, t2 float64, qPrev []float64, h2 float64, jac bool) ([]float64, *la.CSR, []float64, error) {
+func (a *lineAssembler) assemble(xx []float64, t2 float64, qPrev []float64, h2 float64, jac bool) ([]float64, *la.CSR, []float64) {
 	n, N1 := a.n, a.N1
 	for i := 0; i < N1; i++ {
 		th1, th2 := a.sh.Phases(float64(i)*a.h1, t2)
@@ -160,61 +169,19 @@ func (a *lineAssembler) assemble(xx []float64, t2 float64, qPrev []float64, h2 f
 		}
 	}
 	if !jac {
-		return a.r, nil, a.q, nil
+		return a.r, nil, a.q
 	}
-	err := a.pattern.restamp(a.buildPattern, func() bool { return a.stampLine(qPrev, h2) }, "envelope line")
-	if err != nil {
-		return nil, nil, nil, err
+	cDiag := 1 / a.h1
+	if qPrev != nil {
+		cDiag += 1 / h2
 	}
-	return a.r, a.jm, a.q, nil
-}
-
-func (a *lineAssembler) buildPattern() {
-	n, N1 := a.n, a.N1
-	pb := la.NewPatternBuilder(N1*n, N1*n)
-	for i := 0; i < N1; i++ {
-		im := mod(i-1, N1)
-		pb.AddBlock(a.gs[i], i*n, i*n)
-		pb.AddBlock(a.cs[i], i*n, i*n)
-		pb.AddBlock(a.cs[im], i*n, im*n)
+	a.coef = [3]float64{1, cDiag, -1 / a.h1}
+	if a.jac.Assemble(&a.jm, a.coef[:]) {
+		a.builds++
+	} else {
+		a.reuse++
 	}
-	a.jm = pb.Build()
-	a.st = la.NewRowStamper(a.jm)
-}
-
-func (a *lineAssembler) stampLine(qPrev []float64, h2 float64) bool {
-	n, N1 := a.n, a.N1
-	st := a.st
-	st.ZeroRows(0, N1*n)
-	for i := 0; i < N1; i++ {
-		im := mod(i-1, N1)
-		g, c, cm := a.gs[i], a.cs[i], a.cs[im]
-		// The diagonal C coefficient: fast-axis 1/h1 plus, when marching,
-		// the slow-axis 1/h2.
-		cDiag := 1 / a.h1
-		if qPrev != nil {
-			cDiag += 1 / h2
-		}
-		for li := 0; li < n; li++ {
-			st.SetRow(i*n + li)
-			for k := g.RowPtr[li]; k < g.RowPtr[li+1]; k++ {
-				if !st.Add(i*n+g.ColIdx[k], g.Val[k]) {
-					return false
-				}
-			}
-			for k := c.RowPtr[li]; k < c.RowPtr[li+1]; k++ {
-				if !st.Add(i*n+c.ColIdx[k], cDiag*c.Val[k]) {
-					return false
-				}
-			}
-			for k := cm.RowPtr[li]; k < cm.RowPtr[li+1]; k++ {
-				if !st.Add(im*n+cm.ColIdx[k], -cm.Val[k]/a.h1) {
-					return false
-				}
-			}
-		}
-	}
-	return true
+	return a.r, &a.jm, a.q
 }
 
 // EnvelopeFollow integrates the MPDE in the slow time scale. Cancelling ctx
@@ -282,8 +249,8 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 		}
 	}
 	sys0 := solver.FuncSystem{N: nLine, F: func(xx []float64, jac bool) ([]float64, *la.CSR, error) {
-		r, j, _, err := asm.assemble(xx, 0, nil, 0, jac)
-		return r, j, err
+		r, j, _ := asm.assemble(xx, 0, nil, 0, jac)
+		return r, j, nil
 	}}
 	st, err := solver.Solve(ctx, sys0, x, opt.Newton)
 	res.Stats.Add(st)
@@ -297,10 +264,10 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 	record(0, x)
 
 	// March in t2.
-	_, _, q0, _ := asm.assemble(x, 0, nil, 0, false)
+	_, _, q0 := asm.assemble(x, 0, nil, 0, false)
 	qPrev := append([]float64(nil), q0...)
 	finish := func(err error) (*EnvelopeResult, error) {
-		res.PatternBuilds, res.PatternReuse = asm.pattern.builds, asm.pattern.reuse
+		res.PatternBuilds, res.PatternReuse = asm.builds, asm.reuse
 		return res, err
 	}
 
@@ -310,13 +277,13 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 		tNew := t2 + h2
 		qp := qPrev
 		sys := solver.FuncSystem{N: nLine, F: func(xx []float64, jac bool) ([]float64, *la.CSR, error) {
-			r, j, _, err := asm.assemble(xx, tNew, qp, h2, jac)
-			return r, j, err
+			r, j, _ := asm.assemble(xx, tNew, qp, h2, jac)
+			return r, j, nil
 		}}
 		return solver.Solve(ctx, sys, x, opt.Newton)
 	}
 	accept := func(t2 float64) {
-		_, _, qNew, _ := asm.assemble(x, t2, nil, 0, false)
+		_, _, qNew := asm.assemble(x, t2, nil, 0, false)
 		qPrev = append(qPrev[:0], qNew...)
 		res.AcceptedSteps++
 		record(t2, x)

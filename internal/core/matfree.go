@@ -77,7 +77,7 @@ func (s *mfSystem) Linearize(x []float64) ([]float64, la.Operator, error) {
 // Apply computes y = J(x₀)·v exactly from the per-point local Jacobians:
 // row block p gets G(p)·v_p plus the d1 (fast-axis) and d2 (slow-axis)
 // stencil sums of coef·C(pp)·v_pp over the neighbour points pp — precisely
-// the terms stampPoint would have written into the global matrix. A first
+// the terms the grid's block stencil replays into the global matrix. A first
 // pass forms every point's C(p)·v_p once, since each is read by up to four
 // stencil terms (offset 0 of both stencils among them); the second adds the
 // terms up. Each grid point owns its output rows in both passes and reads
@@ -147,163 +147,111 @@ func (s *mfSystem) BuildPreconditioner() (la.Preconditioner, error) {
 
 // linePrecond is block-Jacobi over slow-axis lines: block j is the exact
 // (N1·n)×(N1·n) diagonal block of the MPDE Jacobian for line j — the G
-// stamps, the fast-axis d1 stencil C terms, and the in-line d2 diagonal
-// term — dropping only the slow-axis coupling to other lines, whose relative
-// strength scales like h1/h2 ≪ 1 on the sheared grid. All N2 blocks share
-// one sparsity pattern (the union over every grid point's local stamps), so
-// a BatchLU factors one representative line symbolically and refactors the
-// rest numerics-only. Lines are independent slots: the builds and the solves
-// both fan them over the assembly pool.
+// stamps, the in-line d2 diagonal term and the fast-axis d1 stencil C
+// terms — dropping only the slow-axis coupling to other lines, whose
+// relative strength scales like h1/h2 ≪ 1 on the sheared grid. One block
+// stencil describes every line, line j as its group j, so all N2 blocks
+// share one sparsity pattern (the union over every grid point's local
+// stamps) and a BatchLU factors one representative line symbolically and
+// refactors the rest numerics-only. Lines are independent slots: the
+// builds and the solves both fan them over the assembly pool.
 type linePrecond struct {
 	asm *assembler
 	ln  int // block dimension N1·n
 
+	// Line j's block row i sums G, d2c[0]·C and the d1 terms, weighted by
+	// coef = [1, d2c[0], d1c…].
+	jac     *la.BlockStencil
+	coef    []float64
 	workers []lineWorker // one per assembly worker
-	pattern symbolicPattern
 	batch   *la.BatchLU
 
 	// Batch slots that reused the shared analysis and that fell back to a
-	// fresh factorisation, summed over the builds since the pattern was
-	// last built.
+	// fresh factorisation, summed over the builds since the stencil last
+	// compiled.
 	refactored, fallbacks int
 }
 
-// lineWorker is one pool worker's private state for stamping, factoring and
-// solving lines.
+// lineWorker is one pool worker's private state for replaying, factoring
+// and solving lines.
 type lineWorker struct {
-	m    *la.CSR // line values over the shared line pattern
-	st   *la.RowStamper
+	m    la.CSR    // line values over the shared line pattern
 	work []float64 // LU scratch for this worker's slot refactors and solves
 
 	// The worker's share of the last build.
 	refactored, fallbacks int
-	missed                bool  // a stamp fell outside the pattern
 	err                   error // the worker's first unfactorable line
 }
 
 func newLinePrecond(a *assembler) *linePrecond {
-	return &linePrecond{asm: a, ln: a.N1 * a.n}
-}
-
-// buildLinePattern unions every grid point's local stamps at their in-line
-// block positions, so one pattern covers all N2 lines. Every worker's line
-// matrix shares its RowPtr/ColIdx, which keeps the batch's pattern checks
-// O(1).
-func (p *linePrecond) buildLinePattern() {
-	a := p.asm
-	n, N1, N2 := a.n, a.N1, a.N2
-	pb := la.NewPatternBuilder(p.ln, p.ln)
-	for j := 0; j < N2; j++ {
+	N1, np := a.N1, a.N1*a.N2
+	terms := make([]la.BlockTerm, 0, np*(2+len(a.d1c)))
+	groups := make([][]la.BlockTerm, a.N2)
+	for j := range groups {
+		start := len(terms)
 		for i := 0; i < N1; i++ {
 			gp := j*N1 + i
-			pb.AddBlock(a.gs[gp], i*n, i*n)
-			pb.AddBlock(a.cs[gp], i*n, i*n) // d2 in-line diagonal term
+			terms = append(terms, blockTerm(i, i, gp, 0), blockTerm(i, i, np+gp, 1))
 			for s := range a.d1c {
 				ii := mod(i+a.d1off[s], N1)
-				pb.AddBlock(a.cs[j*N1+ii], i*n, ii*n)
+				terms = append(terms, blockTerm(i, ii, np+j*N1+ii, 2+s))
 			}
 		}
+		groups[j] = terms[start:]
 	}
-	jm := pb.Build()
-	p.workers = make([]lineWorker, a.workers)
+	p := &linePrecond{asm: a, ln: N1 * a.n,
+		jac:     la.NewBlockStencil(a.n, N1, N1, a.src, groups),
+		coef:    append([]float64{1, a.d2c[0]}, a.d1c...),
+		workers: make([]lineWorker, a.workers)}
 	for w := range p.workers {
-		m := jm
-		if w > 0 {
-			m = &la.CSR{Rows: jm.Rows, Cols: jm.Cols, RowPtr: jm.RowPtr, ColIdx: jm.ColIdx,
-				Val: make([]float64, len(jm.Val))}
-		}
-		p.workers[w] = lineWorker{m: m, st: la.NewRowStamper(m), work: make([]float64, p.ln)}
+		p.workers[w].work = make([]float64, p.ln)
 	}
-	// The pattern changed: the old symbolic analysis, and what it counted,
-	// are void.
-	p.batch = nil
-	p.refactored, p.fallbacks = 0, 0
+	return p
 }
 
-// stampLine restamps st's line matrix with line j's values; false reports a
-// pattern miss.
-func (p *linePrecond) stampLine(st *la.RowStamper, j int) bool {
-	a := p.asm
-	n, N1 := a.n, a.N1
-	st.ZeroRows(0, p.ln)
-	for i := 0; i < N1; i++ {
-		gp := j*N1 + i
-		g, c := a.gs[gp], a.cs[gp]
-		for li := 0; li < n; li++ {
-			st.SetRow(i*n + li)
-			for k := g.RowPtr[li]; k < g.RowPtr[li+1]; k++ {
-				if !st.Add(i*n+g.ColIdx[k], g.Val[k]) {
-					return false
-				}
-			}
-			// In-line d2 diagonal term (offset 0 of the slow stencil).
-			for k := c.RowPtr[li]; k < c.RowPtr[li+1]; k++ {
-				if !st.Add(i*n+c.ColIdx[k], a.d2c[0]*c.Val[k]) {
-					return false
-				}
-			}
-			for s, coef := range a.d1c {
-				ii := mod(i+a.d1off[s], N1)
-				cc := a.cs[j*N1+ii]
-				cb := ii * n
-				for k := cc.RowPtr[li]; k < cc.RowPtr[li+1]; k++ {
-					if !st.Add(cb+cc.ColIdx[k], coef*cc.Val[k]) {
-						return false
-					}
-				}
-			}
-		}
-	}
-	return true
-}
-
-// build restamps and refactors every line block against the shared symbolic
-// analysis: the first build factors line 0 as the representative, and every
-// line of every build (including later Newton refreshes) is a numeric-only
-// refactor into its batch slot reusing that analysis. A pattern miss on any
-// line rebuilds the pattern once and redoes the whole pass.
+// build replays and refactors every line block against the shared
+// symbolic analysis: the first build after a compile factors line 0 as the
+// representative, and every line of every build (including later Newton
+// refreshes) is a numeric-only refactor into its batch slot reusing that
+// analysis.
 func (p *linePrecond) build() error {
-	var err error
-	if perr := p.pattern.restamp(p.buildLinePattern, func() (ok bool) {
-		ok, err = p.factorLines()
-		return ok
-	}, "line"); perr != nil {
-		return perr
+	if p.jac.Prepare() {
+		// A new pattern: the old symbolic analysis, and what it counted,
+		// are void.
+		for w := range p.workers {
+			p.jac.Bind(&p.workers[w].m)
+		}
+		p.batch = nil
+		p.refactored, p.fallbacks = 0, 0
 	}
-	return err
+	return p.factorLines()
 }
 
 // factorLines runs one build pass, the N2 lines fanned over the assembly
-// pool, each worker stamping into its own line matrix and factoring into
-// the line's own slot. ok is false on a pattern miss; err is the first
-// unfactorable line's error.
+// pool, each worker replaying into its own line matrix and factoring into
+// the line's own slot. It returns the first unfactorable line's error.
 //
 //mpde:deterministic-parallel
-func (p *linePrecond) factorLines() (ok bool, err error) {
+func (p *linePrecond) factorLines() error {
 	a := p.asm
 	if p.batch == nil {
-		rep := &p.workers[0]
-		if !p.stampLine(rep.st, 0) {
-			return false, nil
-		}
-		b, err := la.NewBatchLU(rep.m, a.opt.Newton.PivotTol, a.N2)
+		rep := &p.workers[0].m
+		p.jac.Replay(rep.Val, p.coef, 0, 0, a.N1)
+		b, err := la.NewBatchLU(rep, a.opt.Newton.PivotTol, a.N2)
 		if err != nil {
-			return true, err
+			return err
 		}
 		p.batch = b
 	}
 	for w := range p.workers {
 		lw := &p.workers[w]
-		lw.refactored, lw.fallbacks, lw.missed, lw.err = 0, 0, false, nil
+		lw.refactored, lw.fallbacks, lw.err = 0, 0, nil
 	}
 	a.parallel(a.N2, func(w, lo, hi int) {
 		lw := &p.workers[w]
 		for j := lo; j < hi; j++ {
-			if !p.stampLine(lw.st, j) {
-				lw.missed = true
-				return
-			}
-			fb, err := p.batch.Refactor(j, lw.m, lw.work)
+			p.jac.Replay(lw.m.Val, p.coef, j, 0, a.N1)
+			fb, err := p.batch.Refactor(j, &lw.m, lw.work)
 			if err != nil {
 				lw.err = err
 				return
@@ -315,11 +263,7 @@ func (p *linePrecond) factorLines() (ok bool, err error) {
 			}
 		}
 	})
-	for w := range p.workers {
-		if p.workers[w].missed {
-			return false, nil
-		}
-	}
+	var err error
 	for w := range p.workers {
 		lw := &p.workers[w]
 		p.refactored += lw.refactored
@@ -328,7 +272,7 @@ func (p *linePrecond) factorLines() (ok bool, err error) {
 			err = lw.err
 		}
 	}
-	return true, err
+	return err
 }
 
 // Precondition applies z = M⁻¹·r line by line, the N2 line solves fanned

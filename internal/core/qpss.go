@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
@@ -46,7 +45,7 @@ type Options struct {
 	DiffT1, DiffT2 DiffOrder
 	// Newton configures the grid-level Newton solve. Set fields survive:
 	// defaults are filled non-destructively (solver.Options.Fill), so a
-	// caller who only sets Interrupt or Linear keeps them while MaxIter
+	// caller who only sets Linear or PivotTol keeps them while MaxIter
 	// defaults to 60.
 	Newton solver.Options
 	// Continuation enables the source-stepping fallback when plain Newton
@@ -74,9 +73,9 @@ type Stats struct {
 	GridPoints         int
 	Unknowns           int
 	JacobianNNZ        int
-	// PatternBuilds counts symbolic Jacobian-pattern constructions (1 for a
-	// converging solve); PatternReuse counts Jacobian assemblies that
-	// restamped values into an existing pattern in place.
+	// PatternBuilds counts Jacobian block-stencil compiles (1 for a solve
+	// whose device stamps keep their pattern); PatternReuse counts
+	// Jacobian assemblies that replayed values into an unchanged pattern.
 	PatternBuilds int
 	PatternReuse  int
 	// Refinements counts the grid-refinement rounds AdaptiveQPSS ran beyond
@@ -233,19 +232,20 @@ func QPSS(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Solution, er
 	}
 	sol.X = x
 	sol.Stats.JacobianNNZ = asm.lastNNZ
-	sol.Stats.PatternBuilds = asm.pattern.builds
-	sol.Stats.PatternReuse = asm.pattern.reuse
+	sol.Stats.PatternBuilds = asm.builds
+	sol.Stats.PatternReuse = asm.reuse
 	return sol, nil
 }
 
 // assembler evaluates the MPDE residual and Jacobian over the grid. The
-// Jacobian's sparsity — fixed by the difference stencil and the device
-// topology — is computed once (symbolic assembly) and the values are stamped
-// in place every iteration; the N1·N2 independent grid-point evaluations and
-// the block-row stamping both run on a worker pool with per-worker
-// circuit.Eval workspaces. Each grid point and each Jacobian block row is
-// produced by exactly one worker in a fixed accumulation order, so the
-// result is byte-identical for every worker count.
+// Jacobian is a block stencil over the per-point G and C blocks, compiled
+// once per solve (its shape is fixed by the difference stencil and the
+// device topology) and replayed every iteration; the N1·N2 independent
+// grid-point evaluations and the block-row replay both run on a worker pool
+// with per-worker circuit.Eval workspaces. Each grid point and each
+// Jacobian block row is produced by exactly one worker in a fixed
+// accumulation order, so the result is byte-identical for every worker
+// count.
 type assembler struct {
 	ckt     *circuit.Circuit
 	opt     Options
@@ -257,20 +257,25 @@ type assembler struct {
 	evs []*circuit.Eval // one evaluation workspace per worker
 
 	// Per-point storage reused across assemblies.
-	q  []float64 // N1·N2·n charges
-	fb []float64 // N1·N2·n conductive + source residuals
-	cs []*la.CSR // per-point C = ∂q/∂x, storage reused in place
-	gs []*la.CSR // per-point G = ∂f/∂x, storage reused in place
-	r  []float64 // residual buffer (the solver copies what it keeps)
+	q   []float64 // N1·N2·n charges
+	fb  []float64 // N1·N2·n conductive + source residuals
+	src []*la.CSR // every point's G, then every point's C: gs and cs
+	gs  []*la.CSR // per-point G = ∂f/∂x, storage reused in place
+	cs  []*la.CSR // per-point C = ∂q/∂x, storage reused in place
+	r   []float64 // residual buffer (the solver copies what it keeps)
 
 	// Difference stencils (fixed per solve).
 	d1c, d2c     []float64
 	d1off, d2off []int
 
-	// Symbolic-reuse state.
-	jm       *la.CSR          // global Jacobian: pattern fixed, values restamped
-	stampers []*la.RowStamper // one per worker
-	pattern  symbolicPattern
+	// The global Jacobian: each block row p sums G(p), then the d1 and the
+	// d2 stencil terms coef·C(pp), weighted by coef = [1, d1c…, d2c…]. The
+	// stencil is built on the first Jacobian assembly; builds counts its
+	// compiles and reuse its replays into an unchanged pattern.
+	jac           *la.BlockStencil
+	coef          []float64
+	jm            la.CSR
+	builds, reuse int
 
 	lastNNZ int
 }
@@ -292,21 +297,46 @@ func newAssembler(ckt *circuit.Circuit, opt Options) *assembler {
 		workers: workers,
 		q:       make([]float64, N1*N2*n),
 		fb:      make([]float64, N1*N2*n),
-		cs:      make([]*la.CSR, N1*N2),
-		gs:      make([]*la.CSR, N1*N2),
+		src:     make([]*la.CSR, 2*N1*N2),
 		r:       make([]float64, N1*N2*n),
 	}
-	for p := range a.cs {
-		a.cs[p] = &la.CSR{}
-		a.gs[p] = &la.CSR{}
+	for p := range a.src {
+		a.src[p] = &la.CSR{}
 	}
+	a.gs, a.cs = a.src[:N1*N2], a.src[N1*N2:]
 	a.evs = make([]*circuit.Eval, workers)
 	for w := range a.evs {
 		a.evs[w] = ckt.NewEval()
 	}
 	a.d1c, a.d1off = stencil(opt.DiffT1, a.h1)
 	a.d2c, a.d2off = stencil(opt.DiffT2, a.h2)
+	a.coef = append(append([]float64{1}, a.d1c...), a.d2c...)
 	return a
+}
+
+// gridStencil lists the global Jacobian's terms: block row p takes G(p),
+// then coef·C(pp) for the d1 and then the d2 stencil neighbours pp.
+func (a *assembler) gridStencil() *la.BlockStencil {
+	N1, N2, np := a.N1, a.N2, a.N1*a.N2
+	terms := make([]la.BlockTerm, 0, np*len(a.coef))
+	for p := 0; p < np; p++ {
+		i, j := p%N1, p/N1
+		terms = append(terms, blockTerm(p, p, p, 0))
+		for s := range a.d1c {
+			pp := j*N1 + mod(i+a.d1off[s], N1)
+			terms = append(terms, blockTerm(p, pp, np+pp, 1+s))
+		}
+		for s := range a.d2c {
+			pp := mod(j+a.d2off[s], N2)*N1 + i
+			terms = append(terms, blockTerm(p, pp, np+pp, 1+len(a.d1c)+s))
+		}
+	}
+	return la.NewBlockStencil(a.n, np, np, a.src, [][]la.BlockTerm{terms})
+}
+
+// blockTerm adds coefficient k times source block s at block (row, col).
+func blockTerm(row, col, s, k int) la.BlockTerm {
+	return la.BlockTerm{Row: int32(row), Col: int32(col), Src: int32(s), Coef: int32(k)}
 }
 
 // parallel fans fn(worker, lo, hi) over [0, nItems) in contiguous chunks,
@@ -347,16 +377,29 @@ func (a *assembler) assembleSignalLambda(xx []float64, lambda float64, jac bool)
 	return a.assembleCtx(xx, device.EvalCtx{Torus: true, Lambda: lambda, SignalOnlyLambda: true}, jac)
 }
 
+// assembleCtx evaluates the grid and, when jac is set, replays the
+// Jacobian's block rows across the worker pool.
+//
+//mpde:deterministic-parallel
 func (a *assembler) assembleCtx(xx []float64, baseCtx device.EvalCtx, jac bool) ([]float64, *la.CSR, error) {
 	a.evalGrid(xx, baseCtx, jac)
 	if !jac {
 		return a.r, nil, nil
 	}
-	if err := a.pattern.restamp(a.buildPattern, a.stampAll, "grid"); err != nil {
-		return nil, nil, err
+	if a.jac == nil {
+		a.jac = a.gridStencil()
 	}
+	if a.jac.Prepare() {
+		a.jac.Bind(&a.jm)
+		a.builds++
+	} else {
+		a.reuse++
+	}
+	a.parallel(a.N1*a.N2, func(_, lo, hi int) {
+		a.jac.Replay(a.jm.Val, a.coef, 0, lo, hi)
+	})
 	a.lastNNZ = a.jm.NNZ()
-	return a.r, a.jm, nil
+	return a.r, &a.jm, nil
 }
 
 // evalGrid runs the two assembly passes — per-point device evaluation and
@@ -390,9 +433,8 @@ func (a *assembler) evalGrid(xx []float64, baseCtx device.EvalCtx, jac bool) {
 			}
 		}
 	})
-	// Pass 2: difference stencils — residual rows and, when requested,
-	// in-place Jacobian stamping, both parallel over grid points (block
-	// rows). Each point's rows are written by exactly one worker.
+	// Pass 2: difference-stencil residual rows, parallel over grid points.
+	// Each point's rows are written by exactly one worker.
 	a.parallel(N1*N2, func(w, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			i, j := p%N1, p/N1
@@ -412,117 +454,6 @@ func (a *assembler) evalGrid(xx []float64, baseCtx device.EvalCtx, jac bool) {
 			}
 		}
 	})
-}
-
-// stampAll zeroes and restamps every Jacobian block row across the worker
-// pool; false reports a pattern miss.
-//
-//mpde:deterministic-parallel
-func (a *assembler) stampAll() bool {
-	n := a.n
-	var missed atomic.Bool
-	a.parallel(a.N1*a.N2, func(w, lo, hi int) {
-		st := a.stampers[w]
-		st.ZeroRows(lo*n, hi*n)
-		for p := lo; p < hi; p++ {
-			if !a.stampPoint(st, p) {
-				missed.Store(true)
-				return
-			}
-		}
-	})
-	return !missed.Load()
-}
-
-// symbolicPattern tracks the build-once/restamp-in-place protocol shared by
-// the grid and line assemblers: the sparsity pattern is built once, later
-// assemblies only restamp values, and a pattern miss (a device whose
-// Jacobian stencil grew — effectively impossible for the MNA stamps, but
-// guarded regardless) rebuilds the pattern once and restamps.
-type symbolicPattern struct {
-	builds, reuse int
-	built         bool
-}
-
-func (sp *symbolicPattern) restamp(build func(), stamp func() bool, what string) error {
-	if sp.built {
-		sp.reuse++
-		if stamp() {
-			return nil
-		}
-		sp.reuse--
-	}
-	build()
-	sp.builds++
-	sp.built = true
-	if !stamp() {
-		return fmt.Errorf("core: %s Jacobian pattern rebuild failed to cover all stamps", what)
-	}
-	return nil
-}
-
-// buildPattern runs the symbolic assembly: the union of every grid point's
-// local G/C patterns placed at their stencil block positions.
-func (a *assembler) buildPattern() {
-	n, N1, N2 := a.n, a.N1, a.N2
-	nTot := N1 * N2 * n
-	pb := la.NewPatternBuilder(nTot, nTot)
-	for p := 0; p < N1*N2; p++ {
-		i, j := p%N1, p/N1
-		pb.AddBlock(a.gs[p], p*n, p*n)
-		for s := range a.d1c {
-			pp := j*N1 + mod(i+a.d1off[s], N1)
-			pb.AddBlock(a.cs[pp], p*n, pp*n)
-		}
-		for s := range a.d2c {
-			pp := mod(j+a.d2off[s], N2)*N1 + i
-			pb.AddBlock(a.cs[pp], p*n, pp*n)
-		}
-	}
-	a.jm = pb.Build()
-	a.stampers = make([]*la.RowStamper, a.workers)
-	for w := range a.stampers {
-		a.stampers[w] = la.NewRowStamper(a.jm)
-	}
-}
-
-// stampPoint stamps block row p of the global Jacobian: the diagonal G block
-// plus the stencil-weighted C blocks, row by row in a fixed order. It
-// reports false on a pattern miss.
-func (a *assembler) stampPoint(st *la.RowStamper, p int) bool {
-	n, N1, N2 := a.n, a.N1, a.N2
-	i, j := p%N1, p/N1
-	g := a.gs[p]
-	for li := 0; li < n; li++ {
-		st.SetRow(p*n + li)
-		colBase := p * n
-		for k := g.RowPtr[li]; k < g.RowPtr[li+1]; k++ {
-			if !st.Add(colBase+g.ColIdx[k], g.Val[k]) {
-				return false
-			}
-		}
-		for s, coef := range a.d1c {
-			pp := j*N1 + mod(i+a.d1off[s], N1)
-			c := a.cs[pp]
-			cb := pp * n
-			for k := c.RowPtr[li]; k < c.RowPtr[li+1]; k++ {
-				if !st.Add(cb+c.ColIdx[k], coef*c.Val[k]) {
-					return false
-				}
-			}
-		}
-		for s, coef := range a.d2c {
-			pp := mod(j+a.d2off[s], N2)*N1 + i
-			c := a.cs[pp]
-			cb := pp * n
-			for k := c.RowPtr[li]; k < c.RowPtr[li+1]; k++ {
-				if !st.Add(cb+c.ColIdx[k], coef*c.Val[k]) {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }
 
 // stencil returns difference coefficients and index offsets for the given

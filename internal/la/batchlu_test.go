@@ -281,37 +281,3 @@ func TestBatchLUConcurrentSlotsMatchSerial(t *testing.T) {
 		}
 	}
 }
-
-func TestCloneSymbolicIndependence(t *testing.T) {
-	fam := batchFamily(30, 2, 17)
-	f, err := SparseLUFactor(fam[0], 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := f.CloneSymbolic()
-	if err := c.Refactor(fam[1]); err != nil {
-		t.Fatal(err)
-	}
-	rhs := make([]float64, 30)
-	for i := range rhs {
-		rhs[i] = 1 / float64(i+1)
-	}
-	// The clone solves fam[1]; the original still solves fam[0].
-	x, want := make([]float64, 30), make([]float64, 30)
-	c.Solve(rhs, x)
-	ref1, _ := SparseLUFactor(fam[1], 0.001)
-	ref1.Solve(rhs, want)
-	for i := range x {
-		if math.Abs(x[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-			t.Fatalf("clone: x[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-	f.Solve(rhs, x)
-	ref0, _ := SparseLUFactor(fam[0], 0.001)
-	ref0.Solve(rhs, want)
-	for i := range x {
-		if math.Abs(x[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-			t.Fatalf("original after clone refactor: x[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-}

@@ -203,34 +203,31 @@ func BenchmarkStampMapReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkRowStamperRestamp is the in-place replacement: same 12k stamps
-// into a frozen pattern.
-func BenchmarkRowStamperRestamp(b *testing.B) {
+// BenchmarkBlockStencilReplay is the in-place replacement: the same 12k
+// stamps, dealt round-robin into ten source blocks, replayed by slot into
+// their compiled union pattern.
+func BenchmarkBlockStencilReplay(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	tr := NewTriplet(1200, 1200)
+	parts := make([]*Triplet, 10)
+	for s := range parts {
+		parts[s] = NewTriplet(1200, 1200)
+	}
 	for k := 0; k < 12000; k++ {
-		tr.Append(rng.Intn(1200), rng.Intn(1200), rng.NormFloat64())
+		parts[k%10].Append(rng.Intn(1200), rng.Intn(1200), rng.NormFloat64())
 	}
-	pb := NewPatternBuilder(1200, 1200)
-	for k := range tr.V {
-		pb.Add(tr.I[k], tr.J[k])
+	src := make([]*CSR, len(parts))
+	terms := make([]BlockTerm, len(parts))
+	for s, tr := range parts {
+		src[s] = tr.Compress()
+		terms[s] = BlockTerm{Src: int32(s)}
 	}
-	m := pb.Build()
-	// Row-sorted stamp order, as the grid assembler produces.
-	order := make([][]int, 1200)
-	for k := range tr.V {
-		order[tr.I[k]] = append(order[tr.I[k]], k)
-	}
-	st := NewRowStamper(m)
+	st := NewBlockStencil(1200, 1, 1, src, [][]BlockTerm{terms})
+	var m CSR
+	coef := []float64{1}
+	st.Assemble(&m, coef)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.ZeroRows(0, 1200)
-		for row := 0; row < 1200; row++ {
-			st.SetRow(row)
-			for _, k := range order[row] {
-				st.Add(tr.J[k], tr.V[k])
-			}
-		}
+		st.Assemble(&m, coef)
 	}
 }

@@ -102,7 +102,7 @@ func sortRowSeg[T int | float64](col []int, val []T) {
 // CSR is a compressed-sparse-row matrix with sorted, duplicate-free columns in
 // each row. Its pattern (RowPtr, ColIdx) is never rewritten in place once
 // built: code whose structure changes builds fresh slices, and only Val is
-// restamped. Combiner and SparseLU rely on this to recognise an unchanged
+// restamped. BlockStencil and SparseLU rely on this to recognise an unchanged
 // pattern by slice identity.
 type CSR struct {
 	Rows, Cols int

@@ -293,9 +293,9 @@ func factorFresh(a *CSR, tol float64) (*SparseLU, error) {
 const refactorGrowth = 1e8
 
 // SamePattern reports whether a has exactly the sparsity pattern this
-// factorisation was computed from. A pattern, once handed to a Combiner or
-// a SparseLU, is never rewritten in place: compiled stamps, PatternBuilder
-// and Combiner all allocate a fresh one when the structure changes. So the
+// factorisation was computed from. A pattern, once handed to a
+// BlockStencil or a SparseLU, is never rewritten in place: compiled stamps
+// and block stencils allocate a fresh one when the structure changes. So the
 // common case — the very slices factored before — is decided in O(1) by
 // identity; an equal pattern in other slices falls back to an O(nnz)
 // compare. A factorisation served from the symbolic table holds the
@@ -518,21 +518,6 @@ func (f *SparseLU) solveWith(lx, ux, b, x, work []float64) {
 	for k, c := range f.q[:n] {
 		x[c] = y[k]
 	}
-}
-
-// CloneSymbolic returns a factorisation sharing this one's symbolic analysis
-// (pattern, column and pivot orders, CSC gather map — all read-only after
-// factorisation)
-// with fresh private value arrays and scratch. The clone must be Refactored
-// against a same-pattern matrix before its factors are meaningful; until then
-// it carries this factorisation's values. Clones are independent: each owns
-// its scratch, so different goroutines may use different clones concurrently.
-func (f *SparseLU) CloneSymbolic() *SparseLU {
-	c := *f
-	c.lx = append([]float64(nil), f.lx...)
-	c.ux = append([]float64(nil), f.ux...)
-	c.work, c.swork = nil, nil
-	return &c
 }
 
 // NNZ returns the total stored entries in L and U.

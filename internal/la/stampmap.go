@@ -22,7 +22,8 @@ import (
 //
 // A compiled pattern (RowPtr, ColIdx) is immutable: a recompile allocates
 // fresh slices, so every matrix handed out keeps a valid pattern and
-// Combiner and SparseLU may recognise an unchanged one by slice identity.
+// BlockStencil and SparseLU may recognise an unchanged one by slice
+// identity.
 type StampMap struct {
 	Rows, Cols int
 

@@ -181,7 +181,7 @@ func TestStampMapReplayNoAllocs(t *testing.T) {
 	}
 }
 
-// TestPatternChecksAcceptEqualCopies: Combiner, SamePattern and the symbolic
+// TestPatternChecksAcceptEqualCopies: BlockStencil, SamePattern and the symbolic
 // table accept an equal pattern held in other slices — each job of a sweep
 // builds its own copy — and refuse a different one.
 func TestPatternChecksAcceptEqualCopies(t *testing.T) {
@@ -220,17 +220,23 @@ func TestPatternChecksAcceptEqualCopies(t *testing.T) {
 		t.Fatalf("table counts %+v: the equal copy must hit and the other pattern miss", c)
 	}
 
-	var b Combiner
-	j := b.Combine(a, a, 2)
+	// The step stencil keeps its plan and J's pattern for sources whose
+	// equal patterns sit in other slices, and recompiles for another one.
+	g, c := &CSR{}, &CSR{}
+	*g, *c = *a, *a
+	st := NewStepStencil(a.Rows, g, c)
+	var j CSR
+	coef := []float64{1, 2}
+	st.Assemble(&j, coef)
 	jRowPtr := &j.RowPtr[0]
-	got := b.Combine(cp, cp, 2)
-	if &got.RowPtr[0] != jRowPtr {
-		t.Fatal("Combiner rebuilt J for an equal pattern in other slices")
+	*g, *c = *cp, *cp
+	if st.Assemble(&j, coef) || &j.RowPtr[0] != jRowPtr {
+		t.Fatal("the block stencil recompiled J for an equal pattern in other slices")
 	}
-	csrBitsEqual(t, got, tripletSum(cp, cp, 2))
-	got = b.Combine(other, a, 2)
-	if &got.RowPtr[0] == jRowPtr {
-		t.Fatal("Combiner kept J's pattern for a different C pattern")
+	csrBitsEqual(t, &j, tripletSum(cp, cp, 2))
+	*g, *c = *a, *other
+	if !st.Assemble(&j, coef) || &j.RowPtr[0] == jRowPtr {
+		t.Fatal("the block stencil kept J's pattern for a different C pattern")
 	}
-	csrBitsEqual(t, got, tripletSum(other, a, 2))
+	csrBitsEqual(t, &j, tripletSum(other, a, 2))
 }

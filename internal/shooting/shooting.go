@@ -111,10 +111,13 @@ type integrator struct {
 	opt   solver.Options
 
 	// Per-run storage shared by every step of every period: the device
-	// Jacobians (re-evaluated in place), the step Jacobian J = C/h + G, the
-	// Newton loop's carried LU, and the step residual.
+	// Jacobians (re-evaluated in place), the step Jacobian J = G + C/h as a
+	// one-block stencil over them with coef = [1, 1/h], the Newton loop's
+	// carried LU, and the step residual.
 	c, g  la.CSR
-	jac   la.Combiner
+	jac   *la.BlockStencil
+	coef  [2]float64
+	jm    la.CSR
 	ws    solver.Workspace
 	resid []float64
 	// stats totals the step solves' Newton work over every integration.
@@ -134,15 +137,17 @@ type integrator struct {
 
 func newIntegrator(ctx context.Context, ckt *circuit.Circuit, h float64, steps int, opt solver.Options) *integrator {
 	n := ckt.Size()
-	return &integrator{ctx: ctx, ckt: ckt, ev: ckt.NewEval(), n: n, h: h, steps: steps, opt: opt,
-		resid: make([]float64, n), qPrev: make([]float64, n)}
+	g := &integrator{ctx: ctx, ckt: ckt, ev: ckt.NewEval(), n: n, h: h, steps: steps, opt: opt,
+		coef: [2]float64{1, 1 / h}, resid: make([]float64, n), qPrev: make([]float64, n)}
+	g.jac = la.NewStepStencil(n, &g.g, &g.c)
+	return g
 }
 
 // Size and Eval make the integrator the solver.System of its current BE
 // step: F(x) = (q(x) − qPrev)/h + f(x) + b(tNew).
 func (g *integrator) Size() int { return g.n }
 
-// Eval returns the step residual and, when jac is set, J = C/h + G; both
+// Eval returns the step residual and, when jac is set, J = G + C/h; both
 // live in the integrator's per-run storage.
 //
 //mpde:hotpath
@@ -154,7 +159,8 @@ func (g *integrator) Eval(x []float64, jac bool) ([]float64, *la.CSR, error) {
 	if !jac {
 		return g.resid, nil, nil
 	}
-	return g.resid, g.jac.Combine(r.C, r.G, 1/g.h), nil
+	g.jac.Assemble(&g.jm, g.coef[:])
+	return g.resid, &g.jm, nil
 }
 
 // propagate integrates one period from x0. When wantM is set it also
@@ -192,7 +198,7 @@ func (g *integrator) propagate(x0 []float64, wantM, record bool, t0 float64) ([]
 		r := g.ev.EvalAtInto(x, device.EvalCtx{T: g.tNew, Lambda: 1}, wantM, &g.c, &g.g)
 		copy(g.qPrev, r.Q)
 		if wantM {
-			if err := g.sensitivityStep(m, r.C, r.G); err != nil {
+			if err := g.sensitivityStep(m, r.C); err != nil {
 				return nil, nil, nil, totalSteps, fmt.Errorf("shooting: sensitivity factorisation failed at step %d: %w", k, err)
 			}
 		}
@@ -209,9 +215,10 @@ func (g *integrator) propagate(x0 []float64, wantM, record bool, t0 float64) ([]
 // the next step's Cprev.
 //
 //mpde:hotpath
-func (g *integrator) sensitivityStep(m *la.Dense, c, gm *la.CSR) error {
+func (g *integrator) sensitivityStep(m *la.Dense, c *la.CSR) error {
 	n := g.n
-	a := g.jac.Combine(c, gm, 1/g.h)
+	g.jac.Assemble(&g.jm, g.coef[:])
+	a := &g.jm
 	if g.sens == nil || !g.sens.SamePattern(a) || g.sens.Refactor(a) != nil {
 		f, err := la.SparseLUFactor(a, 0.001)
 		if err != nil { //mpde:coldpath a singular step matrix aborts the period

@@ -84,8 +84,10 @@ func ParseLinearSolver(s string) (LinearSolverKind, error) {
 
 // MatrixFreeSystem is a System that can additionally present its Jacobian as
 // an abstract operator. Linearize fixes the linearisation point: it returns
-// the residual at x and an operator applying J(x)·v (typically by directional
-// residual differencing), valid until the next Linearize call.
+// the residual at x and an operator applying J(x)·v, valid until the next
+// Linearize call. The MPDE grid's operator is exact: it multiplies v by the
+// per-point local Jacobians (G = ∂f/∂x, C = ∂q/∂x) through the difference
+// stencils, with no residual differencing.
 // BuildPreconditioner returns a preconditioner for the current linearisation
 // point (nil is allowed and means unpreconditioned).
 type MatrixFreeSystem interface {

@@ -173,9 +173,10 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 	// Per-run step system: device Jacobian storage, the combined step
 	// Jacobian, the residual and the charge history all live for the whole
 	// march, and one Newton workspace carries the LU from step to step.
-	sys := &stepSystem{ev: ev,
+	sys := &stepSystem{ev: ev, coef: [2]float64{1, 0},
 		qPrev: make([]float64, n), qPrev2: make([]float64, n), qdotPrev: make([]float64, n),
 		resid: make([]float64, n)}
+	sys.jac = la.NewStepStencil(n, &sys.g, &sys.c)
 	var ws solver.Workspace
 	// History for multi-step formulas: charge vectors and derivative
 	// dq/dt ≈ −(f+b) at the previous point.
@@ -291,8 +292,12 @@ type stepSystem struct {
 	// Charge at the last two accepted points and dq/dt at the last one.
 	qPrev, qPrev2, qdotPrev []float64
 
+	// The step Jacobian J = G + cScale·C, a one-block stencil over g and c
+	// with coef = [1, cScale].
 	c, g  la.CSR
-	jac   la.Combiner
+	jac   *la.BlockStencil
+	coef  [2]float64
+	jm    la.CSR
 	resid []float64
 }
 
@@ -331,7 +336,9 @@ func (s *stepSystem) Eval(x []float64, jac bool) ([]float64, *la.CSR, error) {
 	if !jac {
 		return out, nil, nil
 	}
-	return out, s.jac.Combine(r.C, r.G, cScale), nil
+	s.coef[1] = cScale
+	s.jac.Assemble(&s.jm, s.coef[:])
+	return out, &s.jm, nil
 }
 
 // extrapolate writes the linear extrapolation through (t−hp, x1) and
