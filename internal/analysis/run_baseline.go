@@ -103,23 +103,20 @@ type HBParams struct {
 	Accuracy Accuracy
 }
 
-// Defaults of the HB/transient refinement loops (QPSS's live in
-// core.AccuracyOptions): the absolute tail floor, the per-solve grid-point
-// cap, and the round caps — transient's is tighter because every round
-// re-integrates the whole horizon from scratch.
+// Adaptive-sizing limits of the analysis layer (the grid refinement policy
+// itself lives in core.GridRefinement): transient's round cap, tighter
+// because every round re-integrates the whole horizon from scratch, and
+// HB's starting grid.
 const (
-	adaptiveAbsFloor      = 1e-9
-	adaptiveMaxGridPoints = 16384
-	adaptiveMaxRounds     = 6
-	adaptiveTransientCap  = 3
-	adaptiveHBStartN1     = 16
-	adaptiveHBStartN2     = 8
+	adaptiveTransientCap = 3
+	adaptiveHBStartN1    = 16
+	adaptiveHBStartN2    = 8
 )
 
 // fillAccuracy applies the shared AbsTol default.
 func fillAccuracy(a Accuracy) Accuracy {
 	if a.AbsTol <= 0 {
-		a.AbsTol = adaptiveAbsFloor
+		a.AbsTol = core.AdaptiveAbsTol
 	}
 	return a
 }
@@ -415,53 +412,29 @@ func runHB(ctx context.Context, req Request) (Result, error) {
 	return &hbResult{sol: sol, k: k, n: n, work: sol.Stats}, nil
 }
 
-// runHBAdaptive sizes the HB torus sampling by the same spectral-tail loop
-// as core.AdaptiveQPSS: both solutions share the (j·N1+i)·n+k grid layout,
-// so the tail estimator and the bilinear warm-start interpolation apply
-// verbatim.
+// runHBAdaptive sizes the HB torus sampling by core.GridRefinement, the
+// policy of core.AdaptiveQPSS: both solutions share the (j·N1+i)·n+k grid
+// layout, so the tail estimator and the bilinear warm-start interpolation
+// apply verbatim.
 func runHBAdaptive(ctx context.Context, req Request, p HBParams, opt hb.Options, n, k int) (Result, error) {
-	acc := fillAccuracy(p.Accuracy)
-	n1 := orDefault(p.N1, adaptiveHBStartN1)
 	n2 := orDefault(p.N2, adaptiveHBStartN2)
 	if p.F2 <= 0 {
 		n2 = 1
 	}
-	var (
-		sol      *hb.Solution
-		ax1, ax2 core.TailAxis
-		work     solver.Stats
-		refines  int
-		seed     []float64
-	)
-	for round := 0; ; round++ {
-		opt.N1, opt.N2, opt.X0 = n1, n2, seed
-		s, err := hb.Solve(ctx, req.Circuit, opt)
+	ref := core.NewGridRefinement(core.AccuracyOptions{RelTol: p.Accuracy.RelTol, AbsTol: p.Accuracy.AbsTol},
+		n, orDefault(p.N1, adaptiveHBStartN1), n2)
+	var work solver.Stats
+	for {
+		opt.N1, opt.N2, opt.X0 = ref.N1, ref.N2, ref.Seed
+		sol, err := hb.Solve(ctx, req.Circuit, opt)
 		if err != nil {
 			return nil, err
 		}
-		work.Add(s.Stats)
-		sol = s
-		tail1, tail2 := core.GridSpectralTail(sol.X, n, n1, n2, acc.AbsTol)
-		grow1 := ax1.Grow(tail1, acc.RelTol)
-		grow2 := n2 > 1 && ax2.Grow(tail2, acc.RelTol)
-		if !grow1 && !grow2 || round >= adaptiveMaxRounds {
-			break
+		work.Add(sol.Stats)
+		if !ref.Next(sol.X) {
+			return &hbResult{sol: sol, k: k, n: n, work: work, refines: ref.Refinements}, nil
 		}
-		nn1, nn2 := n1, n2
-		if grow1 {
-			nn1 *= 2
-		}
-		if grow2 {
-			nn2 *= 2
-		}
-		if nn1*nn2 > adaptiveMaxGridPoints {
-			break
-		}
-		seed = core.InterpolateGrid(sol.X, n, n1, n2, nn1, nn2)
-		n1, n2 = nn1, nn2
-		refines++
 	}
-	return &hbResult{sol: sol, k: k, n: n, work: work, refines: refines}, nil
 }
 
 type hbResult struct {

@@ -18,11 +18,15 @@ import (
 // from the interpolated coarse solution — until the tail falls below the
 // tolerance or a cap is hit.
 
-// The default starting grid of the adaptive solver: deliberately coarse —
-// one refinement round costs less than solving a too-fine grid once.
+// The adaptive solver's starting grid, deliberately coarse — one
+// refinement round costs less than solving a too-fine grid once — and
+// GridRefinement's default tail floor, N1·N2 cap and refinement-round cap.
 const (
-	AdaptiveStartN1 = 16
-	AdaptiveStartN2 = 12
+	AdaptiveStartN1       = 16
+	AdaptiveStartN2       = 12
+	AdaptiveAbsTol        = 1e-9
+	adaptiveMaxGridPoints = 16384
+	adaptiveMaxRounds     = 6
 )
 
 // AccuracyOptions configures tolerance-driven automatic grid refinement.
@@ -33,14 +37,9 @@ type AccuracyOptions struct {
 	// amplitude (see GridSpectralTail). 0 disables adaptive sizing.
 	RelTol float64
 	// AbsTol is the absolute amplitude floor below which tail content is
-	// ignored (default 1e-9) — the solver's own convergence noise must not
-	// trigger refinement.
+	// ignored (default AdaptiveAbsTol) — the solver's own convergence noise
+	// must not trigger refinement.
 	AbsTol float64
-	// MaxGridPoints caps N1·N2 (default 16384). A refinement that would
-	// cross the cap is skipped and the current solution returned.
-	MaxGridPoints int
-	// MaxRounds caps refinement rounds beyond the initial solve (default 6).
-	MaxRounds int
 }
 
 // AdaptiveStallFactor separates the two regimes a spectral tail can be in.
@@ -55,8 +54,8 @@ const AdaptiveStallFactor = 4.0
 // TailAxis tracks one grid axis of a spectral-tail refinement loop: call
 // Grow with the axis's latest tail after every solve; it reports whether
 // the axis should be refined again, permanently retiring the axis once a
-// doubling fails to improve its tail by AdaptiveStallFactor. Shared by
-// AdaptiveQPSS and the HB/transient sizing loops in internal/analysis.
+// doubling fails to improve its tail by AdaptiveStallFactor. Used by
+// GridRefinement and the transient sizing loop in internal/analysis.
 type TailAxis struct {
 	prev       float64
 	grew, done bool
@@ -73,17 +72,55 @@ func (a *TailAxis) Grow(tail, relTol float64) bool {
 	return grow
 }
 
-func (a AccuracyOptions) filled() AccuracyOptions {
-	if a.AbsTol <= 0 {
-		a.AbsTol = 1e-9
+// GridRefinement is the spectral-tail refinement policy of the solvers on
+// a bi-periodic (j·N1+i)·n+k grid, AdaptiveQPSS and adaptive HB. Solve on
+// N1×N2 from Seed (nil on the first grid), then pass the solution to Next.
+type GridRefinement struct {
+	N1, N2       int
+	Seed         []float64
+	Tail1, Tail2 float64 // the tails of the solution last passed to Next
+	Refinements  int
+
+	acc      AccuracyOptions
+	n        int
+	ax1, ax2 TailAxis
+}
+
+// NewGridRefinement starts the policy on an n1×n2 grid of n unknowns per
+// point.
+func NewGridRefinement(acc AccuracyOptions, n, n1, n2 int) *GridRefinement {
+	if acc.AbsTol <= 0 {
+		acc.AbsTol = AdaptiveAbsTol
 	}
-	if a.MaxGridPoints <= 0 {
-		a.MaxGridPoints = 16384
+	return &GridRefinement{N1: n1, N2: n2, acc: acc, n: n}
+}
+
+// Next measures the tails of x, the solution on the current grid, and
+// reports whether to solve again: every axis that TailAxis.Grow keeps
+// open doubles, and Seed becomes x interpolated onto the finer grid. It
+// stops when both axes pass or stall, after adaptiveMaxRounds refinements,
+// or where the finer grid would cross adaptiveMaxGridPoints.
+func (g *GridRefinement) Next(x []float64) bool {
+	g.Tail1, g.Tail2 = GridSpectralTail(x, g.n, g.N1, g.N2, g.acc.AbsTol)
+	grow1 := g.ax1.Grow(g.Tail1, g.acc.RelTol)
+	grow2 := g.ax2.Grow(g.Tail2, g.acc.RelTol)
+	if !grow1 && !grow2 || g.Refinements >= adaptiveMaxRounds {
+		return false
 	}
-	if a.MaxRounds <= 0 {
-		a.MaxRounds = 6
+	n1, n2 := g.N1, g.N2
+	if grow1 {
+		n1 *= 2
 	}
-	return a
+	if grow2 {
+		n2 *= 2
+	}
+	if n1*n2 > adaptiveMaxGridPoints {
+		return false
+	}
+	g.Seed = InterpolateGrid(x, g.n, g.N1, g.N2, n1, n2)
+	g.N1, g.N2 = n1, n2
+	g.Refinements++
+	return true
 }
 
 // InterpolateGrid resamples a bi-periodic grid solution (layout
@@ -125,11 +162,9 @@ func InterpolateGrid(x []float64, n, oldN1, oldN2, newN1, newN2 int) []float64 {
 
 // AdaptiveQPSS computes the quasi-periodic steady state with automatic
 // fast-grid sizing: it solves on a coarse grid (opt.N1/N2 when set,
-// AdaptiveStartN1×AdaptiveStartN2 otherwise), measures the converged
-// solution's spectral tail along each axis, and doubles every axis whose
-// tail exceeds acc.RelTol — warm-starting the finer solve from the
-// bilinearly interpolated coarse solution — until both tails pass or
-// acc.MaxGridPoints/MaxRounds stop it. Solver work (Newton iterations,
+// AdaptiveStartN1×AdaptiveStartN2 otherwise) and refines it by the
+// GridRefinement policy, warm-starting each finer solve from the
+// interpolated coarse solution. Solver work (Newton iterations,
 // factorisations, assembly time, …) is accumulated across rounds into the
 // returned Solution's Stats, alongside Refinements and the final tails.
 //
@@ -138,16 +173,15 @@ func AdaptiveQPSS(ctx context.Context, ckt *circuit.Circuit, opt Options, acc Ac
 	if acc.RelTol <= 0 {
 		return QPSS(ctx, ckt, opt)
 	}
-	acc = acc.filled()
 	if opt.N1 <= 0 {
 		opt.N1 = AdaptiveStartN1
 	}
 	if opt.N2 <= 0 {
 		opt.N2 = AdaptiveStartN2
 	}
-	if opt.N1*opt.N2 > acc.MaxGridPoints {
-		return nil, fmt.Errorf("core: adaptive start grid %dx%d exceeds MaxGridPoints %d",
-			opt.N1, opt.N2, acc.MaxGridPoints)
+	if opt.N1*opt.N2 > adaptiveMaxGridPoints {
+		return nil, fmt.Errorf("core: adaptive start grid %dx%d exceeds the %d-point cap",
+			opt.N1, opt.N2, adaptiveMaxGridPoints)
 	}
 	ckt.Finalize()
 	n := ckt.Size()
@@ -167,21 +201,19 @@ func AdaptiveQPSS(ctx context.Context, ckt *circuit.Circuit, opt Options, acc Ac
 		total.PatternReuse += s.PatternReuse
 	}
 
-	// The matrix-free mode pays off on the refined grids where LU fill
-	// dominates; the deliberately coarse starting grid is direct's win, and
-	// its exact solve anchors the refinement loop with a trustworthy tail
-	// measurement.
-	matFree := opt.Newton.Linear == solver.MatrixFree
-
+	ref := NewGridRefinement(acc, n, opt.N1, opt.N2)
 	var sol *Solution
-	var ax1, ax2 TailAxis
-	for round := 0; ; round++ {
+	for {
+		// The matrix-free mode pays off on the refined grids where LU fill
+		// dominates; the deliberately coarse starting grid is direct's win,
+		// and its exact solve anchors the refinement loop with a
+		// trustworthy tail measurement.
 		ropt := opt
-		if matFree && round == 0 {
+		if ropt.Newton.Linear == solver.MatrixFree && ref.Refinements == 0 {
 			ropt.Newton.Linear = solver.DirectSparse
 		}
 		rctx, rspan := obs.Start(ctx, "qpss.adaptive.round")
-		rspan.SetInt("round", int64(round))
+		rspan.SetInt("round", int64(ref.Refinements))
 		rspan.SetInt("n1", int64(ropt.N1))
 		rspan.SetInt("n2", int64(ropt.N2))
 		s, err := QPSS(rctx, ckt, ropt)
@@ -191,38 +223,21 @@ func AdaptiveQPSS(ctx context.Context, ckt *circuit.Circuit, opt Options, acc Ac
 		}
 		add(s.Stats)
 		sol = s
-		tail1, tail2 := sol.SpectralTail(acc.AbsTol)
-		rspan.SetFloat("tail1", tail1)
-		rspan.SetFloat("tail2", tail2)
+		more := ref.Next(sol.X)
+		rspan.SetFloat("tail1", ref.Tail1)
+		rspan.SetFloat("tail2", ref.Tail2)
 		rspan.End()
-		total.Tail1, total.Tail2 = tail1, tail2
-		// An axis that was doubled last round but whose tail barely moved is
-		// signal-limited: its outer-band content is the stimulus's own
-		// spectrum, not aliasing, and no grid can push it below RelTol.
-		grow1 := ax1.Grow(tail1, acc.RelTol)
-		grow2 := ax2.Grow(tail2, acc.RelTol)
-		if !grow1 && !grow2 || round >= acc.MaxRounds {
+		if !more {
 			break
 		}
-		n1, n2 := opt.N1, opt.N2
-		if grow1 {
-			n1 *= 2
-		}
-		if grow2 {
-			n2 *= 2
-		}
-		if n1*n2 > acc.MaxGridPoints {
-			break
-		}
-		// Warm start the finer grid from the interpolated coarse solution;
 		// QPSS treats a bad seed gracefully (continuation fallback), so
 		// interpolation error cannot strand the refined solve.
-		opt.X0 = InterpolateGrid(sol.X, n, opt.N1, opt.N2, n1, n2)
-		opt.N1, opt.N2 = n1, n2
-		total.Refinements++
+		opt.N1, opt.N2, opt.X0 = ref.N1, ref.N2, ref.Seed
 	}
 	// Grid-shape numbers describe the final solve; work counters the sum of
 	// every round.
+	total.Tail1, total.Tail2 = ref.Tail1, ref.Tail2
+	total.Refinements = ref.Refinements
 	total.GridPoints = sol.Stats.GridPoints
 	total.Unknowns = sol.Stats.Unknowns
 	total.JacobianNNZ = sol.Stats.JacobianNNZ

@@ -135,7 +135,7 @@ func newLineAssembler(ckt *circuit.Circuit, sh Shear, n, N1 int, h1 float64) *li
 	terms := make([]la.BlockTerm, 0, 3*N1)
 	for i := 0; i < N1; i++ {
 		im := mod(i-1, N1)
-		terms = append(terms, blockTerm(i, i, i, 0), blockTerm(i, i, N1+i, 1), blockTerm(i, im, N1+im, 2))
+		terms = append(terms, la.Term(i, i, i, 0), la.Term(i, i, N1+i, 1), la.Term(i, im, N1+im, 2))
 	}
 	a.jac = la.NewBlockStencil(n, N1, N1, src, [][]la.BlockTerm{terms})
 	return a

@@ -191,10 +191,10 @@ func newLinePrecond(a *assembler) *linePrecond {
 		start := len(terms)
 		for i := 0; i < N1; i++ {
 			gp := j*N1 + i
-			terms = append(terms, blockTerm(i, i, gp, 0), blockTerm(i, i, np+gp, 1))
+			terms = append(terms, la.Term(i, i, gp, 0), la.Term(i, i, np+gp, 1))
 			for s := range a.d1c {
 				ii := mod(i+a.d1off[s], N1)
-				terms = append(terms, blockTerm(i, ii, np+j*N1+ii, 2+s))
+				terms = append(terms, la.Term(i, ii, np+j*N1+ii, 2+s))
 			}
 		}
 		groups[j] = terms[start:]

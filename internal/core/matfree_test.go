@@ -131,7 +131,7 @@ func TestQPSSMatrixFreeForcingTermMatchesDirect(t *testing.T) {
 // matrix-free, and the result must match the all-direct adaptive solve.
 func TestAdaptiveQPSSMatrixFree(t *testing.T) {
 	sh := Shear{F1: 1e6, F2: 0.9e6, K: 1}
-	acc := AccuracyOptions{RelTol: 1e-3, MaxRounds: 3}
+	acc := AccuracyOptions{RelTol: 1e-3}
 	opt := Options{N1: 8, N2: 8, Shear: sh}
 
 	ckt1, _, _ := twoToneRC(sh, 1, 1)

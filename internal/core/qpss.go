@@ -321,22 +321,17 @@ func (a *assembler) gridStencil() *la.BlockStencil {
 	terms := make([]la.BlockTerm, 0, np*len(a.coef))
 	for p := 0; p < np; p++ {
 		i, j := p%N1, p/N1
-		terms = append(terms, blockTerm(p, p, p, 0))
+		terms = append(terms, la.Term(p, p, p, 0))
 		for s := range a.d1c {
 			pp := j*N1 + mod(i+a.d1off[s], N1)
-			terms = append(terms, blockTerm(p, pp, np+pp, 1+s))
+			terms = append(terms, la.Term(p, pp, np+pp, 1+s))
 		}
 		for s := range a.d2c {
 			pp := mod(j+a.d2off[s], N2)*N1 + i
-			terms = append(terms, blockTerm(p, pp, np+pp, 1+len(a.d1c)+s))
+			terms = append(terms, la.Term(p, pp, np+pp, 1+len(a.d1c)+s))
 		}
 	}
 	return la.NewBlockStencil(a.n, np, np, a.src, [][]la.BlockTerm{terms})
-}
-
-// blockTerm adds coefficient k times source block s at block (row, col).
-func blockTerm(row, col, s, k int) la.BlockTerm {
-	return la.BlockTerm{Row: int32(row), Col: int32(col), Src: int32(s), Coef: int32(k)}
 }
 
 // parallel fans fn(worker, lo, hi) over [0, nItems) in contiguous chunks,
@@ -422,11 +417,7 @@ func (a *assembler) evalGrid(xx []float64, baseCtx device.EvalCtx, jac bool) {
 			i, j := p%N1, p/N1
 			ctx := baseCtx
 			ctx.Th1, ctx.Th2 = sh.Phases(float64(i)*a.h1, float64(j)*a.h2)
-			var cDst, gDst *la.CSR
-			if jac {
-				cDst, gDst = a.cs[p], a.gs[p]
-			}
-			res := ev.EvalAtInto(xx[p*n:(p+1)*n], ctx, jac, cDst, gDst)
+			res := ev.EvalAtInto(xx[p*n:(p+1)*n], ctx, jac, a.cs[p], a.gs[p])
 			copy(a.q[p*n:(p+1)*n], res.Q)
 			for k := 0; k < n; k++ {
 				a.fb[p*n+k] = res.F[k] + res.B[k]

@@ -217,19 +217,36 @@ type workspace struct {
 	omega  []float64 // j-less angular frequency per (i,j) spectral bin
 
 	q, fb []float64
-	cs    []*la.CSR // captured C blocks
-	gs    []*la.CSR // captured G blocks
+	src   []*la.CSR // every point's G, then every point's C: gs and cs
+	gs    []*la.CSR // captured G blocks, storage reused in place
+	cs    []*la.CSR // captured C blocks, storage reused in place
+
+	// The companion Jacobian (companionStencil), compiled on the first
+	// preconditioner build, and its coefficients [1, r1+r2, −r1, −r2].
+	jac  *la.BlockStencil
+	coef []float64
+	jm   la.CSR
 }
 
 func newWorkspace(ckt *circuit.Circuit, opt Options, n int) *workspace {
 	N1, N2 := opt.N1, opt.N2
 	w := &workspace{
 		ckt: ckt, ev: ckt.NewEval(), opt: opt, n: n, N1: N1, N2: N2,
-		q:  make([]float64, N1*N2*n),
-		fb: make([]float64, N1*N2*n),
-		cs: make([]*la.CSR, N1*N2),
-		gs: make([]*la.CSR, N1*N2),
+		q:   make([]float64, N1*N2*n),
+		fb:  make([]float64, N1*N2*n),
+		src: make([]*la.CSR, 2*N1*N2),
 	}
+	for p := range w.src {
+		w.src[p] = &la.CSR{}
+	}
+	w.gs, w.cs = w.src[:N1*N2], w.src[N1*N2:]
+	// Difference rates: d/dt ≈ f1·N1·Δθ1 + f2·N2·Δθ2 on the unit torus.
+	r1, r2 := opt.F1*float64(N1), opt.F2*float64(N2)
+	if N2 == 1 {
+		r2 = 0
+	}
+	w.coef = []float64{1, r1 + r2, -r1, -r2}
+	w.jac = w.companionStencil()
 	// Angular frequency of bin (k1, k2) with FFT index conventions. The
 	// Nyquist bin of an even-length axis gets zero derivative — the standard
 	// spectral-differentiation convention that keeps real signals real.
@@ -269,14 +286,10 @@ func (w *workspace) evalGrid(x []float64, jac bool) {
 			th1 := float64(i) / float64(N1)
 			p := j*N1 + i
 			ctx := device.EvalCtx{Torus: true, Th1: th1, Th2: th2, Lambda: 1}
-			res := w.ev.EvalAt(x[p*n:(p+1)*n], ctx, jac)
+			res := w.ev.EvalAtInto(x[p*n:(p+1)*n], ctx, jac, w.cs[p], w.gs[p])
 			copy(w.q[p*n:(p+1)*n], res.Q)
 			for k := 0; k < n; k++ {
 				w.fb[p*n+k] = res.F[k] + res.B[k]
-			}
-			if jac {
-				w.cs[p] = res.C
-				w.gs[p] = res.G
 			}
 		}
 	}
@@ -354,41 +367,34 @@ func (o *hbOperator) Apply(v, out []float64) {
 // applies) and factors the backward-difference companion Jacobian: the
 // spectral derivative is replaced by first-order differences on the same
 // grid, giving a sparse, bandable matrix whose LU is an excellent
-// preconditioner for the dense spectral operator.
+// preconditioner for the dense spectral operator. The companion is a block
+// stencil compiled once per solve and replayed at every build.
 func (w *workspace) fdPreconditioner(x []float64) (la.Preconditioner, error) {
-	n, N1, N2 := w.n, w.N1, w.N2
 	w.evalGrid(x, true)
-	// Difference rates: d/dt ≈ f1·N1·Δθ1 + f2·N2·Δθ2 on the unit torus.
-	r1 := w.opt.F1 * float64(N1)
-	r2 := 0.0
-	if N2 > 1 {
-		r2 = w.opt.F2 * float64(N2)
-	}
-	tr := la.NewTriplet(N1*N2*n, N1*N2*n)
-	stamp := func(pRow, pCol int, m *la.CSR, coef float64) {
-		rb, cb := pRow*n, pCol*n
-		for i := 0; i < m.Rows; i++ {
-			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-				tr.Append(rb+i, cb+m.ColIdx[k], coef*m.Val[k])
-			}
-		}
-	}
-	for j := 0; j < N2; j++ {
-		for i := 0; i < N1; i++ {
-			p := j*N1 + i
-			stamp(p, p, w.gs[p], 1)
-			stamp(p, p, w.cs[p], r1+r2)
-			pm1 := j*N1 + (i-1+N1)%N1
-			stamp(p, pm1, w.cs[pm1], -r1)
-			if N2 > 1 {
-				pm2 := ((j-1+N2)%N2)*N1 + i
-				stamp(p, pm2, w.cs[pm2], -r2)
-			}
-		}
-	}
-	f, err := la.SparseLUFactor(tr.Compress(), 0.001)
+	w.jac.Assemble(&w.jm, w.coef)
+	f, err := la.SparseLUFactor(&w.jm, 0.001)
 	if err != nil {
 		return nil, err
 	}
 	return la.SparseLUPreconditioner{F: f}, nil
+}
+
+// companionStencil lists the companion Jacobian's terms: block row p takes
+// G(p), (r1+r2)·C(p), −r1·C(p−1 along θ1) and, when N2 > 1, −r2·C(p−1
+// along θ2).
+func (w *workspace) companionStencil() *la.BlockStencil {
+	N1, N2, np := w.N1, w.N2, w.N1*w.N2
+	terms := make([]la.BlockTerm, 0, 4*np)
+	for j := 0; j < N2; j++ {
+		for i := 0; i < N1; i++ {
+			p := j*N1 + i
+			pm1 := j*N1 + (i-1+N1)%N1
+			terms = append(terms, la.Term(p, p, p, 0), la.Term(p, p, np+p, 1), la.Term(p, pm1, np+pm1, 2))
+			if N2 > 1 {
+				pm2 := ((j-1+N2)%N2)*N1 + i
+				terms = append(terms, la.Term(p, pm2, np+pm2, 3))
+			}
+		}
+	}
+	return la.NewBlockStencil(w.n, np, np, w.src, [][]la.BlockTerm{terms})
 }

@@ -11,6 +11,11 @@ type BlockTerm struct {
 	Row, Col, Src, Coef int32
 }
 
+// Term returns the term coef[k]·src[s] at destination block (row, col).
+func Term(row, col, s, k int) BlockTerm {
+	return BlockTerm{Row: int32(row), Col: int32(col), Src: int32(s), Coef: int32(k)}
+}
+
 // BlockStencil is a compiled block-stencil Jacobian: a matrix assembled
 // from bs×bs source blocks, each placed at a destination block and scaled
 // by a coefficient. The discretised MPDE has this shape — every grid point

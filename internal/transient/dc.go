@@ -21,9 +21,6 @@ type DCOptions struct {
 	Newton solver.Options
 	// Time at which source waveforms are evaluated (default 0).
 	Time float64
-	// GminSteps > 0 enables gmin stepping as a second fallback after
-	// source stepping (default 10 when fallbacks trigger).
-	GminSteps int
 	// SignalsOff computes the true bias point: time-varying sources are
 	// zeroed and only DC sources drive the circuit. Without it the sources
 	// are evaluated at Time, which is the SPICE transient-initial-condition
@@ -31,9 +28,15 @@ type DCOptions struct {
 	SignalsOff bool
 }
 
+// dcGminSteps is the number of geometric steps gmin stepping takes from
+// its starting conductance down to the circuit's own Gmin.
+const dcGminSteps = 12
+
 // DC computes the operating point: f(x) + b(t) = 0 with dq/dt = 0.
 // It tries plain Newton, then source-stepping continuation, then gmin
-// stepping. The returned vector has circuit.Size() entries. Cancelling ctx
+// stepping. The returned vector has circuit.Size() entries; the returned
+// Stats total the work of every Newton solve those tries ran, and after gmin
+// stepping its final-iterate fields are the last step's. Cancelling ctx
 // aborts the Newton iterations cooperatively; an already-canceled context
 // returns ctx.Err() before any assembly work.
 func DC(ctx context.Context, ckt *circuit.Circuit, opt DCOptions) ([]float64, solver.Stats, error) {
@@ -76,26 +79,23 @@ func DC(ctx context.Context, ckt *circuit.Circuit, opt DCOptions) ([]float64, so
 
 	x := make([]float64, n)
 	ps := solver.FuncParamSystem{N: n, F: evalAt}
-	st, _, err := solver.SolveWithFallback(ctx, ps, x, opt.Newton)
+	st, cs, err := solver.SolveWithFallback(ctx, ps, x, opt.Newton)
+	st.Add(cs.Total)
 	if err == nil {
 		return x, st, nil
 	}
 
 	// Gmin stepping: solve with a large artificial conductance to ground,
 	// then relax it geometrically down to the circuit's own Gmin.
-	steps := opt.GminSteps
-	if steps <= 0 {
-		steps = 12
-	}
 	la.Fill(x, 0)
 	gmin0 := 1e-2
 	target := ckt.Gmin
 	if target <= 0 {
 		target = 1e-12
 	}
-	ratio := math.Pow(target/gmin0, 1/float64(steps))
+	ratio := math.Pow(target/gmin0, 1/float64(dcGminSteps))
 	g := gmin0
-	for k := 0; k <= steps; k++ {
+	for k := 0; k <= dcGminSteps; k++ {
 		sys := solver.FuncSystem{N: n, F: func(xx []float64, jac bool) ([]float64, *la.CSR, error) {
 			ctx := device.EvalCtx{T: opt.Time, Lambda: 1}
 			if opt.SignalsOff {
@@ -120,10 +120,11 @@ func DC(ctx context.Context, ckt *circuit.Circuit, opt DCOptions) ([]float64, so
 			return r, jm, nil
 		}}
 		st2, err2 := solver.Solve(ctx, sys, x, opt.Newton)
+		st.Add(st2)
+		st.Residual, st.StepNorm, st.Converged = st2.Residual, st2.StepNorm, st2.Converged
 		if err2 != nil {
-			return nil, st2, fmt.Errorf("transient: DC gmin stepping failed at gmin=%.3e: %w", g, err2)
+			return nil, st, fmt.Errorf("transient: DC gmin stepping failed at gmin=%.3e: %w", g, err2)
 		}
-		st = st2
 		g *= ratio
 	}
 	return x, st, nil

@@ -263,3 +263,36 @@ func TestAdaptiveStepTakesFewerPointsOnSmoothTail(t *testing.T) {
 		t.Fatalf("adaptive (%d points) should beat fixed (%d points)", len(adaptive.T), len(fixed.T))
 	}
 }
+
+// TestDCStatsTotalEveryFallback: a diode driven hard through a small
+// resistor defeats few-iteration Newton, so DC falls back to source
+// stepping (rescued at MaxIter 3) and then to gmin stepping (which fails at
+// MaxIter 2). Either way the returned NewtonIters must count every
+// iteration those solves ran, as Progress sees them.
+func TestDCStatsTotalEveryFallback(t *testing.T) {
+	for _, c := range []struct {
+		maxIter int
+		fails   bool
+	}{{3, false}, {2, true}} {
+		ckt := circuit.New("dio-hard")
+		ckt.V("V1", "in", "0", device.DC(5))
+		ckt.R("R1", "in", "a", 10)
+		ckt.D("D1", "a", "0", 1e-14)
+		calls := 0
+		opt := DCOptions{}
+		opt.Newton.MaxIter = c.maxIter
+		opt.Newton.MaxStep = 10
+		opt.Newton.Progress = func(int, float64) { calls++ }
+		_, st, err := DC(context.Background(), ckt, opt)
+		t.Logf("MaxIter %d: %d Newton iterations, %d Progress calls, err %v", c.maxIter, st.NewtonIters, calls, err)
+		if (err != nil) != c.fails {
+			t.Fatalf("MaxIter %d: err = %v, want failure %v", c.maxIter, err, c.fails)
+		}
+		if calls <= c.maxIter {
+			t.Fatalf("MaxIter %d: only %d iterations ran: the plain try should have failed", c.maxIter, calls)
+		}
+		if st.NewtonIters != calls {
+			t.Fatalf("MaxIter %d: Stats.NewtonIters = %d, want the %d iterations Progress saw", c.maxIter, st.NewtonIters, calls)
+		}
+	}
+}
