@@ -113,13 +113,15 @@ func (c *Circuit) Size() int {
 func (c *Circuit) NumNodes() int { return len(c.nodeName) - 1 }
 
 // Eval holds reusable evaluation workspace for one circuit. It evaluates
-// the source waveforms once per evaluation context: consecutive
+// the source waveforms once per evaluation context and point: EvalAt and
+// EvalAtInto keep a one-point device.SourceTable, so consecutive
 // evaluations at an equal device.EvalCtx replay the first one's source
-// values (see device.SourceTape).
+// values, and EvalPoint plays one point of a caller-owned table.
 type Eval struct {
 	ckt  *Circuit
 	st   device.Stamp
 	tape device.SourceTape
+	own  *device.SourceTable // EvalAt's one-point table
 	// The stamp pass writes the tape's cursor per device and per source
 	// call. The MPDE assembler runs one Eval per worker concurrently, and
 	// two Evals allocated side by side would share a cache line; the pad
@@ -134,7 +136,7 @@ func (c *Circuit) NewEval() *Eval {
 		c.Finalize()
 	}
 	n := c.Size()
-	e := &Eval{ckt: c}
+	e := &Eval{ckt: c, own: device.NewSourceTable(1)}
 	e.st = device.Stamp{
 		Q:    make([]float64, n),
 		F:    make([]float64, n),
@@ -145,6 +147,9 @@ func (c *Circuit) NewEval() *Eval {
 	}
 	return e
 }
+
+// Compiles counts the Jacobian stamp sequences this Eval has compiled.
+func (e *Eval) Compiles() int { return e.st.C.Compiles() + e.st.G.Compiles() }
 
 // Result is the outcome of one evaluation.
 type Result struct {
@@ -179,6 +184,18 @@ func (e *Eval) EvalAt(x []float64, ctx device.EvalCtx, jac bool) Result {
 // re-stamps them every Newton iteration without allocating. nil c/g
 // allocate as EvalAt does.
 func (e *Eval) EvalAtInto(x []float64, ctx device.EvalCtx, jac bool, c, g *la.CSR) Result {
+	return e.EvalPoint(e.own, 0, x, ctx, jac, c, g)
+}
+
+// EvalPoint is EvalAtInto at point p of the caller-owned source table tab:
+// the pass replays point p's recorded source values when they were
+// recorded at a ctx equal to this one, and records them otherwise. A grid
+// assembler keeps one table over its grid points, so each point's
+// waveforms are evaluated once per context however many Jacobian
+// evaluations, damping trials and linearisations revisit it. Evals may
+// evaluate different points of one table concurrently, each point by one
+// Eval at a time.
+func (e *Eval) EvalPoint(tab *device.SourceTable, p int, x []float64, ctx device.EvalCtx, jac bool, c, g *la.CSR) Result {
 	n := e.ckt.Size()
 	if len(x) != n {
 		panic(fmt.Sprintf("circuit: iterate size %d, want %d", len(x), n))
@@ -207,7 +224,7 @@ func (e *Eval) EvalAtInto(x []float64, ctx device.EvalCtx, jac bool, c, g *la.CS
 			st.C.Begin(c, recJac)
 			st.G.Begin(g, recJac)
 		}
-		e.tape.Begin(&st.Ctx, recSrc)
+		e.tape.Begin(tab, p, &st.Ctx, recSrc)
 		e.stamp()
 		srcOK := e.tape.End()
 		jacOK := !jac || st.C.End() && st.G.End()

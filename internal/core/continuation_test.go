@@ -43,6 +43,10 @@ func TestQPSSContinuationRescuesHardStart(t *testing.T) {
 	if sol.Stats.ContinuationSolves < 2 {
 		t.Fatalf("suspiciously few continuation solves: %+v", sol.Stats)
 	}
+	// The reported iterate is the rescuing solve's, not the failed try's.
+	if !sol.Stats.Converged {
+		t.Fatalf("a rescued solve reports Converged = false (residual %.3e)", sol.Stats.Residual)
+	}
 	// The solution must satisfy the MPDE residual.
 	res, err := sol.ResidualCheck(Options{N1: 24, N2: 12, Shear: sh})
 	if err != nil {

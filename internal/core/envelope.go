@@ -104,7 +104,10 @@ func (e *EnvelopeResult) Baseband(k int) []float64 {
 // pattern is identical for every slow step, so the whole march shares one
 // compile.
 type lineAssembler struct {
-	ev    *circuit.Eval
+	ev *circuit.Eval
+	// tab records each line point's source values; a new slow time
+	// re-records them, once per slow step.
+	tab   *device.SourceTable
 	sh    Shear
 	n, N1 int
 	h1    float64
@@ -123,7 +126,7 @@ type lineAssembler struct {
 
 func newLineAssembler(ckt *circuit.Circuit, sh Shear, n, N1 int, h1 float64) *lineAssembler {
 	a := &lineAssembler{
-		ev: ckt.NewEval(), sh: sh, n: n, N1: N1, h1: h1,
+		ev: ckt.NewEval(), tab: device.NewSourceTable(N1), sh: sh, n: n, N1: N1, h1: h1,
 		q: make([]float64, N1*n),
 		r: make([]float64, N1*n),
 	}
@@ -152,7 +155,7 @@ func (a *lineAssembler) assemble(xx []float64, t2 float64, qPrev []float64, h2 f
 		if jac {
 			cDst, gDst = a.cs[i], a.gs[i]
 		}
-		out := a.ev.EvalAtInto(xx[i*n:(i+1)*n], ctx, jac, cDst, gDst)
+		out := a.ev.EvalPoint(a.tab, i, xx[i*n:(i+1)*n], ctx, jac, cDst, gDst)
 		copy(a.q[i*n:(i+1)*n], out.Q)
 		for k := 0; k < n; k++ {
 			a.r[i*n+k] = out.F[k] + out.B[k]

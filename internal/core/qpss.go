@@ -225,7 +225,7 @@ func QPSS(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Solution, er
 		cs, cerr := solver.Continue(ctx, ps, x, solver.ContinuationOptions{Newton: cnOpt})
 		sol.Stats.UsedContinuation = true
 		sol.Stats.ContinuationSolves = cs.Solves
-		sol.Stats.Add(cs.Total)
+		sol.Stats.AddFinal(cs.Total)
 		if cerr != nil {
 			return nil, fmt.Errorf("core: QPSS Newton failed (%v) and continuation failed: %w", err, cerr)
 		}
@@ -255,6 +255,10 @@ type assembler struct {
 	workers int
 
 	evs []*circuit.Eval // one evaluation workspace per worker
+	// tab records every grid point's source values once per evaluation
+	// context; each point's recording is written by the worker that
+	// evaluates the point.
+	tab *device.SourceTable
 
 	// Per-point storage reused across assemblies.
 	q   []float64 // N1·N2·n charges
@@ -295,6 +299,7 @@ func newAssembler(ckt *circuit.Circuit, opt Options) *assembler {
 		h1:      opt.Shear.T1() / float64(N1),
 		h2:      opt.Shear.Td() / float64(N2),
 		workers: workers,
+		tab:     device.NewSourceTable(N1 * N2),
 		q:       make([]float64, N1*N2*n),
 		fb:      make([]float64, N1*N2*n),
 		src:     make([]*la.CSR, 2*N1*N2),
@@ -402,49 +407,70 @@ func (a *assembler) assembleCtx(xx []float64, baseCtx device.EvalCtx, jac bool) 
 // the per-point local Jacobians in a.cs/a.gs without touching the global
 // pattern. The matrix-free path uses it directly: residual-only for damping
 // trials, jac=true for the exact Jacobian-vector product and the line
-// preconditioner's local blocks.
+// preconditioner's local blocks. A single worker runs both passes inline,
+// so a warm residual-only assembly allocates nothing.
 //
 //mpde:deterministic-parallel
 func (a *assembler) evalGrid(xx []float64, baseCtx device.EvalCtx, jac bool) {
-	n, N1, N2 := a.n, a.N1, a.N2
-	sh := a.opt.Shear
+	np := a.N1 * a.N2
+	if a.workers <= 1 {
+		a.evalPoints(a.evs[0], 0, np, xx, baseCtx, jac)
+		a.residualRows(0, np)
+		return
+	}
 	// Pass 1: evaluate the circuit at every grid point — N1·N2 independent
 	// device evaluations fanned across the worker pool, each writing only
-	// its own point's slices.
-	a.parallel(N1*N2, func(w, lo, hi int) {
-		ev := a.evs[w]
-		for p := lo; p < hi; p++ {
-			i, j := p%N1, p/N1
-			ctx := baseCtx
-			ctx.Th1, ctx.Th2 = sh.Phases(float64(i)*a.h1, float64(j)*a.h2)
-			res := ev.EvalAtInto(xx[p*n:(p+1)*n], ctx, jac, a.cs[p], a.gs[p])
-			copy(a.q[p*n:(p+1)*n], res.Q)
-			for k := 0; k < n; k++ {
-				a.fb[p*n+k] = res.F[k] + res.B[k]
-			}
-		}
+	// its own point's slices and source recording.
+	a.parallel(np, func(w, lo, hi int) {
+		a.evalPoints(a.evs[w], lo, hi, xx, baseCtx, jac)
 	})
 	// Pass 2: difference-stencil residual rows, parallel over grid points.
 	// Each point's rows are written by exactly one worker.
-	a.parallel(N1*N2, func(w, lo, hi int) {
-		for p := lo; p < hi; p++ {
-			i, j := p%N1, p/N1
-			rp := a.r[p*n : (p+1)*n]
-			copy(rp, a.fb[p*n:(p+1)*n])
-			for s, coef := range a.d1c {
-				pp := j*N1 + mod(i+a.d1off[s], N1)
-				for k := 0; k < n; k++ {
-					rp[k] += coef * a.q[pp*n+k]
-				}
-			}
-			for s, coef := range a.d2c {
-				pp := mod(j+a.d2off[s], N2)*N1 + i
-				for k := 0; k < n; k++ {
-					rp[k] += coef * a.q[pp*n+k]
-				}
+	a.parallel(np, func(_, lo, hi int) {
+		a.residualRows(lo, hi)
+	})
+}
+
+// evalPoints evaluates the circuit at grid points [lo, hi) through ev,
+// storing each point's charges, conductive-plus-source residual and, when
+// jac is set, its C and G blocks.
+func (a *assembler) evalPoints(ev *circuit.Eval, lo, hi int, xx []float64, baseCtx device.EvalCtx, jac bool) {
+	n, N1 := a.n, a.N1
+	sh := a.opt.Shear
+	for p := lo; p < hi; p++ {
+		i, j := p%N1, p/N1
+		ctx := baseCtx
+		ctx.Th1, ctx.Th2 = sh.Phases(float64(i)*a.h1, float64(j)*a.h2)
+		res := ev.EvalPoint(a.tab, p, xx[p*n:(p+1)*n], ctx, jac, a.cs[p], a.gs[p])
+		copy(a.q[p*n:(p+1)*n], res.Q)
+		for k := 0; k < n; k++ {
+			a.fb[p*n+k] = res.F[k] + res.B[k]
+		}
+	}
+}
+
+// residualRows writes the residual rows of grid points [lo, hi): the
+// point's conductive-plus-source residual plus the difference stencils
+// over the charges.
+func (a *assembler) residualRows(lo, hi int) {
+	n, N1, N2 := a.n, a.N1, a.N2
+	for p := lo; p < hi; p++ {
+		i, j := p%N1, p/N1
+		rp := a.r[p*n : (p+1)*n]
+		copy(rp, a.fb[p*n:(p+1)*n])
+		for s, coef := range a.d1c {
+			pp := j*N1 + mod(i+a.d1off[s], N1)
+			for k := 0; k < n; k++ {
+				rp[k] += coef * a.q[pp*n+k]
 			}
 		}
-	})
+		for s, coef := range a.d2c {
+			pp := mod(j+a.d2off[s], N2)*N1 + i
+			for k := 0; k < n; k++ {
+				rp[k] += coef * a.q[pp*n+k]
+			}
+		}
+	}
 }
 
 // stencil returns difference coefficients and index offsets for the given

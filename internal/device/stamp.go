@@ -2,6 +2,8 @@ package device
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/la"
 )
@@ -40,8 +42,9 @@ type Stamp struct {
 	Jac  bool
 	Ctx  EvalCtx
 	Gmin float64 // solver-supplied minimum conductance to ground
-	// Tape, when non-nil, records SourceValue results and replays them at
-	// an unchanged Ctx (see SourceTape); nil evaluates every call.
+	// Tape, when non-nil, plays SourceValue results from a SourceTable
+	// point recorded at an unchanged Ctx (see SourceTape); nil evaluates
+	// every call.
 	Tape *SourceTape
 }
 
@@ -104,24 +107,68 @@ func (s *Stamp) SourceValue(w Waveform) float64 {
 	return evalScaled(w, &s.Ctx)
 }
 
-// SourceTape records the SourceValue results of one stamp pass, in device
-// order with the calling device's index, and replays them into later
-// passes at an equal EvalCtx. A time-march step evaluates the circuit at
-// one time for its Jacobian, every damping trial and the accepted point;
-// with a tape the waveforms are evaluated once for all of them. Replayed
+// SourceTable holds one recording of SourceValue results per evaluation
+// point: the excitation b̂ of every grid point of an MPDE solve, or the one
+// point of a time-march step. A point's recording is kept with the EvalCtx
+// it was made at, and a SourceTape replays it into every later pass at an
+// equal context — every Jacobian evaluation, damping trial and operator
+// linearisation of the solve — so each point's waveforms are evaluated
+// once per context. A changed context (a continuation λ step, a new slow
+// time) re-records the point.
+//
+// Every point of a circuit calls SourceValue in the same device sequence,
+// so the table keeps that sequence once, from its first recording, and
+// each point's values in one slab at a stride of its length. A later
+// recording with another sequence is not kept: the point evaluates its
+// waveforms on every pass instead, which is still correct. A one-point
+// table adopts the new sequence instead, since no other point can be
+// replaying from the slab.
+//
+// Tapes may play different points of one table concurrently, each point
+// by one tape at a time: a point's recording is written only by the tape
+// that evaluates it.
+type SourceTable struct {
+	pts  []tablePoint
+	devs []int32   // the calling device of each call, for every point
+	vals []float64 // point p's values start at p·len(devs)
+	// ready publishes devs and vals once the first recording set them; mu
+	// serialises the tapes that race to set them.
+	ready atomic.Bool
+	mu    sync.Mutex
+}
+
+// tablePoint is one point's recording state: the context its values were
+// recorded at, valid once a recording pass completed them.
+type tablePoint struct {
+	ctx   EvalCtx
+	valid bool
+}
+
+// NewSourceTable returns a table of points points, none recorded.
+func NewSourceTable(points int) *SourceTable {
+	return &SourceTable{pts: make([]tablePoint, points)}
+}
+
+// SourceTape plays one point of a SourceTable per stamp pass: it replays
+// the point's recording at an equal EvalCtx, and records it afresh
+// otherwise, in device order with the calling device's index. Replayed
 // values are the recorded float64s, so the accumulated B is bit-identical
 // to a fresh evaluation. A replay whose call sequence differs from the
 // recording — a device calling more or fewer times — is detected at End,
 // and the caller re-runs the pass with record set, as for la.StampMap.
-// The zero value records on its first pass.
+// A tape holds no recording of its own; the zero value is ready to use.
 type SourceTape struct {
-	ctx    EvalCtx
-	valid  bool // rec holds a complete recording at ctx
+	tab    *SourceTable
+	p      int
 	record bool
 	miss   bool
 	cur    int32 // the device stamping now
 	k      int   // next replay position
-	rec    []tapeEntry
+	// While replaying, the point's values and the table's device
+	// sequence; while recording, the pass's calls.
+	play []float64
+	devs []int32
+	rec  []tapeEntry
 }
 
 // tapeEntry is one recorded SourceValue result and the device that asked.
@@ -130,34 +177,90 @@ type tapeEntry struct {
 	dev int32
 }
 
-// Begin starts a pass at ctx. The pass replays when the tape holds a
-// complete recording at a context equal to ctx field by field (floats
-// compared by Float64bits, so -0 and +0 differ) and record is unset;
-// otherwise it records afresh.
-func (t *SourceTape) Begin(ctx *EvalCtx, record bool) {
+// Begin starts a pass at point p of tab under ctx. The pass replays when
+// the point holds a complete recording at a context equal to ctx field by
+// field (floats compared by Float64bits, so -0 and +0 differ) and record
+// is unset; otherwise it records afresh.
+func (t *SourceTape) Begin(tab *SourceTable, p int, ctx *EvalCtx, record bool) {
+	t.tab, t.p = tab, p
 	t.k, t.miss, t.cur = 0, false, -1
-	t.record = record || !t.valid || !sameCtx(&t.ctx, ctx)
+	pt := &tab.pts[p]
+	t.record = record || !pt.valid || !sameCtx(&pt.ctx, ctx)
 	if t.record {
-		t.ctx, t.valid = *ctx, false
-		t.rec = t.rec[:0]
+		pt.ctx, pt.valid = *ctx, false
+		t.rec, t.play, t.devs = t.rec[:0], nil, nil
+		return
 	}
+	n := len(tab.devs)
+	t.play, t.devs = tab.vals[p*n:(p+1)*n], tab.devs
 }
 
 // Device marks the start of device k's stamps in the current pass.
 func (t *SourceTape) Device(k int) { t.cur = int32(k) }
 
-// End finishes the pass. A recording pass completes the tape and reports
-// true. A replay reports whether it saw the recorded sequence exactly; on
-// false the pass's values are not to be trusted and the caller must re-run
-// it with record set.
+// End finishes the pass. A recording pass stores its values as the
+// point's recording and reports true. A replay reports whether it saw the
+// recorded sequence exactly; on false the pass's values are not to be
+// trusted and the caller must re-run it with record set.
 func (t *SourceTape) End() bool {
 	if t.record {
-		t.valid = true
+		t.commit()
 		return true
 	}
-	if t.miss || t.k != len(t.rec) {
-		t.valid = false
+	if t.miss || t.k != len(t.play) {
+		t.tab.pts[t.p].valid = false
 		return false
+	}
+	return true
+}
+
+// commit stores a recording pass's values in the point's slot of the slab
+// when the pass called in the table's device sequence.
+func (t *SourceTape) commit() {
+	tab := t.tab
+	if !tab.ready.Load() || len(tab.pts) == 1 && !t.sameDevs(tab.devs) {
+		tab.shape(t.rec)
+	}
+	if !t.sameDevs(tab.devs) {
+		return // the point stays unrecorded and evaluates on every pass
+	}
+	dst := tab.vals[t.p*len(tab.devs):]
+	for k, e := range t.rec {
+		dst[k] = e.v
+	}
+	tab.pts[t.p].valid = true
+}
+
+// shape takes rec's device sequence as the table's and sizes the slab for
+// it: on the table's first recording, and on a one-point table's changed
+// sequence.
+func (tab *SourceTable) shape(rec []tapeEntry) {
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	if tab.ready.Load() && len(tab.pts) > 1 {
+		return // another tape's recording shaped it first
+	}
+	tab.devs = tab.devs[:0]
+	for _, e := range rec {
+		tab.devs = append(tab.devs, e.dev) //mpde:alloc-ok once per table, and when a one-point table's sequence grows
+	}
+	n := len(tab.pts) * len(rec)
+	if cap(tab.vals) < n {
+		tab.vals = make([]float64, n) //mpde:alloc-ok likewise
+	}
+	tab.vals = tab.vals[:n]
+	tab.ready.Store(true)
+}
+
+// sameDevs reports whether the recording pass called in sequence devs.
+func (t *SourceTape) sameDevs(devs []int32) bool {
+	if len(devs) != len(t.rec) {
+		return false
+	}
+	for k, e := range t.rec {
+		if devs[k] != e.dev {
+			return false
+		}
 	}
 	return true
 }
@@ -169,8 +272,8 @@ func (t *SourceTape) value(w Waveform, ctx *EvalCtx) float64 {
 	if !t.record {
 		k := t.k
 		t.k = k + 1
-		if k < len(t.rec) && t.rec[k].dev == t.cur {
-			return t.rec[k].v
+		if k < len(t.play) && t.devs[k] == t.cur {
+			return t.play[k]
 		}
 		t.miss = true
 		return evalScaled(w, ctx)

@@ -211,6 +211,7 @@ func Solve(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Solution, e
 type workspace struct {
 	ckt    *circuit.Circuit
 	ev     *circuit.Eval
+	tab    *device.SourceTable // every collocation point's source values
 	opt    Options
 	n      int
 	N1, N2 int
@@ -231,7 +232,8 @@ type workspace struct {
 func newWorkspace(ckt *circuit.Circuit, opt Options, n int) *workspace {
 	N1, N2 := opt.N1, opt.N2
 	w := &workspace{
-		ckt: ckt, ev: ckt.NewEval(), opt: opt, n: n, N1: N1, N2: N2,
+		ckt: ckt, ev: ckt.NewEval(), tab: device.NewSourceTable(N1 * N2),
+		opt: opt, n: n, N1: N1, N2: N2,
 		q:   make([]float64, N1*N2*n),
 		fb:  make([]float64, N1*N2*n),
 		src: make([]*la.CSR, 2*N1*N2),
@@ -286,7 +288,7 @@ func (w *workspace) evalGrid(x []float64, jac bool) {
 			th1 := float64(i) / float64(N1)
 			p := j*N1 + i
 			ctx := device.EvalCtx{Torus: true, Th1: th1, Th2: th2, Lambda: 1}
-			res := w.ev.EvalAtInto(x[p*n:(p+1)*n], ctx, jac, w.cs[p], w.gs[p])
+			res := w.ev.EvalPoint(w.tab, p, x[p*n:(p+1)*n], ctx, jac, w.cs[p], w.gs[p])
 			copy(w.q[p*n:(p+1)*n], res.Q)
 			for k := 0; k < n; k++ {
 				w.fb[p*n+k] = res.F[k] + res.B[k]

@@ -163,3 +163,35 @@ func TestHBInvalidInputs(t *testing.T) {
 		t.Fatal("expected F1 error")
 	}
 }
+
+// countedSine counts its torus evaluations.
+type countedSine struct {
+	device.Sine
+	calls *int
+}
+
+func (w countedSine) EvalTorus(th1, th2 float64) float64 {
+	*w.calls++
+	return w.Sine.EvalTorus(th1, th2)
+}
+
+// TestHBTabulatesSources: an HB solve evaluates each collocation point's
+// waveforms once; every later residual and preconditioner build replays
+// them.
+func TestHBTabulatesSources(t *testing.T) {
+	f1, f2 := 1e6, 0.9e6
+	calls := 0
+	ckt := circuit.New("hb-counted")
+	ckt.V("V1", "in", "0", countedSine{device.Sine{Amp: 1, F1: f1, F2: f2, K1: 1}, &calls})
+	ckt.R("R1", "in", "out", 1000)
+	ckt.D("D1", "out", "0", 1e-14)
+	ckt.C("C1", "out", "0", 1e-10)
+	const n1, n2 = 16, 4
+	sol, err := Solve(context.Background(), ckt, Options{F1: f1, F2: f2, N1: n1, N2: n2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != n1*n2 {
+		t.Fatalf("%d source evaluations over %d Newton iterations, want %d (one per point)", calls, sol.Stats.NewtonIters, n1*n2)
+	}
+}

@@ -24,20 +24,43 @@ import (
 // fresh slices, so every matrix handed out keeps a valid pattern and
 // BlockStencil and SparseLU may recognise an unchanged one by slice
 // identity.
+//
+// The map keeps its last stampMapKeep compiled sequences. A recording pass
+// that stamps one of them again re-adopts that sequence and its pattern
+// slices instead of compiling: devices that alternate between a few stamp
+// sequences from one evaluation to the next — grid points on either side
+// of a switching threshold — compile each once and hand out one pattern
+// per sequence.
 type StampMap struct {
 	Rows, Cols int
 
-	// The compiled pattern, shared read-only; nil until the first
-	// recording pass ends and during a recording pass.
+	// The active compiled sequence and its pattern, shared read-only;
+	// rowPtr is nil until the first recording pass ends and during a
+	// recording pass.
 	rowPtr, colIdx []int
 	seq            []stampSlot
 	k              int // next position in seq
 	val            []float64
 
+	// kept holds the last compiled sequences, the most recently used
+	// first; compiles counts the compiles.
+	kept     [stampMapKeep]compiledSeq
+	nKept    int
+	compiles int
+
 	// log holds the stamps a pass could not replay. A recording pass
 	// replays against an empty seq, so it logs every stamp.
 	log []stamp
 	dst *CSR
+}
+
+// stampMapKeep is how many compiled sequences a StampMap keeps.
+const stampMapKeep = 4
+
+// compiledSeq is one compiled stamp sequence and its pattern.
+type compiledSeq struct {
+	rowPtr, colIdx []int
+	seq            []stampSlot
 }
 
 type stampSlot struct {
@@ -65,7 +88,7 @@ func (m *StampMap) Begin(dst *CSR, record bool) {
 		m.rowPtr, m.colIdx = nil, nil
 	}
 	if m.rowPtr == nil {
-		m.seq = m.seq[:0]
+		m.seq = nil
 		return
 	}
 	m.bind()
@@ -100,15 +123,18 @@ func (m *StampMap) Add(i, j int, v float64) {
 	m.log = append(m.log, stamp{i, j, v}) //mpde:alloc-ok logs only while recording or after a sequence miss
 }
 
-// End finishes the pass. A recording pass compiles its stamps into a fresh
-// pattern, writes dst and reports true. A replay reports whether it saw the
-// compiled sequence exactly; on false dst is garbage and the caller must
-// re-run the pass with record set.
+// End finishes the pass. A recording pass re-adopts a kept sequence equal
+// to its stamps, or else compiles them into a fresh pattern; it writes dst
+// and reports true. A replay reports whether it saw the compiled sequence
+// exactly; on false dst is garbage and the caller must re-run the pass
+// with record set.
 func (m *StampMap) End() bool {
 	if m.rowPtr != nil {
 		return len(m.log) == 0 && m.k == len(m.seq)
 	}
-	m.compile()
+	if !m.readopt() {
+		m.compile()
+	}
 	m.bind()
 	for k, s := range m.seq {
 		m.val[s.slot] += m.log[k].v
@@ -116,10 +142,45 @@ func (m *StampMap) End() bool {
 	return true
 }
 
-// compile turns the logged stamps into seq and a fresh pattern: rows
-// bucketed in stamp order, each row's stamps sorted stably by column,
-// equal columns merged into one slot.
+// Compiles reports how many times the map has compiled a stamp sequence.
+func (m *StampMap) Compiles() int { return m.compiles }
+
+// readopt makes the kept sequence whose (row, col) stamps equal the logged
+// ones, if any, the active one, and moves it to the front.
+func (m *StampMap) readopt() bool {
+	for k := 0; k < m.nKept; k++ {
+		c := m.kept[k]
+		if !m.logMatches(c.seq) {
+			continue
+		}
+		copy(m.kept[1:k+1], m.kept[:k])
+		m.kept[0] = c
+		m.rowPtr, m.colIdx, m.seq = c.rowPtr, c.colIdx, c.seq
+		return true
+	}
+	return false
+}
+
+// logMatches reports whether the logged stamps hit exactly seq's
+// positions, in order.
+func (m *StampMap) logMatches(seq []stampSlot) bool {
+	if len(seq) != len(m.log) {
+		return false
+	}
+	for k, s := range m.log {
+		if int(seq[k].i) != s.i || int(seq[k].j) != s.j {
+			return false
+		}
+	}
+	return true
+}
+
+// compile turns the logged stamps into a fresh sequence and pattern, and
+// keeps them at the front, evicting the least recently used sequence when
+// all stampMapKeep are taken: rows bucketed in stamp order, each row's
+// stamps sorted stably by column, equal columns merged into one slot.
 func (m *StampMap) compile() {
+	m.compiles++
 	rowPtr := make([]int, m.Rows+1)
 	for _, s := range m.log {
 		if s.i < 0 || s.i >= m.Rows || s.j < 0 || s.j >= m.Cols {
@@ -139,10 +200,16 @@ func (m *StampMap) compile() {
 		col[next[s.i]] = s.j
 		next[s.i]++
 	}
-	if cap(m.seq) < len(m.log) {
-		m.seq = make([]stampSlot, len(m.log))
+	// The evicted sequence's slots are the map's own; its pattern may
+	// still be in use and is left alone.
+	if m.nKept < stampMapKeep {
+		m.nKept++
 	}
-	m.seq = m.seq[:len(m.log)]
+	seq := m.kept[m.nKept-1].seq
+	if cap(seq) < len(m.log) {
+		seq = make([]stampSlot, len(m.log))
+	}
+	m.seq = seq[:len(m.log)]
 	colIdx := make([]int, 0, len(m.log))
 	for i := 0; i < m.Rows; i++ {
 		lo, hi := rowPtr[i], rowPtr[i+1]
@@ -157,4 +224,6 @@ func (m *StampMap) compile() {
 	}
 	rowPtr[m.Rows] = len(colIdx)
 	m.rowPtr, m.colIdx = rowPtr, colIdx
+	copy(m.kept[1:m.nKept], m.kept[:m.nKept-1])
+	m.kept[0] = compiledSeq{rowPtr, colIdx, m.seq}
 }

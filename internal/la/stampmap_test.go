@@ -164,6 +164,44 @@ func TestStampMapRecompileKeepsOldPattern(t *testing.T) {
 	}
 }
 
+// TestStampMapReadoptsKeptSequences: a map cycling through up to
+// stampMapKeep stamp sequences compiles each once and hands the same
+// pattern slices out again on every return to it, with values equal to
+// Compress bit for bit; one sequence more than it keeps evicts the least
+// recently used, which then compiles afresh.
+func TestStampMapReadoptsKeptSequences(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	seqs := make([]*Triplet, stampMapKeep+1)
+	for k := range seqs {
+		seqs[k] = randomTriplet(rng, 10, 20+k)
+	}
+	for _, cycle := range []int{2, stampMapKeep, stampMapKeep + 1} {
+		m := NewStampMap(10, 10)
+		first := make([][]int, cycle)
+		for round := 0; round < 3; round++ {
+			for k, tr := range seqs[:cycle] {
+				var dst CSR
+				stampEval(m, &dst, tr)
+				if !csrBitsMatch(&dst, tr.Compress()) {
+					t.Fatalf("cycle %d, round %d, sequence %d: values differ from Compress", cycle, round, k)
+				}
+				if round == 0 {
+					first[k] = dst.ColIdx
+				} else if reused := sameSlice(dst.ColIdx, first[k]); reused != (cycle <= stampMapKeep) {
+					t.Fatalf("cycle %d, round %d, sequence %d: pattern re-adopted %v", cycle, round, k, reused)
+				}
+			}
+		}
+		want := cycle
+		if cycle > stampMapKeep {
+			want = 3 * cycle
+		}
+		if m.Compiles() != want {
+			t.Fatalf("cycle %d: %d compiles, want %d", cycle, m.Compiles(), want)
+		}
+	}
+}
+
 // TestStampMapReplayNoAllocs: a steady-state replay writes by slot into
 // the caller's Val without allocating.
 func TestStampMapReplayNoAllocs(t *testing.T) {

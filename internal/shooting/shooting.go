@@ -120,6 +120,9 @@ type integrator struct {
 	jm    la.CSR
 	ws    solver.Workspace
 	resid []float64
+	// last is the latest step evaluation: after a converged step solve,
+	// the accepted point's (solver.Workspace.Solve).
+	last circuit.Result
 	// stats totals the step solves' Newton work over every integration.
 	stats solver.Stats
 	// The current step's system: tNew and the charge at the previous point.
@@ -152,7 +155,8 @@ func (g *integrator) Size() int { return g.n }
 //
 //mpde:hotpath
 func (g *integrator) Eval(x []float64, jac bool) ([]float64, *la.CSR, error) {
-	r := g.ev.EvalAtInto(x, device.EvalCtx{T: g.tNew, Lambda: 1}, jac, &g.c, &g.g)
+	g.last = g.ev.EvalAtInto(x, device.EvalCtx{T: g.tNew, Lambda: 1}, jac, &g.c, &g.g)
+	r := &g.last
 	for i := range g.resid {
 		g.resid[i] = (r.Q[i]-g.qPrev[i])/g.h + r.F[i] + r.B[i]
 	}
@@ -194,14 +198,16 @@ func (g *integrator) propagate(x0 []float64, wantM, record bool, t0 float64) ([]
 			return nil, nil, nil, totalSteps, fmt.Errorf("shooting: step %d (t=%.3e) failed: %w", k, g.tNew, err)
 		}
 		totalSteps++
-		// Post-solve evaluation for q, C, G at the accepted point.
-		r := g.ev.EvalAtInto(x, device.EvalCtx{T: g.tNew, Lambda: 1}, wantM, &g.c, &g.g)
-		copy(g.qPrev, r.Q)
+		// The converged solve's last evaluation was at the accepted point
+		// and holds its q; the monodromy update re-evaluates there for C
+		// and G.
 		if wantM {
-			if err := g.sensitivityStep(m, r.C); err != nil {
+			g.last = g.ev.EvalAtInto(x, device.EvalCtx{T: g.tNew, Lambda: 1}, true, &g.c, &g.g)
+			if err := g.sensitivityStep(m, g.last.C); err != nil {
 				return nil, nil, nil, totalSteps, fmt.Errorf("shooting: sensitivity factorisation failed at step %d: %w", k, err)
 			}
 		}
+		copy(g.qPrev, g.last.Q)
 		if record {
 			orbit.T = append(orbit.T, g.tNew)
 			orbit.X = append(orbit.X, append([]float64(nil), x...))

@@ -40,7 +40,8 @@ type ContinuationOptions struct {
 }
 
 // ContinuationStats reports the path taken. Total sums the work of every
-// inner Newton solve (see Stats.Add).
+// inner Newton solve (see Stats.Add) and carries the last one's
+// final-iterate fields: after a successful path, the λ = 1 solve's.
 type ContinuationStats struct {
 	Solves      int
 	Failures    int
@@ -76,7 +77,7 @@ func Continue(ctx context.Context, sys ParamSystem, x []float64, opt Continuatio
 			return sys.EvalAt(lambda, xx, jac)
 		}}
 		st, err := Solve(ctx, sub, guess, opt.Newton)
-		cs.Total.Add(st)
+		cs.Total.AddFinal(st)
 		return st, err
 	}
 
@@ -135,7 +136,9 @@ func Continue(ctx context.Context, sys ParamSystem, x []float64, opt Continuatio
 // through source-stepping continuation using the provided ParamSystem
 // embedding. This mirrors the paper's experience: "In cases where
 // Newton-Raphson did not converge, using continuation reliably obtained
-// solutions".
+// solutions". The returned Stats total the plain try and the continuation
+// path, and report the final iterate of the last solve: after a rescue,
+// the λ = 1 solve that produced x.
 func SolveWithFallback(ctx context.Context, sys ParamSystem, x []float64, newtonOpt Options) (Stats, ContinuationStats, error) {
 	direct := FuncSystem{N: sys.Size(), F: func(xx []float64, jac bool) ([]float64, *la.CSR, error) {
 		return sys.EvalAt(1, xx, jac)
@@ -147,6 +150,7 @@ func SolveWithFallback(ctx context.Context, sys ParamSystem, x []float64, newton
 		return st, ContinuationStats{}, nil
 	}
 	cs, cerr := Continue(ctx, sys, x, ContinuationOptions{Newton: newtonOpt})
+	st.AddFinal(cs.Total)
 	if cerr != nil {
 		return st, cs, fmt.Errorf("solver: direct Newton failed (%v) and continuation failed: %w", err, cerr)
 	}

@@ -222,6 +222,14 @@ func (s *Stats) Add(o Stats) {
 	s.FactorTime += o.FactorTime
 }
 
+// AddFinal merges o's work into s (see Add) and takes o's final-iterate
+// fields, Residual, StepNorm and Converged: o is the solve whose iterate
+// s reports.
+func (s *Stats) AddFinal(o Stats) {
+	s.Add(o)
+	s.Residual, s.StepNorm, s.Converged = o.Residual, o.StepNorm, o.Converged
+}
+
 // IterTrace is one Newton iteration's convergence record: the per-iteration
 // view the summed Stats counters cannot give. A stalled damping loop or a
 // thrashing preconditioner is visible here and invisible in the totals.
@@ -408,6 +416,11 @@ func Solve(ctx context.Context, sys System, x []float64, opt Options) (Stats, er
 // Solve runs damped Newton from x (updated in place to the solution),
 // starting from the factorisation the previous solve through w left behind.
 // It reads no clock: Stats.AssemblyTime and Stats.FactorTime stay zero.
+//
+// A converged solve's last System.Eval was a residual-only evaluation at
+// the x it returns: the accepted damping trial. A time march relies on
+// this to take the accepted point's charges and sources from the step
+// system's last evaluation instead of evaluating the circuit again.
 // Cancelling ctx aborts the iteration cooperatively: the cancellation is
 // polled before every iteration (including the first, so an already-canceled
 // context returns before any assembly or factorisation work) and the

@@ -79,8 +79,7 @@ func DC(ctx context.Context, ckt *circuit.Circuit, opt DCOptions) ([]float64, so
 
 	x := make([]float64, n)
 	ps := solver.FuncParamSystem{N: n, F: evalAt}
-	st, cs, err := solver.SolveWithFallback(ctx, ps, x, opt.Newton)
-	st.Add(cs.Total)
+	st, _, err := solver.SolveWithFallback(ctx, ps, x, opt.Newton)
 	if err == nil {
 		return x, st, nil
 	}
@@ -120,8 +119,7 @@ func DC(ctx context.Context, ckt *circuit.Circuit, opt DCOptions) ([]float64, so
 			return r, jm, nil
 		}}
 		st2, err2 := solver.Solve(ctx, sys, x, opt.Newton)
-		st.Add(st2)
-		st.Residual, st.StepNorm, st.Converged = st2.Residual, st2.StepNorm, st2.Converged
+		st.AddFinal(st2)
 		if err2 != nil {
 			return nil, st, fmt.Errorf("transient: DC gmin stepping failed at gmin=%.3e: %w", g, err2)
 		}

@@ -256,8 +256,8 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 			}
 		}
 
-		// Accept.
-		rNew := ev.EvalAt(xNew, device.EvalCtx{T: tNew, Lambda: 1}, false)
+		// Accept. The converged solve's last evaluation was at xNew.
+		rNew := &sys.last
 		copy(qNew, rNew.Q)
 		switch method {
 		case TRAP:
@@ -299,6 +299,9 @@ type stepSystem struct {
 	coef  [2]float64
 	jm    la.CSR
 	resid []float64
+	// last is the latest evaluation: after a converged solve, the
+	// accepted point's Q, F and B (solver.Workspace.Solve).
+	last circuit.Result
 }
 
 func (s *stepSystem) Size() int { return len(s.resid) }
@@ -308,7 +311,8 @@ func (s *stepSystem) Size() int { return len(s.resid) }
 //
 //mpde:hotpath
 func (s *stepSystem) Eval(x []float64, jac bool) ([]float64, *la.CSR, error) {
-	r := s.ev.EvalAtInto(x, device.EvalCtx{T: s.t, Lambda: 1}, jac, &s.c, &s.g)
+	s.last = s.ev.EvalAtInto(x, device.EvalCtx{T: s.t, Lambda: 1}, jac, &s.c, &s.g)
+	r := &s.last
 	out, hh := s.resid, s.h
 	qPrev := s.qPrev
 	var cScale float64

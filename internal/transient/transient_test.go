@@ -268,7 +268,8 @@ func TestAdaptiveStepTakesFewerPointsOnSmoothTail(t *testing.T) {
 // resistor defeats few-iteration Newton, so DC falls back to source
 // stepping (rescued at MaxIter 3) and then to gmin stepping (which fails at
 // MaxIter 2). Either way the returned NewtonIters must count every
-// iteration those solves ran, as Progress sees them.
+// iteration those solves ran, as Progress sees them, and a rescued solve
+// reports the rescuing solve's converged iterate.
 func TestDCStatsTotalEveryFallback(t *testing.T) {
 	for _, c := range []struct {
 		maxIter int
@@ -293,6 +294,10 @@ func TestDCStatsTotalEveryFallback(t *testing.T) {
 		}
 		if st.NewtonIters != calls {
 			t.Fatalf("MaxIter %d: Stats.NewtonIters = %d, want the %d iterations Progress saw", c.maxIter, st.NewtonIters, calls)
+		}
+		// A rescued solve reports the rescuing solve's iterate.
+		if !c.fails && !st.Converged {
+			t.Fatalf("MaxIter %d: rescued DC reports Converged = false (residual %.3e)", c.maxIter, st.Residual)
 		}
 	}
 }
