@@ -498,17 +498,18 @@ func (r *hbResult) Spectrum(p Probe, top int) ([]Line, bool) {
 	N1, N2 := r.sol.N1, r.sol.N2
 	// One 2-D DFT per leg; differential probing subtracts coefficient
 	// planes so phase information survives.
-	plane := make([]complex128, N1*N2)
+	spec := make([]complex128, N1*N2)
 	for j := 0; j < N2; j++ {
 		for i := 0; i < N1; i++ {
 			v := r.sol.At(i, j)[p.P]
 			if p.M >= 0 {
 				v -= r.sol.At(i, j)[p.M]
 			}
-			plane[j*N1+i] = complex(v, 0)
+			spec[j*N1+i] = complex(v, 0)
 		}
 	}
-	spec := fft.Forward2D(plane, N2, N1)
+	plan := fft.NewPlan2D(N2, N1)
+	plan.Forward(spec, make([]complex128, plan.ScratchLen()))
 	f2 := r.sol.F2
 	if N2 == 1 {
 		f2 = 0

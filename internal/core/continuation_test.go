@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/la"
 	"repro/internal/solver"
 )
 
@@ -147,5 +150,58 @@ func TestQPSSKCLPropertyAtSolution(t *testing.T) {
 		if v < -2.2 || v > 2.2 {
 			t.Fatalf("passive RC output exceeds drive rails: %v at t=%g", v, tt)
 		}
+	}
+}
+
+// TestResidualCheckLean: ResidualCheck's residual-only pass returns the
+// full assembler's norm bit for bit, pinned here at a perturbed 16×8
+// solution,
+// while allocating neither per-point Jacobian blocks nor a source table:
+// its allocation count does not grow with the grid and its bytes stay
+// within the three grid vectors it reads and writes.
+func TestResidualCheckLean(t *testing.T) {
+	sh := Shear{F1: 1e6, F2: 0.875e6, K: 1}
+	ckt := nonlinearMixer(sh)
+	type check struct{ allocs, bytes, grid float64 }
+	measure := func(n1, n2 int, pin uint64) check {
+		opt := Options{N1: n1, N2: n2, Shear: sh, AssemblyWorkers: 1}
+		sol, err := QPSS(context.Background(), ckt, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Perturb the solution so that the norm is far above round-off.
+		for i := range sol.X {
+			sol.X[i] += 1e-3 * float64(i%5)
+		}
+		got, err := sol.ResidualCheck(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _, _ := newAssembler(ckt, opt).assemble(sol.X, 1, false)
+		if want := la.NormInf(r); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%dx%d: ResidualCheck = %v, full assembler %v", n1, n2, got, want)
+		}
+		if pin != 0 && math.Float64bits(got) != pin {
+			t.Fatalf("%dx%d: ResidualCheck = %v (bits %#x), pinned bits %#x", n1, n2, got, math.Float64bits(got), pin)
+		}
+		allocs := testing.AllocsPerRun(3, func() { sol.ResidualCheck(opt) })
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		sol.ResidualCheck(opt)
+		runtime.ReadMemStats(&m1)
+		return check{allocs, float64(m1.TotalAlloc - m0.TotalAlloc), float64(3 * 8 * len(sol.X))}
+	}
+	small := measure(16, 8, 0x3f70624dd2f1b77f)
+	large := measure(32, 16, 0)
+	if raceEnabled {
+		return // allocation bounds do not hold under the race detector
+	}
+	t.Logf("allocs %.0f at 16x8, %.0f at 32x16; bytes %.0f and %.0f (grid vectors %.0f and %.0f)",
+		small.allocs, large.allocs, small.bytes, large.bytes, small.grid, large.grid)
+	if large.allocs != small.allocs {
+		t.Fatalf("ResidualCheck allocates %.0f times at 32x16 but %.0f at 16x8: it allocates per grid point", large.allocs, small.allocs)
+	}
+	if large.bytes > large.grid+64<<10 {
+		t.Fatalf("ResidualCheck allocates %.0f bytes at 32x16, more than its grid vectors (%.0f) plus 64 KiB", large.bytes, large.grid)
 	}
 }

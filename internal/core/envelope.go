@@ -266,9 +266,10 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 	}
 	record(0, x)
 
-	// March in t2.
-	_, _, q0 := asm.assemble(x, 0, nil, 0, false)
-	qPrev := append([]float64(nil), q0...)
+	// March in t2. A converged solve's last evaluation was residual-only
+	// at its solution, so asm.q holds the line's charges: the initial
+	// line's here, each accepted line's in accept.
+	qPrev := append([]float64(nil), asm.q...)
 	finish := func(err error) (*EnvelopeResult, error) {
 		res.PatternBuilds, res.PatternReuse = asm.builds, asm.reuse
 		return res, err
@@ -286,8 +287,7 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 		return solver.Solve(ctx, sys, x, opt.Newton)
 	}
 	accept := func(t2 float64) {
-		_, _, qNew := asm.assemble(x, t2, nil, 0, false)
-		qPrev = append(qPrev[:0], qNew...)
+		qPrev = append(qPrev[:0], asm.q...)
 		res.AcceptedSteps++
 		record(t2, x)
 	}

@@ -173,7 +173,7 @@ func (s *Solution) ResidualCheck(opt Options) (float64, error) {
 		return 0, fmt.Errorf("core: ResidualCheck grid %dx%d does not match solution %dx%d",
 			opt.N1, opt.N2, s.N1, s.N2)
 	}
-	asm := newAssembler(s.Ckt, opt)
+	asm := newResidualAssembler(s.Ckt, opt)
 	r, _, err := asm.assemble(s.X, 1, false)
 	if err != nil {
 		return 0, err

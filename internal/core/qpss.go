@@ -257,7 +257,8 @@ type assembler struct {
 	evs []*circuit.Eval // one evaluation workspace per worker
 	// tab records every grid point's source values once per evaluation
 	// context; each point's recording is written by the worker that
-	// evaluates the point.
+	// evaluates the point. A residual-only assembler (nil tab) evaluates
+	// each point through its worker Eval's own one-point table instead.
 	tab *device.SourceTable
 
 	// Per-point storage reused across assemblies.
@@ -285,6 +286,21 @@ type assembler struct {
 }
 
 func newAssembler(ckt *circuit.Circuit, opt Options) *assembler {
+	a := newResidualAssembler(ckt, opt)
+	np := a.N1 * a.N2
+	a.tab = device.NewSourceTable(np)
+	a.src = make([]*la.CSR, 2*np)
+	for p := range a.src {
+		a.src[p] = &la.CSR{}
+	}
+	a.gs, a.cs = a.src[:np], a.src[np:]
+	return a
+}
+
+// newResidualAssembler allocates only what a residual-only assembly reads:
+// the worker Evals, the charge, conductive and residual vectors and the
+// difference stencils — no per-point Jacobian blocks and no source table.
+func newResidualAssembler(ckt *circuit.Circuit, opt Options) *assembler {
 	n := ckt.Size()
 	N1, N2 := opt.N1, opt.N2
 	workers := opt.AssemblyWorkers
@@ -299,16 +315,10 @@ func newAssembler(ckt *circuit.Circuit, opt Options) *assembler {
 		h1:      opt.Shear.T1() / float64(N1),
 		h2:      opt.Shear.Td() / float64(N2),
 		workers: workers,
-		tab:     device.NewSourceTable(N1 * N2),
 		q:       make([]float64, N1*N2*n),
 		fb:      make([]float64, N1*N2*n),
-		src:     make([]*la.CSR, 2*N1*N2),
 		r:       make([]float64, N1*N2*n),
 	}
-	for p := range a.src {
-		a.src[p] = &la.CSR{}
-	}
-	a.gs, a.cs = a.src[:N1*N2], a.src[N1*N2:]
 	a.evs = make([]*circuit.Eval, workers)
 	for w := range a.evs {
 		a.evs[w] = ckt.NewEval()
@@ -441,7 +451,12 @@ func (a *assembler) evalPoints(ev *circuit.Eval, lo, hi int, xx []float64, baseC
 		i, j := p%N1, p/N1
 		ctx := baseCtx
 		ctx.Th1, ctx.Th2 = sh.Phases(float64(i)*a.h1, float64(j)*a.h2)
-		res := ev.EvalPoint(a.tab, p, xx[p*n:(p+1)*n], ctx, jac, a.cs[p], a.gs[p])
+		var res circuit.Result
+		if a.tab == nil {
+			res = ev.EvalAt(xx[p*n:(p+1)*n], ctx, false)
+		} else {
+			res = ev.EvalPoint(a.tab, p, xx[p*n:(p+1)*n], ctx, jac, a.cs[p], a.gs[p])
+		}
 		copy(a.q[p*n:(p+1)*n], res.Q)
 		for k := 0; k < n; k++ {
 			a.fb[p*n+k] = res.F[k] + res.B[k]

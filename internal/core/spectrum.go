@@ -26,10 +26,12 @@ func (s *Solution) spectrumOf(value func(i, j int) float64) GridSpectrum {
 			plane[j*N1+i] = complex(value(i, j), 0)
 		}
 	}
+	p := fft.NewPlan2D(N2, N1)
+	p.Forward(plane, make([]complex128, p.ScratchLen()))
 	return GridSpectrum{
 		N1: N1, N2: N2,
 		F1: s.Shear.F1, Fd: 1 / s.Shear.Td(),
-		coef: fft.Forward2D(plane, N2, N1),
+		coef: plane,
 	}
 }
 
@@ -61,13 +63,16 @@ func GridSpectralTail(x []float64, n, N1, N2 int, absFloor float64) (tail1, tail
 	if n <= 0 || N1 <= 0 || N2 <= 0 || len(x) < N1*N2*n {
 		return 0, 0
 	}
-	plane := make([]complex128, N1*N2)
+	// One plan and one plane serve every unknown.
+	plan := fft.NewPlan2D(N2, N1)
+	coef := make([]complex128, N1*N2)
+	scratch := make([]complex128, plan.ScratchLen())
 	norm := 1 / float64(N1*N2)
 	for k := 0; k < n; k++ {
-		for p := 0; p < N1*N2; p++ {
-			plane[p] = complex(x[p*n+k], 0)
+		for p := range coef {
+			coef[p] = complex(x[p*n+k], 0)
 		}
-		coef := fft.Forward2D(plane, N2, N1)
+		plan.Forward(coef, scratch)
 		maxAC, out1, out2 := 0.0, 0.0, 0.0
 		for j := 0; j < N2; j++ {
 			k2 := j

@@ -33,6 +33,45 @@ func maxErr(a, b []complex128) float64 {
 	return m
 }
 
+// forward, inverse, forward2D and inverse2D are one-shot plan transforms
+// into a copy of x.
+func forward(x []complex128) []complex128 {
+	p := NewPlan(len(x))
+	y := append([]complex128(nil), x...)
+	p.Forward(y, make([]complex128, p.ScratchLen()))
+	return y
+}
+
+func inverse(x []complex128) []complex128 {
+	p := NewPlan(len(x))
+	y := append([]complex128(nil), x...)
+	p.Inverse(y, make([]complex128, p.ScratchLen()))
+	return y
+}
+
+func forward2D(x []complex128, n1, n2 int) []complex128 {
+	p := NewPlan2D(n1, n2)
+	y := append([]complex128(nil), x...)
+	p.Forward(y, make([]complex128, p.ScratchLen()))
+	return y
+}
+
+func inverse2D(x []complex128, n1, n2 int) []complex128 {
+	p := NewPlan2D(n1, n2)
+	y := append([]complex128(nil), x...)
+	p.Inverse(y, make([]complex128, p.ScratchLen()))
+	return y
+}
+
+// forwardReal is the DFT of a real signal.
+func forwardReal(x []float64) []complex128 {
+	c := make([]complex128, len(x))
+	for i, v := range x {
+		c[i] = complex(v, 0)
+	}
+	return forward(c)
+}
+
 func randComplex(rng *rand.Rand, n int) []complex128 {
 	x := make([]complex128, n)
 	for i := range x {
@@ -45,7 +84,7 @@ func TestForwardMatchesNaivePow2(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 4, 8, 16, 64, 256} {
 		x := randComplex(rng, n)
-		if e := maxErr(Forward(x), naiveDFT(x)); e > 1e-9 {
+		if e := maxErr(forward(x), naiveDFT(x)); e > 1e-9 {
 			t.Fatalf("n=%d: max error %v", n, e)
 		}
 	}
@@ -55,7 +94,7 @@ func TestForwardMatchesNaiveArbitraryN(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{3, 5, 6, 7, 9, 12, 15, 30, 31, 40, 100} {
 		x := randComplex(rng, n)
-		if e := maxErr(Forward(x), naiveDFT(x)); e > 1e-8 {
+		if e := maxErr(forward(x), naiveDFT(x)); e > 1e-8 {
 			t.Fatalf("n=%d (Bluestein): max error %v", n, e)
 		}
 	}
@@ -66,7 +105,7 @@ func TestRoundTripProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(200)
 		x := randComplex(rng, n)
-		y := Inverse(Forward(x))
+		y := inverse(forward(x))
 		return maxErr(x, y) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -79,7 +118,7 @@ func TestParsevalProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(128)
 		x := randComplex(rng, n)
-		X := Forward(x)
+		X := forward(x)
 		var et, ef float64
 		for i := range x {
 			et += real(x[i])*real(x[i]) + imag(x[i])*imag(x[i])
@@ -103,7 +142,7 @@ func TestLinearityProperty(t *testing.T) {
 		for i := range z {
 			z[i] = 2*x[i] - 3*y[i]
 		}
-		X, Y, Z := Forward(x), Forward(y), Forward(z)
+		X, Y, Z := forward(x), forward(y), forward(z)
 		for i := range Z {
 			if cmplx.Abs(Z[i]-(2*X[i]-3*Y[i])) > 1e-8 {
 				return false
@@ -123,7 +162,7 @@ func TestMagnitudesCosine(t *testing.T) {
 	for i := range x {
 		x[i] = math.Cos(2 * math.Pi * 5 * float64(i) / float64(n))
 	}
-	mag := Magnitudes(ForwardReal(x))
+	mag := Magnitudes(forwardReal(x))
 	if math.Abs(mag[5]-1) > 1e-10 {
 		t.Fatalf("bin 5 magnitude = %v, want 1", mag[5])
 	}
@@ -145,7 +184,7 @@ func TestMagnitudesDCAndNyquist(t *testing.T) {
 			x[i] += 2
 		}
 	}
-	mag := Magnitudes(ForwardReal(x))
+	mag := Magnitudes(forwardReal(x))
 	if math.Abs(mag[0]-3) > 1e-12 {
 		t.Fatalf("DC magnitude = %v, want 3", mag[0])
 	}
@@ -164,7 +203,7 @@ func TestForward2DSeparableTones(t *testing.T) {
 			x[i1*n2+i2] = cmplx.Rect(1, ang)
 		}
 	}
-	X := Forward2D(x, n1, n2)
+	X := forward2D(x, n1, n2)
 	for i1 := 0; i1 < n1; i1++ {
 		for i2 := 0; i2 < n2; i2++ {
 			want := 0.0
@@ -184,7 +223,7 @@ func TestRoundTrip2DProperty(t *testing.T) {
 		n1 := 1 + rng.Intn(12)
 		n2 := 1 + rng.Intn(12)
 		x := randComplex(rng, n1*n2)
-		y := Inverse2D(Forward2D(x, n1, n2), n1, n2)
+		y := inverse2D(forward2D(x, n1, n2), n1, n2)
 		return maxErr(x, y) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -193,28 +232,30 @@ func TestRoundTrip2DProperty(t *testing.T) {
 }
 
 func TestEmptyAndSingle(t *testing.T) {
-	if out := Forward(nil); out != nil {
-		t.Fatal("Forward(nil) should be nil")
+	if out := forward(nil); len(out) != 0 {
+		t.Fatal("the length-0 DFT should be empty")
 	}
 	one := []complex128{complex(2, -1)}
-	out := Forward(one)
+	out := forward(one)
 	if out[0] != one[0] {
 		t.Fatal("length-1 DFT is identity")
 	}
 }
 
-func BenchmarkFFT1024(b *testing.B) {
-	x := randComplex(rand.New(rand.NewSource(1)), 1024)
+// benchPlan times a warm plan's forward transform of a length-n signal.
+func benchPlan(b *testing.B, n int) {
+	x := randComplex(rand.New(rand.NewSource(1)), n)
+	p := NewPlan(n)
+	y := make([]complex128, n)
+	scratch := make([]complex128, p.ScratchLen())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Forward(x)
+		copy(y, x)
+		p.Forward(y, scratch)
 	}
 }
 
-func BenchmarkFFTBluestein1000(b *testing.B) {
-	x := randComplex(rand.New(rand.NewSource(1)), 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Forward(x)
-	}
-}
+func BenchmarkFFT1024(b *testing.B) { benchPlan(b, 1024) }
+
+func BenchmarkFFTBluestein1000(b *testing.B) { benchPlan(b, 1000) }

@@ -8,9 +8,9 @@ import (
 	"repro/internal/transient"
 )
 
-// precondAllocs returns the heap allocations of a warm companion-
-// preconditioner build for the unbalanced mixer on an N1×N2 grid.
-func precondAllocs(t *testing.T, N1, N2 int) float64 {
+// mixerWorkspace returns an HB workspace for the unbalanced mixer on an
+// N1×N2 grid and the DC operating point replicated over the grid.
+func mixerWorkspace(t *testing.T, N1, N2 int) (*workspace, []float64) {
 	t.Helper()
 	um := ckts.NewUnbalancedMixer(ckts.UnbalancedMixerConfig{F1: 100e6, Fd: 1e6, LOAmp: 0.3, RFAmp: 0.02})
 	n := um.Ckt.Size()
@@ -22,7 +22,14 @@ func precondAllocs(t *testing.T, N1, N2 int) float64 {
 	for p := 0; p < N1*N2; p++ {
 		copy(x[p*n:(p+1)*n], xdc)
 	}
-	w := newWorkspace(um.Ckt, Options{F1: 100e6, F2: um.Shear.F2, N1: N1, N2: N2}, n)
+	return newWorkspace(um.Ckt, Options{F1: 100e6, F2: um.Shear.F2, N1: N1, N2: N2}, n), x
+}
+
+// precondAllocs returns the heap allocations of a warm companion-
+// preconditioner build for the unbalanced mixer on an N1×N2 grid.
+func precondAllocs(t *testing.T, N1, N2 int) float64 {
+	t.Helper()
+	w, x := mixerWorkspace(t, N1, N2)
 	build := func() {
 		if _, err := w.fdPreconditioner(x); err != nil {
 			t.Fatal(err)
@@ -44,5 +51,42 @@ func TestHBPreconditionerAllocsFlat(t *testing.T) {
 	t.Logf("allocs per warm build: %.0f at 16x4, %.0f at 32x8", small, large)
 	if large != small {
 		t.Fatalf("a warm build allocates %.0f at 32x8 but %.0f at 16x4: it allocates per grid point", large, small)
+	}
+}
+
+// applyAllocs returns the heap allocations of a warm Jacobian-vector
+// product and of a warm residual evaluation on an N1×N2 grid.
+func applyAllocs(t *testing.T, N1, N2 int) (apply, residual float64) {
+	t.Helper()
+	w, x := mixerWorkspace(t, N1, N2)
+	if _, err := w.fdPreconditioner(x); err != nil {
+		t.Fatal(err)
+	}
+	op := newHBOperator(w)
+	v, out := make([]float64, len(x)), make([]float64, len(x))
+	for i := range v {
+		v[i] = float64(i%7) - 3
+	}
+	op.Apply(v, out) // the first inverse transform builds the inverse chirps
+	w.residual(x, out)
+	apply = testing.AllocsPerRun(5, func() { op.Apply(v, out) })
+	residual = testing.AllocsPerRun(5, func() { w.residual(x, out) })
+	return apply, residual
+}
+
+// TestHBApplyAllocsFlat is the Newton loop's allocation contract: the
+// operator, its buffers and the FFT plan live for the solve, so a warm
+// operator apply and a warm residual allocate the same on every grid.
+func TestHBApplyAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds do not hold under the race detector")
+	}
+	smallA, smallR := applyAllocs(t, 16, 4)
+	largeA, largeR := applyAllocs(t, 32, 8)
+	t.Logf("allocs per warm apply: %.0f at 16x4, %.0f at 32x8; per warm residual: %.0f, %.0f",
+		smallA, largeA, smallR, largeR)
+	if largeA != smallA || largeR != smallR {
+		t.Fatalf("apply allocates %.0f at 32x8 but %.0f at 16x4, residual %.0f but %.0f: they allocate per grid point",
+			largeA, smallA, largeR, smallR)
 	}
 }

@@ -59,7 +59,9 @@ func (s *Solution) spectrumPlane(k int) []complex128 {
 			plane[j*N1+i] = complex(s.X[s.index(i, j, k)], 0)
 		}
 	}
-	return fft.Forward2D(plane, N2, N1)
+	p := fft.NewPlan2D(N2, N1)
+	p.Forward(plane, make([]complex128, p.ScratchLen()))
+	return plane
 }
 
 // HarmonicPhasor returns the complex phasor of the (k1, k2) mix of unknown

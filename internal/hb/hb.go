@@ -143,7 +143,14 @@ func Solve(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Solution, e
 		}
 	}
 
-	r := w.residual(x)
+	// One operator, one GMRES workspace and one set of Newton buffers
+	// serve the whole solve.
+	r := make([]float64, nTot)
+	w.residual(x, r)
+	op := newHBOperator(w)
+	var gmres la.GMRESSolver
+	neg, dx := make([]float64, nTot), make([]float64, nTot)
+	xt, rt := make([]float64, nTot), make([]float64, nTot)
 	r0 := la.NormInf(r)
 	target := opt.Tol * math.Max(1, r0)
 	for it := 0; it < opt.MaxIter; it++ {
@@ -169,34 +176,31 @@ func Solve(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Solution, e
 		if err != nil {
 			return nil, fmt.Errorf("hb: preconditioner failed: %w", err)
 		}
-		op := &hbOperator{w: w}
-		neg := make([]float64, nTot)
 		for i := range neg {
 			neg[i] = -r[i]
 		}
-		dx := make([]float64, nTot)
-		res, err := la.GMRES(op, neg, dx, la.GMRESOptions{
+		la.Fill(dx, 0)
+		res, err := gmres.Solve(op, neg, dx, la.GMRESOptions{
 			Tol: opt.GMRESTol, MaxIter: opt.GMRESIter, Restart: 60, M: prec})
 		sol.Stats.LinearIters += res.Iterations
 		if err != nil {
 			return nil, fmt.Errorf("hb: GMRES failed at iter %d (residual %.3e): %w", it, res.Residual, err)
 		}
-		// Damped update.
+		// Damped update: the accepted trial's iterate and residual swap
+		// places with the current ones.
 		alpha := 1.0
-		var rNew []float64
 		for h := 0; h < 8; h++ {
-			xt := make([]float64, nTot)
 			for i := range xt {
 				xt[i] = x[i] + alpha*dx[i]
 			}
-			rNew = w.residual(xt)
-			if la.NormInf(rNew) <= 2*nrm || h == 7 {
-				x = xt
+			w.residual(xt, rt)
+			if la.NormInf(rt) <= 2*nrm || h == 7 {
+				x, xt = xt, x
+				r, rt = rt, r
 				break
 			}
 			alpha /= 2
 		}
-		r = rNew
 	}
 	sol.Stats.Residual = la.NormInf(r)
 	if sol.Stats.Residual <= target {
@@ -216,6 +220,10 @@ type workspace struct {
 	n      int
 	N1, N2 int
 	omega  []float64 // j-less angular frequency per (i,j) spectral bin
+
+	// The spectral derivative's 2-D transform of one unknown's plane.
+	plan           *fft.Plan2D
+	plane, scratch []complex128
 
 	q, fb []float64
 	src   []*la.CSR // every point's G, then every point's C: gs and cs
@@ -242,6 +250,9 @@ func newWorkspace(ckt *circuit.Circuit, opt Options, n int) *workspace {
 		w.src[p] = &la.CSR{}
 	}
 	w.gs, w.cs = w.src[:N1*N2], w.src[N1*N2:]
+	w.plan = fft.NewPlan2D(N2, N1)
+	w.plane = make([]complex128, N1*N2)
+	w.scratch = make([]complex128, w.plan.ScratchLen())
 	// Difference rates: d/dt ≈ f1·N1·Δθ1 + f2·N2·Δθ2 on the unit torus.
 	r1, r2 := opt.F1*float64(N1), opt.F2*float64(N2)
 	if N2 == 1 {
@@ -299,9 +310,11 @@ func (w *workspace) evalGrid(x []float64, jac bool) {
 
 // spectralDerivative applies d/dt to each circuit-unknown plane of v
 // (grid-sampled) in place of dst.
+//
+//mpde:hotpath
 func (w *workspace) spectralDerivative(v, dst []float64) {
 	n, N1, N2 := w.n, w.N1, w.N2
-	plane := make([]complex128, N1*N2)
+	plane := w.plane
 	for k := 0; k < n; k++ {
 		// Gather plane in (i fastest) layout → FFT wants row-major with the
 		// last index contiguous; use (j, i) as (row, col) = (N2, N1).
@@ -310,29 +323,27 @@ func (w *workspace) spectralDerivative(v, dst []float64) {
 				plane[j*N1+i] = complex(v[(j*N1+i)*n+k], 0)
 			}
 		}
-		sp := fft.Forward2D(plane, N2, N1)
-		for p := range sp {
+		w.plan.Forward(plane, w.scratch)
+		for p := range plane {
 			// p = j*N1 + i matches the omega layout.
-			sp[p] *= complex(0, w.omega[p])
+			plane[p] *= complex(0, w.omega[p])
 		}
-		out := fft.Inverse2D(sp, N2, N1)
+		w.plan.Inverse(plane, w.scratch)
 		for j := 0; j < N2; j++ {
 			for i := 0; i < N1; i++ {
-				dst[(j*N1+i)*n+k] = real(out[j*N1+i])
+				dst[(j*N1+i)*n+k] = real(plane[j*N1+i])
 			}
 		}
 	}
 }
 
-// residual computes R(x) = D q(x) + f(x) + b.
-func (w *workspace) residual(x []float64) []float64 {
+// residual writes R(x) = D q(x) + f(x) + b into out.
+func (w *workspace) residual(x, out []float64) {
 	w.evalGrid(x, false)
-	out := make([]float64, len(x))
 	w.spectralDerivative(w.q, out)
 	for i := range out {
 		out[i] += w.fb[i]
 	}
-	return out
 }
 
 // hbOperator applies J·v = D(C·v) + G·v using the captured blocks.
@@ -342,15 +353,16 @@ type hbOperator struct {
 	buf []float64
 }
 
+func newHBOperator(w *workspace) *hbOperator {
+	return &hbOperator{w: w, cv: make([]float64, len(w.q)), buf: make([]float64, len(w.q))}
+}
+
 func (o *hbOperator) Size() int { return len(o.w.q) }
 
+//mpde:hotpath
 func (o *hbOperator) Apply(v, out []float64) {
 	w := o.w
 	n := w.n
-	if o.cv == nil {
-		o.cv = make([]float64, len(v))
-		o.buf = make([]float64, len(v))
-	}
 	// Pointwise C·v and G·v.
 	for p := 0; p < w.N1*w.N2; p++ {
 		seg := v[p*n : (p+1)*n]

@@ -249,12 +249,14 @@ func harmonics(ms []*la.CSR, n, N, K int) []*la.CDense {
 			}
 		}
 	}
-	buf := make([]complex128, N)
+	plan := fft.NewPlan(N)
+	spec := make([]complex128, N)
+	scratch := make([]complex128, plan.ScratchLen())
 	for k, ts := range pattern {
 		for p := 0; p < N; p++ {
-			buf[p] = complex(ts[p], 0)
+			spec[p] = complex(ts[p], 0)
 		}
-		spec := fft.Forward(buf)
+		plan.Forward(spec, scratch)
 		for d := -K; d <= K; d++ {
 			idx := ((d % N) + N) % N
 			out[d+K].Set(k.i, k.j, spec[idx]/complex(float64(N), 0))

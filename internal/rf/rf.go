@@ -90,7 +90,13 @@ func NewSpectrum(x []float64, dt float64) Spectrum {
 	if n == 0 || dt <= 0 {
 		return Spectrum{}
 	}
-	mags := fft.Magnitudes(fft.ForwardReal(x))
+	plan := fft.NewPlan(n)
+	spec := make([]complex128, n+plan.ScratchLen())
+	for i, v := range x {
+		spec[i] = complex(v, 0)
+	}
+	plan.Forward(spec[:n], spec[n:])
+	mags := fft.Magnitudes(spec[:n])
 	freq := make([]float64, len(mags))
 	for k := range freq {
 		freq[k] = float64(k) / (float64(n) * dt)
