@@ -477,18 +477,24 @@ func (r *hbResult) Waveform(p Probe) (Waveform, bool) {
 		// Single-tone: one LO period.
 		fd = r.sol.F1
 	}
-	const samples = 256
-	span := 1 / fd
-	t := make([]float64, samples)
-	v := make([]float64, samples)
+	return r.waveform(p, 1/fd, 256), true
+}
+
+// waveform samples the probe at n times evenly spread over [0, span),
+// transforming each leg's grid once.
+func (r *hbResult) waveform(p Probe, span float64, n int) Waveform {
+	t := make([]float64, n)
 	for i := range t {
-		t[i] = float64(i) * span / samples
-		v[i] = r.sol.OneTime(p.P, t[i])
-		if p.M >= 0 {
-			v[i] -= r.sol.OneTime(p.M, t[i])
+		t[i] = float64(i) * span / float64(n)
+	}
+	v := r.sol.OneTimeRecord(p.P, t)
+	if p.M >= 0 {
+		m := r.sol.OneTimeRecord(p.M, t)
+		for i := range v {
+			v[i] -= m[i]
 		}
 	}
-	return Waveform{Label: "t", T: t, V: v}, true
+	return Waveform{Label: "t", T: t, V: v}
 }
 
 func (r *hbResult) Spectrum(p Probe, top int) ([]Line, bool) {

@@ -19,18 +19,33 @@ func (s *Solution) At(i, j int) []float64 {
 // OneTime reconstructs x_k(t) by evaluating the truncated Fourier series at
 // torus phases (f1·t, f2·t) via trigonometric interpolation of the grid.
 func (s *Solution) OneTime(k int, t float64) float64 {
-	th1 := s.F1 * t
-	th2 := 0.0
-	if s.N2 > 1 {
-		th2 = s.F2 * t
+	return s.OneTimeRecord(k, []float64{t})[0]
+}
+
+// OneTimeRecord is OneTime at every time of ts from one transform of
+// unknown k's grid.
+func (s *Solution) OneTimeRecord(k int, ts []float64) []float64 {
+	spec := s.spectrumPlane(k)
+	v := make([]float64, len(ts))
+	for i, t := range ts {
+		th2 := 0.0
+		if s.N2 > 1 {
+			th2 = s.F2 * t
+		}
+		v[i] = s.series(spec, s.F1*t, th2)
 	}
-	return s.EvalTorus(k, th1, th2)
+	return v
 }
 
 // EvalTorus evaluates unknown k at arbitrary torus phases using the
 // spectrum (exact trigonometric interpolation of the collocation solution).
 func (s *Solution) EvalTorus(k int, th1, th2 float64) float64 {
-	spec := s.spectrumPlane(k)
+	return s.series(s.spectrumPlane(k), th1, th2)
+}
+
+// series sums the truncated Fourier series of spectrum plane spec at torus
+// phases (th1, th2).
+func (s *Solution) series(spec []complex128, th1, th2 float64) float64 {
 	N1, N2 := s.N1, s.N2
 	acc := complex(0, 0)
 	for j := 0; j < N2; j++ {

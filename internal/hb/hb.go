@@ -30,6 +30,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/fft"
 	"repro/internal/la"
+	"repro/internal/obs"
 	"repro/internal/solver"
 	"repro/internal/transient"
 )
@@ -134,7 +135,9 @@ func Solve(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Solution, e
 		}
 		copy(x, opt.X0)
 	} else {
-		xdc, _, err := transient.DC(ctx, ckt, transient.DCOptions{})
+		// Auxiliary solve: its iterations are not in Stats, so detach
+		// tracing from it.
+		xdc, _, err := transient.DC(obs.Detach(ctx), ckt, transient.DCOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("hb: DC start failed: %w", err)
 		}

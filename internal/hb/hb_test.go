@@ -9,6 +9,7 @@ import (
 	"repro/internal/ckts"
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/obs"
 )
 
 func rcTwoTone(f1, f2 float64) (*circuit.Circuit, int, float64, float64) {
@@ -193,5 +194,42 @@ func TestHBTabulatesSources(t *testing.T) {
 	}
 	if calls != n1*n2 {
 		t.Fatalf("%d source evaluations over %d Newton iterations, want %d (one per point)", calls, sol.Stats.NewtonIters, n1*n2)
+	}
+}
+
+// TestTracedSolveRecordsNoNewtonSpan: HB's Newton loop is its own and its
+// DC start is auxiliary work Stats do not count, so a traced solve records
+// no newton.solve span.
+func TestTracedSolveRecordsNoNewtonSpan(t *testing.T) {
+	f1, f2 := 1e6, 0.9e6
+	ckt, _, _, _ := rcTwoTone(f1, f2)
+	rec := obs.NewRecorder()
+	if _, err := Solve(obs.WithRecorder(context.Background(), rec), ckt, Options{F1: f1, F2: f2, N1: 8, N2: 8}); err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range rec.Snapshot() {
+		if sp.Name == "newton.solve" {
+			t.Fatalf("traced HB solve recorded a newton.solve span: %+v", sp)
+		}
+	}
+}
+
+// TestOneTimeRecordMatchesOneTime: the record sums the same spectrum in the
+// same order as OneTime, so every sample is bit-identical.
+func TestOneTimeRecordMatchesOneTime(t *testing.T) {
+	f1, f2 := 1e6, 0.9e6
+	ckt, out, _, _ := rcTwoTone(f1, f2)
+	sol, err := Solve(context.Background(), ckt, Options{F1: f1, F2: f2, N1: 8, N2: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := make([]float64, 64)
+	for i := range ts {
+		ts[i] = float64(i) * 1.7e-8
+	}
+	for i, v := range sol.OneTimeRecord(out, ts) {
+		if want := sol.OneTime(out, ts[i]); v != want {
+			t.Fatalf("t=%g: record %v, OneTime %v", ts[i], v, want)
+		}
 	}
 }

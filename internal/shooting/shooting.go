@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"repro/internal/circuit"
-	"repro/internal/device"
 	"repro/internal/la"
 	"repro/internal/solver"
 	"repro/internal/transient"
@@ -103,31 +102,13 @@ var ErrNoConvergence = errors.New("shooting: Newton on the periodicity condition
 
 type integrator struct {
 	ctx   context.Context
-	ckt   *circuit.Circuit
-	ev    *circuit.Eval
 	n     int
 	h     float64
 	steps int
 	opt   solver.Options
-
-	// Per-run storage shared by every step of every period: the device
-	// Jacobians (re-evaluated in place), the step Jacobian J = G + C/h as a
-	// one-block stencil over them with coef = [1, 1/h], the Newton loop's
-	// carried LU, and the step residual.
-	c, g  la.CSR
-	jac   *la.BlockStencil
-	coef  [2]float64
-	jm    la.CSR
-	ws    solver.Workspace
-	resid []float64
-	// last is the latest step evaluation: after a converged step solve,
-	// the accepted point's (solver.Workspace.Solve).
-	last circuit.Result
-	// stats totals the step solves' Newton work over every integration.
-	stats solver.Stats
-	// The current step's system: tNew and the charge at the previous point.
-	tNew  float64
-	qPrev []float64
+	// step is the march's BE step engine, shared by every period; its
+	// Stats total the step solves' Newton work over every integration.
+	step *transient.Stepper
 
 	// Dense sensitivity workspace: the step factorisation of C/h + G
 	// (refactored in the previous step's pivot order), C at the previous
@@ -139,32 +120,7 @@ type integrator struct {
 }
 
 func newIntegrator(ctx context.Context, ckt *circuit.Circuit, h float64, steps int, opt solver.Options) *integrator {
-	n := ckt.Size()
-	g := &integrator{ctx: ctx, ckt: ckt, ev: ckt.NewEval(), n: n, h: h, steps: steps, opt: opt,
-		coef: [2]float64{1, 1 / h}, resid: make([]float64, n), qPrev: make([]float64, n)}
-	g.jac = la.NewStepStencil(n, &g.g, &g.c)
-	return g
-}
-
-// Size and Eval make the integrator the solver.System of its current BE
-// step: F(x) = (q(x) − qPrev)/h + f(x) + b(tNew).
-func (g *integrator) Size() int { return g.n }
-
-// Eval returns the step residual and, when jac is set, J = G + C/h; both
-// live in the integrator's per-run storage.
-//
-//mpde:hotpath
-func (g *integrator) Eval(x []float64, jac bool) ([]float64, *la.CSR, error) {
-	g.last = g.ev.EvalAtInto(x, device.EvalCtx{T: g.tNew, Lambda: 1}, jac, &g.c, &g.g)
-	r := &g.last
-	for i := range g.resid {
-		g.resid[i] = (r.Q[i]-g.qPrev[i])/g.h + r.F[i] + r.B[i]
-	}
-	if !jac {
-		return g.resid, nil, nil
-	}
-	g.jac.Assemble(&g.jm, g.coef[:])
-	return g.resid, &g.jm, nil
+	return &integrator{ctx: ctx, n: ckt.Size(), h: h, steps: steps, opt: opt, step: transient.NewStepper(ckt)}
 }
 
 // propagate integrates one period from x0. When wantM is set it also
@@ -183,33 +139,27 @@ func (g *integrator) propagate(x0 []float64, wantM, record bool, t0 float64) ([]
 		orbit.T = append(orbit.T, t0)
 		orbit.X = append(orbit.X, append([]float64(nil), x...))
 	}
-	// Evaluate q (and C for the first sensitivity step) at the start.
-	res := g.ev.EvalAtInto(x, device.EvalCtx{T: t0, Lambda: 1}, wantM, &g.c, &g.g)
-	copy(g.qPrev, res.Q)
-	if wantM {
-		copyCSR(&g.cPrev, res.C)
+	// Take q (and C for the first sensitivity step) at the start.
+	if c := g.step.Start(x, t0, wantM); wantM {
+		copyCSR(&g.cPrev, c)
 	}
 	totalSteps := 0
 	for k := 1; k <= g.steps; k++ {
-		g.tNew = t0 + float64(k)*g.h
-		st, err := g.ws.Solve(g.ctx, g, x, g.opt)
-		g.stats.Add(st)
-		if err != nil {
-			return nil, nil, nil, totalSteps, fmt.Errorf("shooting: step %d (t=%.3e) failed: %w", k, g.tNew, err)
+		t := t0 + float64(k)*g.h
+		if err := g.step.Step(g.ctx, x, transient.BE, t, g.h, g.opt); err != nil {
+			return nil, nil, nil, totalSteps, fmt.Errorf("shooting: step %d (t=%.3e) failed: %w", k, t, err)
 		}
 		totalSteps++
-		// The converged solve's last evaluation was at the accepted point
-		// and holds its q; the monodromy update re-evaluates there for C
-		// and G.
+		// The monodromy update takes C and G at the accepted point.
 		if wantM {
-			g.last = g.ev.EvalAtInto(x, device.EvalCtx{T: g.tNew, Lambda: 1}, true, &g.c, &g.g)
-			if err := g.sensitivityStep(m, g.last.C); err != nil {
+			j, c := g.step.Linearize(x)
+			if err := g.sensitivityStep(m, j, c); err != nil {
 				return nil, nil, nil, totalSteps, fmt.Errorf("shooting: sensitivity factorisation failed at step %d: %w", k, err)
 			}
 		}
-		copy(g.qPrev, g.last.Q)
+		g.step.Accept()
 		if record {
-			orbit.T = append(orbit.T, g.tNew)
+			orbit.T = append(orbit.T, t)
 			orbit.X = append(orbit.X, append([]float64(nil), x...))
 		}
 	}
@@ -217,14 +167,12 @@ func (g *integrator) propagate(x0 []float64, wantM, record bool, t0 float64) ([]
 }
 
 // sensitivityStep advances the monodromy M ← (C/h + G)⁻¹ · (Cprev/h) · M
-// with C and G evaluated at the accepted point, then keeps a copy of C as
-// the next step's Cprev.
+// with a = C/h + G and C evaluated at the accepted point, then keeps a copy
+// of C as the next step's Cprev.
 //
 //mpde:hotpath
-func (g *integrator) sensitivityStep(m *la.Dense, c *la.CSR) error {
+func (g *integrator) sensitivityStep(m *la.Dense, a, c *la.CSR) error {
 	n := g.n
-	g.jac.Assemble(&g.jm, g.coef[:])
-	a := &g.jm
 	if g.sens == nil || !g.sens.SamePattern(a) || g.sens.Refactor(a) != nil {
 		f, err := la.SparseLUFactor(a, 0.001)
 		if err != nil { //mpde:coldpath a singular step matrix aborts the period
@@ -305,24 +253,15 @@ func PSS(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 	ckt.Finalize()
 	n := ckt.Size()
 
-	x0 := make([]float64, n)
-	if opt.X0 != nil {
-		if len(opt.X0) != n {
-			return nil, fmt.Errorf("shooting: X0 size %d, want %d", len(opt.X0), n)
-		}
-		copy(x0, opt.X0)
-	} else {
-		xdc, _, err := transient.DC(ctx, ckt, transient.DCOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("shooting: DC start failed: %w", err)
-		}
-		copy(x0, xdc)
+	x0, err := transient.StartState(ctx, ckt, opt.X0, 0, "shooting")
+	if err != nil {
+		return nil, err
 	}
 
 	g := newIntegrator(ctx, ckt, opt.Period/float64(opt.Steps), opt.Steps, opt.Newton)
 
 	res := &Result{}
-	defer func() { res.Stats = g.stats }()
+	defer func() { res.Stats = g.step.Stats }()
 	for it := 0; it < opt.MaxIter; it++ {
 		res.Iterations = it + 1
 		xT, m, _, steps, err := g.propagate(x0, !opt.MatrixFree, false, 0)
@@ -432,11 +371,4 @@ func (o *fdOperator) Apply(v, out []float64) {
 	for i := range out {
 		out[i] = (phiP[i]-o.phi[i])/eps - v[i] // (M − I)·v
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/obs"
 	"repro/internal/solver"
 	"repro/internal/transient"
 )
@@ -310,5 +311,34 @@ func TestMatrixFreeUpdateSurfacesInterrupt(t *testing.T) {
 	dx, _, err := matrixFreeUpdate(g, x0, phi, r)
 	if !solver.Interrupted(err) {
 		t.Fatalf("matrixFreeUpdate on a canceled context: dx = %v, err = %v; want an interrupt error", dx, err)
+	}
+}
+
+// TestTracedIterationsMatchStats: a PSS from the DC point traces only the
+// step solves its Stats count, so the traced newton.solve iterations sum
+// to Stats.NewtonIters; the DC start runs detached from the trace.
+func TestTracedIterationsMatchStats(t *testing.T) {
+	const f = 1e3
+	ckt := circuit.New("rect")
+	ckt.V("V1", "in", "0", device.Sine{Amp: 5, F1: f, K1: 1})
+	ckt.D("D1", "in", "out", 1e-14)
+	ckt.R("RL", "out", "0", 10e3)
+	ckt.C("CL", "out", "0", 1e-6)
+	rec := obs.NewRecorder()
+	res, err := PSS(obs.WithRecorder(context.Background(), rec), ckt, Options{Period: 1 / f, Steps: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Dropped() != 0 {
+		t.Fatalf("%d spans dropped: the sum needs every one", rec.Dropped())
+	}
+	var traced int64
+	for _, sp := range rec.Snapshot() {
+		if sp.Name == "newton.solve" {
+			traced += sp.Attrs["iterations"].(int64)
+		}
+	}
+	if traced != int64(res.Stats.NewtonIters) {
+		t.Fatalf("traced newton.solve iterations sum to %d, Stats.NewtonIters = %d", traced, res.Stats.NewtonIters)
 	}
 }

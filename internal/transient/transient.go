@@ -9,6 +9,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/device"
 	"repro/internal/la"
+	"repro/internal/obs"
 	"repro/internal/solver"
 )
 
@@ -46,8 +47,8 @@ type Options struct {
 	Step    float64 // initial (and, for FixedStep, the only) step size
 	MaxStep float64 // 0 → (TStop−TStart)/50
 	MinStep float64 // 0 → Step·1e-9
-	// FixedStep disables local-truncation-error control (used by shooting,
-	// which needs a deterministic grid).
+	// FixedStep disables local-truncation-error control for a deterministic
+	// grid (the disparity sweep's transient baseline).
 	FixedStep bool
 	// LTETol is the relative local-truncation-error target (default 1e-3).
 	LTETol float64
@@ -123,7 +124,6 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 		return nil, err
 	}
 	ckt.Finalize()
-	ev := ckt.NewEval()
 	n := ckt.Size()
 	if opt.TStop <= opt.TStart {
 		return nil, fmt.Errorf("transient: empty interval [%g, %g]", opt.TStart, opt.TStop)
@@ -149,18 +149,9 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 		opt.MaxPoints = 4_000_000
 	}
 
-	x := make([]float64, n)
-	if opt.X0 != nil {
-		if len(opt.X0) != n {
-			return nil, fmt.Errorf("transient: X0 size %d, want %d", len(opt.X0), n)
-		}
-		copy(x, opt.X0)
-	} else {
-		x0, _, err := DC(ctx, ckt, DCOptions{Time: opt.TStart})
-		if err != nil {
-			return nil, fmt.Errorf("transient: initial DC failed: %w", err)
-		}
-		copy(x, x0)
+	x, err := StartState(ctx, ckt, opt.X0, opt.TStart, "transient")
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{}
@@ -170,22 +161,9 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 	}
 	record(opt.TStart, x)
 
-	// Per-run step system: device Jacobian storage, the combined step
-	// Jacobian, the residual and the charge history all live for the whole
-	// march, and one Newton workspace carries the LU from step to step.
-	sys := &stepSystem{ev: ev, coef: [2]float64{1, 0},
-		qPrev: make([]float64, n), qPrev2: make([]float64, n), qdotPrev: make([]float64, n),
-		resid: make([]float64, n)}
-	sys.jac = la.NewStepStencil(n, &sys.g, &sys.c)
-	var ws solver.Workspace
-	// History for multi-step formulas: charge vectors and derivative
-	// dq/dt ≈ −(f+b) at the previous point.
-	r0 := ev.EvalAt(x, device.EvalCtx{T: opt.TStart, Lambda: 1}, false)
-	copy(sys.qPrev, r0.Q)
-	for i := range sys.qdotPrev {
-		sys.qdotPrev[i] = -(r0.F[i] + r0.B[i])
-	}
-	qNew := make([]float64, n)
+	sys := NewStepper(ckt)
+	defer func() { res.Stats = sys.Stats }()
+	sys.Start(x, opt.TStart, false)
 
 	t := opt.TStart
 	h := opt.Step
@@ -210,12 +188,9 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 		if method == TRAP && res.Steps == 0 {
 			method = BE // damp the initial-derivative transient
 		}
-		sys.method, sys.t, sys.h = method, tNew, h
 
 		copy(xNew, x)
-		st, err := ws.Solve(ctx, sys, xNew, opt.Newton)
-		res.Stats.Add(st)
-		if err != nil {
+		if err := sys.Step(ctx, xNew, method, tNew, h, opt.Newton); err != nil {
 			if solver.Interrupted(err) {
 				return res, fmt.Errorf("transient: interrupted at t=%.6e: %w", t, err)
 			}
@@ -256,23 +231,9 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 			}
 		}
 
-		// Accept. The converged solve's last evaluation was at xNew.
-		rNew := &sys.last
-		copy(qNew, rNew.Q)
-		switch method {
-		case TRAP:
-			for i := range sys.qdotPrev {
-				sys.qdotPrev[i] = 2*(qNew[i]-sys.qPrev[i])/hTaken - sys.qdotPrev[i]
-			}
-		default:
-			for i := range sys.qdotPrev {
-				sys.qdotPrev[i] = -(rNew.F[i] + rNew.B[i])
-			}
-		}
-		sys.qPrev2, sys.qPrev, qNew = sys.qPrev, qNew, sys.qPrev2
+		sys.Accept()
 		copy(xPrev, x)
 		copy(x, xNew)
-		sys.hPrev = hTaken
 		t = tNew
 		res.Steps++
 		record(t, x)
@@ -280,10 +241,29 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 	return res, nil
 }
 
-// stepSystem is the solver.System of one implicit integration step at time
-// t with step h: the method's discretised charge derivative plus f(x) + b(t),
-// with Jacobian cScale·C + G. Run updates its fields between steps.
-type stepSystem struct {
+// StartState returns a march's starting state: a copy of x0 when given,
+// else the DC operating point at time t. The DC solve is not in the
+// march's Stats, so it runs detached from the trace. Errors carry prefix.
+func StartState(ctx context.Context, ckt *circuit.Circuit, x0 []float64, t float64, prefix string) ([]float64, error) {
+	if x0 != nil {
+		if n := ckt.Size(); len(x0) != n {
+			return nil, fmt.Errorf("%s: X0 size %d, want %d", prefix, len(x0), n)
+		}
+		return append([]float64(nil), x0...), nil
+	}
+	xdc, _, err := DC(obs.Detach(ctx), ckt, DCOptions{Time: t})
+	if err != nil {
+		return nil, fmt.Errorf("%s: DC start failed: %w", prefix, err)
+	}
+	return xdc, nil
+}
+
+// Stepper is the implicit step engine of transient's Run and shooting's
+// period integration: per step, the solver.System of the method's charge
+// derivative plus f(x) + b(t), with Jacobian G + cScale·C. Its storage and
+// the Newton workspace carrying the LU live for the whole march. A march
+// calls Start, then per step Step, optionally Linearize, and Accept.
+type Stepper struct {
 	ev     *circuit.Eval
 	method Method
 	t      float64
@@ -302,37 +282,108 @@ type stepSystem struct {
 	// last is the latest evaluation: after a converged solve, the
 	// accepted point's Q, F and B (solver.Workspace.Solve).
 	last circuit.Result
+	ws   solver.Workspace
+	// Stats totals the Newton work of every step solve, failed ones too.
+	Stats solver.Stats
 }
 
-func (s *stepSystem) Size() int { return len(s.resid) }
+// NewStepper returns a stepper over the finalised circuit ckt.
+func NewStepper(ckt *circuit.Circuit) *Stepper {
+	n := ckt.Size()
+	s := &Stepper{ev: ckt.NewEval(), coef: [2]float64{1, 0},
+		qPrev: make([]float64, n), qPrev2: make([]float64, n), qdotPrev: make([]float64, n),
+		resid: make([]float64, n)}
+	s.jac = la.NewStepStencil(n, &s.g, &s.c)
+	return s
+}
 
-// Eval returns the step residual and, when jac is set, J = cScale·C + G;
-// both live in the system's per-run storage.
+// Start takes the charge and dq/dt ≈ −(f+b) at the march's start x, t.
+// With jac it also returns C (nil without), valid until the next evaluation.
+func (s *Stepper) Start(x []float64, t float64, jac bool) *la.CSR {
+	s.last = s.ev.EvalAtInto(x, device.EvalCtx{T: t, Lambda: 1}, jac, &s.c, &s.g)
+	r := &s.last
+	copy(s.qPrev, r.Q)
+	for i := range s.qdotPrev {
+		s.qdotPrev[i] = -(r.F[i] + r.B[i])
+	}
+	return r.C
+}
+
+// Step solves the method's step to time t with step h in place from x.
 //
 //mpde:hotpath
-func (s *stepSystem) Eval(x []float64, jac bool) ([]float64, *la.CSR, error) {
+func (s *Stepper) Step(ctx context.Context, x []float64, method Method, t, h float64, opt solver.Options) error {
+	s.method, s.t, s.h = method, t, h
+	switch method {
+	case TRAP:
+		s.coef[1] = 2 / h
+	case GEAR2:
+		s.coef[1] = (2*h + s.hPrev) / (h * (h + s.hPrev))
+	default: // BE
+		s.coef[1] = 1 / h
+	}
+	st, err := s.ws.Solve(ctx, s, x, opt)
+	s.Stats.Add(st)
+	return err
+}
+
+// Accept moves the history past the converged step, taking the charge and
+// dq/dt from the last evaluation, which was at the accepted point.
+//
+//mpde:hotpath
+func (s *Stepper) Accept() {
+	r := &s.last
+	switch s.method {
+	case TRAP:
+		for i := range s.qdotPrev {
+			s.qdotPrev[i] = 2*(r.Q[i]-s.qPrev[i])/s.h - s.qdotPrev[i]
+		}
+	default:
+		for i := range s.qdotPrev {
+			s.qdotPrev[i] = -(r.F[i] + r.B[i])
+		}
+	}
+	s.qPrev2, s.qPrev = s.qPrev, s.qPrev2
+	copy(s.qPrev, r.Q)
+	s.hPrev = s.h
+}
+
+// Linearize re-evaluates at the accepted point x of the last Step and
+// returns J = G + cScale·C and C, valid until the next evaluation.
+//
+//mpde:hotpath
+func (s *Stepper) Linearize(x []float64) (j, c *la.CSR) {
+	s.last = s.ev.EvalAtInto(x, device.EvalCtx{T: s.t, Lambda: 1}, true, &s.c, &s.g)
+	s.jac.Assemble(&s.jm, s.coef[:])
+	return &s.jm, s.last.C
+}
+
+// Size is the number of unknowns.
+func (s *Stepper) Size() int { return len(s.resid) }
+
+// Eval returns the current step's residual and, when jac is set, its
+// Jacobian; both live in the stepper's storage.
+//
+//mpde:hotpath
+func (s *Stepper) Eval(x []float64, jac bool) ([]float64, *la.CSR, error) {
 	s.last = s.ev.EvalAtInto(x, device.EvalCtx{T: s.t, Lambda: 1}, jac, &s.c, &s.g)
 	r := &s.last
 	out, hh := s.resid, s.h
 	qPrev := s.qPrev
-	var cScale float64
 	switch s.method {
 	case TRAP:
-		cScale = 2 / hh
 		for i := range out {
 			out[i] = 2*(r.Q[i]-qPrev[i])/hh - s.qdotPrev[i] + r.F[i] + r.B[i]
 		}
 	case GEAR2:
 		hn, hm := hh, s.hPrev
-		a0 := (2*hn + hm) / (hn * (hn + hm))
+		a0 := s.coef[1]
 		a1 := -(hn + hm) / (hn * hm)
 		a2 := hn / (hm * (hn + hm))
-		cScale = a0
 		for i := range out {
 			out[i] = a0*r.Q[i] + a1*qPrev[i] + a2*s.qPrev2[i] + r.F[i] + r.B[i]
 		}
 	default: // BE
-		cScale = 1 / hh
 		for i := range out {
 			out[i] = (r.Q[i]-qPrev[i])/hh + r.F[i] + r.B[i]
 		}
@@ -340,7 +391,6 @@ func (s *stepSystem) Eval(x []float64, jac bool) ([]float64, *la.CSR, error) {
 	if !jac {
 		return out, nil, nil
 	}
-	s.coef[1] = cScale
 	s.jac.Assemble(&s.jm, s.coef[:])
 	return out, &s.jm, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/obs"
 )
 
 // rcCircuit returns V(5V step via DC) → R → out → C → gnd.
@@ -299,5 +300,33 @@ func TestDCStatsTotalEveryFallback(t *testing.T) {
 		if !c.fails && !st.Converged {
 			t.Fatalf("MaxIter %d: rescued DC reports Converged = false (residual %.3e)", c.maxIter, st.Residual)
 		}
+	}
+}
+
+// TestTracedIterationsMatchStats: a march from its DC point traces only
+// the step solves its Stats count, so the traced newton.solve iterations
+// sum to Stats.NewtonIters; the DC start runs detached from the trace.
+func TestTracedIterationsMatchStats(t *testing.T) {
+	ckt := circuit.New("rect")
+	ckt.V("V1", "in", "0", device.Sine{Amp: 5, F1: 1e3, K1: 1})
+	ckt.D("D1", "in", "out", 1e-14)
+	ckt.R("RL", "out", "0", 10e3)
+	ckt.C("CL", "out", "0", 1e-6)
+	rec := obs.NewRecorder()
+	res, err := Run(obs.WithRecorder(context.Background(), rec), ckt, Options{TStop: 2e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Dropped() != 0 {
+		t.Fatalf("%d spans dropped: the sum needs every one", rec.Dropped())
+	}
+	var traced int64
+	for _, sp := range rec.Snapshot() {
+		if sp.Name == "newton.solve" {
+			traced += sp.Attrs["iterations"].(int64)
+		}
+	}
+	if traced != int64(res.Stats.NewtonIters) {
+		t.Fatalf("traced newton.solve iterations sum to %d, Stats.NewtonIters = %d", traced, res.Stats.NewtonIters)
 	}
 }

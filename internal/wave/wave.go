@@ -76,7 +76,7 @@ func (s Series) ASCIIPlot(rows, cols int) string {
 	}
 	n := len(s.V)
 	for c := 0; c < cols; c++ {
-		idx := c * (n - 1) / maxInt(cols-1, 1)
+		idx := c * (n - 1) / max(cols-1, 1)
 		frac := (s.V[idx] - lo) / (hi - lo)
 		r := rows - 1 - int(frac*float64(rows-1)+0.5)
 		if r < 0 {
@@ -183,14 +183,14 @@ func (s Surface) ASCIIHeatmap(maxRows, maxCols int) string {
 		span = 1
 	}
 	n1, n2 := len(s.X), len(s.Y)
-	rows := minInt(maxRows, n1)
-	cols := minInt(maxCols, n2)
+	rows := min(maxRows, n1)
+	cols := min(maxCols, n2)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s  rows=%s cols=%s  [%.4g .. %.4g]\n", s.Name, s.XLabel, s.YLabel, lo, hi)
 	for r := 0; r < rows; r++ {
-		i := r * (n1 - 1) / maxInt(rows-1, 1)
+		i := r * (n1 - 1) / max(rows-1, 1)
 		for c := 0; c < cols; c++ {
-			j := c * (n2 - 1) / maxInt(cols-1, 1)
+			j := c * (n2 - 1) / max(cols-1, 1)
 			frac := (s.Z[i][j] - lo) / span
 			idx := int(frac * float64(len(shades)-1))
 			if idx < 0 {
@@ -204,18 +204,4 @@ func (s Surface) ASCIIHeatmap(maxRows, maxCols int) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
