@@ -34,16 +34,14 @@ type EnvelopeOptions struct {
 	// backward-Euler step's LTE is estimated against the linear predictor
 	// from the previous two accepted lines, steps whose weighted error
 	// exceeds 1 are rejected and retried smaller, and accepted steps grow
-	// toward MaxStep. RelTol = 0 keeps the fixed march byte-identical to
-	// previous releases.
+	// toward T2Stop/10. RelTol = 0 marches fixed StepT2 steps. In both
+	// modes a failed Newton solve halves the step, down to a floor of
+	// StepT2·1e-6; a step that fails at the floor ends the march with a
+	// step-underflow error instead of stalling.
 	RelTol float64
 	// AbsTol is the absolute error floor of the LTE test (default 1e-9),
 	// guarding unknowns that idle near zero.
 	AbsTol float64
-	// MaxStep/MinStep bound the adaptive step (defaults T2Stop/10 and
-	// StepT2·1e-6). A controller that needs less than MinStep fails with a
-	// step-underflow error instead of stalling.
-	MaxStep, MinStep float64
 	// Newton configures the per-step solves. Set fields survive: defaults
 	// are filled non-destructively, so Linear/PivotTol/… set by the caller
 	// are honoured even when MaxIter is left zero.
@@ -97,12 +95,12 @@ func (e *EnvelopeResult) Baseband(k int) []float64 {
 	return out
 }
 
-// lineAssembler assembles the fast-axis periodic BVP at one slow time:
-// D1[q] + (q − qPrev)/h2 + f + b̂(·, t2) = 0 ; a nil qPrev drops the slow
-// derivative (the initial fast-periodic line). Like the QPSS grid assembler
-// it compiles the line Jacobian's block stencil once and replays it — the
-// pattern is identical for every slow step, so the whole march shares one
-// compile.
+// lineAssembler is the solver.System of one envelope step: the fast-axis
+// periodic BVP D1[q] + (q − qPrev)/h2 + f + b̂(·, t2) = 0 at slow time t2,
+// where a nil qPrev drops the slow derivative (the initial fast-periodic
+// line). Like the QPSS grid assembler it compiles the line Jacobian's block
+// stencil once and replays it — the pattern is identical for every slow
+// step, so the whole march shares one compile.
 type lineAssembler struct {
 	ev *circuit.Eval
 	// tab records each line point's source values; a new slow time
@@ -111,6 +109,11 @@ type lineAssembler struct {
 	sh    Shear
 	n, N1 int
 	h1    float64
+
+	// The step being solved: its end time, size and the charges of the
+	// line it starts from.
+	t2, h2 float64
+	qPrev  []float64
 
 	q, r   []float64
 	gs, cs []*la.CSR // views of src: every point's G, then every point's C
@@ -144,12 +147,17 @@ func newLineAssembler(ckt *circuit.Circuit, sh Shear, n, N1 int, h1 float64) *li
 	return a
 }
 
-// assemble returns the residual, the Jacobian (nil unless jac), and the line
-// charges. All returned slices are reused by the next call.
-func (a *lineAssembler) assemble(xx []float64, t2 float64, qPrev []float64, h2 float64, jac bool) ([]float64, *la.CSR, []float64) {
+// Size is the number of line unknowns.
+func (a *lineAssembler) Size() int { return len(a.r) }
+
+// Eval returns the step's residual and, when jac is set, its Jacobian, and
+// leaves the line's charges in a.q. All of them are reused by the next call.
+//
+//mpde:hotpath
+func (a *lineAssembler) Eval(xx []float64, jac bool) ([]float64, *la.CSR, error) {
 	n, N1 := a.n, a.N1
 	for i := 0; i < N1; i++ {
-		th1, th2 := a.sh.Phases(float64(i)*a.h1, t2)
+		th1, th2 := a.sh.Phases(float64(i)*a.h1, a.t2)
 		ctx := device.EvalCtx{Torus: true, Th1: th1, Th2: th2, Lambda: 1}
 		var cDst, gDst *la.CSR
 		if jac {
@@ -159,8 +167,8 @@ func (a *lineAssembler) assemble(xx []float64, t2 float64, qPrev []float64, h2 f
 		copy(a.q[i*n:(i+1)*n], out.Q)
 		for k := 0; k < n; k++ {
 			a.r[i*n+k] = out.F[k] + out.B[k]
-			if qPrev != nil {
-				a.r[i*n+k] += (out.Q[k] - qPrev[i*n+k]) / h2
+			if a.qPrev != nil {
+				a.r[i*n+k] += (out.Q[k] - a.qPrev[i*n+k]) / a.h2
 			}
 		}
 	}
@@ -172,11 +180,11 @@ func (a *lineAssembler) assemble(xx []float64, t2 float64, qPrev []float64, h2 f
 		}
 	}
 	if !jac {
-		return a.r, nil, a.q
+		return a.r, nil, nil
 	}
 	cDiag := 1 / a.h1
-	if qPrev != nil {
-		cDiag += 1 / h2
+	if a.qPrev != nil {
+		cDiag += 1 / a.h2
 	}
 	a.coef = [3]float64{1, cDiag, -1 / a.h1}
 	if a.jac.Assemble(&a.jm, a.coef[:]) {
@@ -184,7 +192,7 @@ func (a *lineAssembler) assemble(xx []float64, t2 float64, qPrev []float64, h2 f
 	} else {
 		a.reuse++
 	}
-	return a.r, &a.jm, a.q
+	return a.r, &a.jm, nil
 }
 
 // EnvelopeFollow integrates the MPDE in the slow time scale. Cancelling ctx
@@ -210,6 +218,9 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 	if opt.StepT2 <= 0 {
 		opt.StepT2 = opt.Shear.Td() / 30
 	}
+	if opt.AbsTol <= 0 {
+		opt.AbsTol = 1e-9
+	}
 	// Non-destructive Newton defaults: a caller's linear-solver choice
 	// survives a zero MaxIter.
 	if opt.Newton.MaxIter == 0 {
@@ -234,28 +245,11 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 	res := &EnvelopeResult{Ckt: ckt, Shear: opt.Shear, N1: N1, n: n}
 
 	// Initial line: fast-periodic steady state with the slow derivative off.
-	x := make([]float64, nLine)
-	if opt.X0Line != nil {
-		if len(opt.X0Line) != nLine {
-			return nil, fmt.Errorf("core: X0Line size %d, want %d", len(opt.X0Line), nLine)
-		}
-		copy(x, opt.X0Line)
-	} else {
-		// Auxiliary solve: its iterations are not in Stats, so detach
-		// tracing to keep the exported convergence records summable.
-		xdc, _, err := transient.DC(obs.Detach(ctx), ckt, transient.DCOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("core: envelope DC start failed: %w", err)
-		}
-		for i := 0; i < N1; i++ {
-			copy(x[i*n:(i+1)*n], xdc)
-		}
+	x, err := transient.StartState(ctx, ckt, opt.X0Line, 0, N1, "core: envelope")
+	if err != nil {
+		return nil, err
 	}
-	sys0 := solver.FuncSystem{N: nLine, F: func(xx []float64, jac bool) ([]float64, *la.CSR, error) {
-		r, j, _ := asm.assemble(xx, 0, nil, 0, jac)
-		return r, j, nil
-	}}
-	st, err := solver.Solve(ctx, sys0, x, opt.Newton)
+	st, err := solver.Solve(ctx, asm, x, opt.Newton)
 	res.Stats.Add(st)
 	if err != nil {
 		return nil, fmt.Errorf("core: envelope initial fast-periodic line failed: %w", err)
@@ -268,93 +262,44 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 
 	// March in t2. A converged solve's last evaluation was residual-only
 	// at its solution, so asm.q holds the line's charges: the initial
-	// line's here, each accepted line's in accept.
-	qPrev := append([]float64(nil), asm.q...)
+	// line's here, each accepted line's at its acceptance.
+	asm.qPrev = append([]float64(nil), asm.q...)
 	finish := func(err error) (*EnvelopeResult, error) {
 		res.PatternBuilds, res.PatternReuse = asm.builds, asm.reuse
 		return res, err
 	}
 
-	// solveStep marches one trial step from t2 to t2+h2, Newton-solving the
-	// line BVP in place in x.
-	solveStep := func(t2, h2 float64) (solver.Stats, error) {
-		tNew := t2 + h2
-		qp := qPrev
-		sys := solver.FuncSystem{N: nLine, F: func(xx []float64, jac bool) ([]float64, *la.CSR, error) {
-			r, j, _ := asm.assemble(xx, tNew, qp, h2, jac)
-			return r, j, nil
-		}}
-		return solver.Solve(ctx, sys, x, opt.Newton)
-	}
-	accept := func(t2 float64) {
-		qPrev = append(qPrev[:0], asm.q...)
-		res.AcceptedSteps++
-		record(t2, x)
-	}
-
-	if opt.RelTol <= 0 {
-		// Fixed march: the historical behaviour, bit for bit — StepT2-sized
-		// steps, halved only on Newton failure.
-		t2 := 0.0
-		h2 := opt.StepT2
-		for t2 < opt.T2Stop-1e-15*opt.T2Stop {
-			if t2+h2 > opt.T2Stop {
-				h2 = opt.T2Stop - t2
-			}
-			st, err := solveStep(t2, h2)
-			res.Stats.Add(st)
-			if err != nil {
-				if solver.Interrupted(err) {
-					return finish(fmt.Errorf("core: envelope interrupted at t2=%.3e: %w", t2, err))
-				}
-				res.RejectedSteps++
-				h2 /= 2
-				if h2 < opt.StepT2*1e-6 {
-					return finish(fmt.Errorf("core: envelope step underflow at t2=%.3e: %w", t2, err))
-				}
-				continue
-			}
-			t2 += h2
-			h2 = opt.StepT2
-			accept(t2)
-		}
-		return finish(nil)
-	}
-
-	// LTE-controlled march. The estimate is the classic divided-difference
-	// one: the backward-Euler LTE h²/2·x″ is approximated from the mismatch
-	// between the solved line and the linear predictor through the previous
-	// two accepted lines, LTE ≈ (x − x_pred)·h/(h+hPrev). The weighted
-	// ∞-norm of that estimate against AbsTol + RelTol·|x| decides
-	// acceptance; the new step follows the standard order-1 controller
-	// h·(safety/√err) clamped to [MinStep, MaxStep].
-	if opt.AbsTol <= 0 {
-		opt.AbsTol = 1e-9
-	}
-	if opt.MaxStep <= 0 {
-		opt.MaxStep = opt.T2Stop / 10
-	}
-	if opt.MinStep <= 0 {
-		opt.MinStep = opt.StepT2 * 1e-6
-	}
+	// With RelTol > 0 each solved step passes an LTE test. The estimate is
+	// the classic divided-difference one: the backward-Euler LTE h²/2·x″ is
+	// approximated from the mismatch between the solved line and the linear
+	// predictor through the previous two accepted lines,
+	// LTE ≈ (x − x_pred)·h/(h+hPrev). The weighted ∞-norm of that estimate
+	// against AbsTol + RelTol·|x| decides acceptance; the next step follows
+	// the standard order-1 controller h·(safety/√err) clamped to
+	// [minStep, maxStep]. Without it every step is StepT2.
+	lte := opt.RelTol > 0
+	maxStep, minStep := opt.T2Stop/10, opt.StepT2*1e-6
 	var (
 		t2    = 0.0
-		h2    = math.Min(opt.StepT2, opt.MaxStep)
+		h2    = opt.StepT2
 		hPrev = 0.0                          // step between the last two accepted lines
 		xm1   []float64                      // accepted line before xAcc (nil on the first step)
 		xAcc  = append([]float64(nil), x...) // last accepted line (step start)
 		pred  = make([]float64, nLine)
 		scale = make([]float64, n) // per-unknown LTE scale, rebuilt each step
 	)
+	if lte {
+		h2 = math.Min(h2, maxStep)
+	}
 	for t2 < opt.T2Stop-1e-15*opt.T2Stop {
-		if h2 < opt.MinStep {
-			h2 = opt.MinStep
+		if h2 < minStep {
+			h2 = minStep
 		}
-		last := t2+h2 >= opt.T2Stop
-		if last {
+		if t2+h2 > opt.T2Stop {
 			h2 = opt.T2Stop - t2
 		}
-		st, err := solveStep(t2, h2)
+		asm.t2, asm.h2 = t2+h2, h2
+		st, err := solver.Solve(ctx, asm, x, opt.Newton)
 		res.Stats.Add(st)
 		if err != nil {
 			if solver.Interrupted(err) {
@@ -365,53 +310,49 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 			// The attempted step (after any final-step truncation) is h2
 			// itself; once it has reached the floor a retry would replay the
 			// identical solve, so fail instead of spinning.
-			if h2 <= opt.MinStep {
+			if h2 <= minStep {
 				return finish(fmt.Errorf("core: envelope step underflow at t2=%.3e: %w", t2, err))
 			}
-			h2 /= 2
-			if h2 < opt.MinStep {
-				h2 = opt.MinStep
-			}
+			h2 = math.Max(h2/2, minStep)
 			continue
-		}
-		// LTE estimate against the linear predictor; the first step has no
-		// history, so the (conservative) predictor is the line itself.
-		var coef float64
-		if xm1 == nil {
-			copy(pred, xAcc)
-			coef = 0.5
-		} else {
-			g := h2 / hPrev
-			for i := range pred {
-				pred[i] = xAcc[i] + g*(xAcc[i]-xm1[i])
-			}
-			coef = h2 / (h2 + hPrev)
-		}
-		// Each circuit unknown is scaled by its amplitude over the fast
-		// line, not entry by entry: a carrier crossing zero at one fast
-		// index is not a small signal, and a per-entry scale there would
-		// force absurdly small slow steps.
-		for k := 0; k < n; k++ {
-			amp := 0.0
-			for i := 0; i < N1; i++ {
-				amp = math.Max(amp, math.Max(math.Abs(x[i*n+k]), math.Abs(xAcc[i*n+k])))
-			}
-			scale[k] = opt.AbsTol + opt.RelTol*amp
 		}
 		errNorm := 0.0
-		for i := range x {
-			if e := math.Abs(x[i]-pred[i]) * coef / scale[i%n]; e > errNorm {
-				errNorm = e
+		if lte {
+			// The first step has no history, so the (conservative)
+			// predictor is the line itself.
+			var coef float64
+			if xm1 == nil {
+				copy(pred, xAcc)
+				coef = 0.5
+			} else {
+				g := h2 / hPrev
+				for i := range pred {
+					pred[i] = xAcc[i] + g*(xAcc[i]-xm1[i])
+				}
+				coef = h2 / (h2 + hPrev)
 			}
-		}
-		if errNorm > 1 && h2 > opt.MinStep {
-			res.RejectedSteps++
-			copy(x, xAcc)
-			h2 *= math.Max(0.1, math.Min(0.5, 0.9/math.Sqrt(errNorm)))
-			if h2 < opt.MinStep {
-				h2 = opt.MinStep
+			// Each circuit unknown is scaled by its amplitude over the fast
+			// line, not entry by entry: a carrier crossing zero at one fast
+			// index is not a small signal, and a per-entry scale there would
+			// force absurdly small slow steps.
+			for k := 0; k < n; k++ {
+				amp := 0.0
+				for i := 0; i < N1; i++ {
+					amp = math.Max(amp, math.Max(math.Abs(x[i*n+k]), math.Abs(xAcc[i*n+k])))
+				}
+				scale[k] = opt.AbsTol + opt.RelTol*amp
 			}
-			continue
+			for i := range x {
+				if e := math.Abs(x[i]-pred[i]) * coef / scale[i%n]; e > errNorm {
+					errNorm = e
+				}
+			}
+			if errNorm > 1 && h2 > minStep {
+				res.RejectedSteps++
+				copy(x, xAcc)
+				h2 = math.Max(h2*math.Max(0.1, math.Min(0.5, 0.9/math.Sqrt(errNorm))), minStep)
+				continue
+			}
 		}
 		hPrev = h2
 		if xm1 == nil {
@@ -419,11 +360,14 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 		}
 		copy(xm1, xAcc)
 		copy(xAcc, x)
+		copy(asm.qPrev, asm.q)
 		t2 += h2
-		accept(t2)
-		h2 *= math.Max(0.3, math.Min(2, 0.9/math.Sqrt(math.Max(errNorm, 1e-10))))
-		if h2 > opt.MaxStep {
-			h2 = opt.MaxStep
+		res.AcceptedSteps++
+		record(t2, x)
+		if lte {
+			h2 = math.Min(h2*math.Max(0.3, math.Min(2, 0.9/math.Sqrt(math.Max(errNorm, 1e-10)))), maxStep)
+		} else {
+			h2 = opt.StepT2
 		}
 	}
 	return finish(nil)

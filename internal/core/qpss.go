@@ -169,25 +169,10 @@ func QPSS(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Solution, er
 
 	asm := newAssembler(ckt, opt)
 
-	// Initial guess: the DC operating point replicated across the grid.
-	x := make([]float64, nTot)
-	if opt.X0 != nil {
-		if len(opt.X0) != nTot {
-			return nil, fmt.Errorf("core: X0 size %d, want %d", len(opt.X0), nTot)
-		}
-		copy(x, opt.X0)
-	} else {
-		// The DC starting point is an auxiliary solve whose iterations are
-		// not folded into this solve's Stats — detach tracing below it so the
-		// convergence records exported for a QPSS job sum exactly to the
-		// reported NewtonIters.
-		xdc, _, err := transient.DC(obs.Detach(ctx), ckt, transient.DCOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("core: DC starting point failed: %w", err)
-		}
-		for p := 0; p < N1*N2; p++ {
-			copy(x[p*n:(p+1)*n], xdc)
-		}
+	// Initial guess: X0, or the DC operating point replicated across the grid.
+	x, err := transient.StartState(ctx, ckt, opt.X0, 0, N1*N2, "core")
+	if err != nil {
+		return nil, err
 	}
 
 	var sys solver.System = solver.FuncSystem{N: nTot, F: func(xx []float64, jac bool) ([]float64, *la.CSR, error) {
@@ -222,7 +207,7 @@ func QPSS(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Solution, er
 		ps := solver.FuncParamSystem{N: nTot, F: func(lambda float64, xx []float64, jac bool) ([]float64, *la.CSR, error) {
 			return asm.assembleSignalLambda(xx, lambda, jac)
 		}}
-		cs, cerr := solver.Continue(ctx, ps, x, solver.ContinuationOptions{Newton: cnOpt})
+		cs, cerr := solver.Continue(ctx, ps, x, cnOpt)
 		sol.Stats.UsedContinuation = true
 		sol.Stats.ContinuationSolves = cs.Solves
 		sol.Stats.AddFinal(cs.Total)

@@ -105,9 +105,11 @@ func TestJacobianRecompiles(t *testing.T) {
 	// The last step's residual, rebuilt from the line before it.
 	last := len(env.Lines) - 1
 	la1 := newLineAssembler(ckt, sh, ckt.Size(), n1, sh.T1()/n1)
-	_, _, q := la1.assemble(env.Lines[last-1], env.T2[last-1], nil, 0, false)
-	qPrev := slices.Clone(q)
-	r, _, _ := la1.assemble(env.Lines[last], env.T2[last], qPrev, env.T2[last]-env.T2[last-1], false)
+	la1.t2 = env.T2[last-1]
+	la1.Eval(env.Lines[last-1], false)
+	la1.qPrev = slices.Clone(la1.q)
+	la1.t2, la1.h2 = env.T2[last], env.T2[last]-env.T2[last-1]
+	r, _, _ := la1.Eval(env.Lines[last], false)
 	if res := la.NormInf(r); res > 1e-6 {
 		t.Fatalf("envelope: residual %.3e on the last line", res)
 	}

@@ -173,6 +173,31 @@ func TestGridResidualAllocsZero(t *testing.T) {
 	}
 }
 
+// TestEnvelopeLineEvalAllocsZero: a warm envelope step evaluation
+// allocates nothing, residual-only or with the line Jacobian.
+func TestEnvelopeLineEvalAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds do not hold under the race detector")
+	}
+	sh := Shear{F1: 1e6, F2: 0.875e6, K: 1}
+	ckt := nonlinearMixer(sh)
+	ckt.Finalize()
+	const n1 = 16
+	n := ckt.Size()
+	a := newLineAssembler(ckt, sh, n, n1, sh.T1()/n1)
+	x := make([]float64, n1*n)
+	for i := range x {
+		x[i] = 0.1
+	}
+	a.t2, a.h2, a.qPrev = sh.Td()/30, sh.Td()/30, make([]float64, n1*n)
+	for _, jac := range []bool{false, true} {
+		a.Eval(x, jac)
+		if allocs := testing.AllocsPerRun(20, func() { a.Eval(x, jac) }); allocs != 0 {
+			t.Errorf("a warm line evaluation (jac %v) allocates %v/op, want 0", jac, allocs)
+		}
+	}
+}
+
 // TestStampCompilesBounded: on the switching mixer, whose grid points
 // alternate between two G stamp sequences, each worker's stamp maps
 // compile each distinct sequence once — C one, G two — however often the

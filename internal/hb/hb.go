@@ -30,7 +30,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/fft"
 	"repro/internal/la"
-	"repro/internal/obs"
 	"repro/internal/solver"
 	"repro/internal/transient"
 )
@@ -128,22 +127,9 @@ func Solve(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Solution, e
 	sol := &Solution{Ckt: ckt, F1: opt.F1, F2: opt.F2, N1: N1, N2: N2, n: n}
 	w := newWorkspace(ckt, opt, n)
 
-	x := make([]float64, nTot)
-	if opt.X0 != nil {
-		if len(opt.X0) != nTot {
-			return nil, fmt.Errorf("hb: X0 size %d, want %d", len(opt.X0), nTot)
-		}
-		copy(x, opt.X0)
-	} else {
-		// Auxiliary solve: its iterations are not in Stats, so detach
-		// tracing from it.
-		xdc, _, err := transient.DC(obs.Detach(ctx), ckt, transient.DCOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("hb: DC start failed: %w", err)
-		}
-		for p := 0; p < N1*N2; p++ {
-			copy(x[p*n:(p+1)*n], xdc)
-		}
+	x, err := transient.StartState(ctx, ckt, opt.X0, 0, N1*N2, "hb")
+	if err != nil {
+		return nil, err
 	}
 
 	// One operator, one GMRES workspace and one set of Newton buffers

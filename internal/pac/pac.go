@@ -50,11 +50,6 @@ type Options struct {
 	Source string
 	// Freqs are the stimulus frequencies fs (all > 0).
 	Freqs []float64
-	// PSS optionally supplies a converged shooting result; nil runs
-	// shooting internally.
-	PSS *shooting.Result
-	// Shooting configures the internal PSS when PSS is nil.
-	Shooting shooting.Options
 }
 
 // Result holds the periodic small-signal response.
@@ -67,12 +62,11 @@ type Result struct {
 	// stimulus frequency Freqs[f].
 	X [][]complex128
 	// Stats aggregates the solver work: the internal PSS shooting-Newton
-	// iterations (when PAC ran shooting itself), the orbit linearisation,
-	// and one dense conversion-matrix factorisation per stimulus frequency
-	// — the same counters QPSS exports, via analysis.Result.Stats().
+	// iterations, the orbit linearisation, and one dense conversion-matrix
+	// factorisation per stimulus frequency — the same counters QPSS
+	// exports, via analysis.Result.Stats().
 	Stats solver.Stats
-	// PSSTimeSteps counts the backward-Euler steps of the internal PSS
-	// (0 when a converged orbit was supplied).
+	// PSSTimeSteps counts the backward-Euler steps of the internal PSS.
 	PSSTimeSteps int
 }
 
@@ -127,21 +121,11 @@ func Analyze(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, e
 	ckt.Finalize()
 	n := ckt.Size()
 
-	var st solver.Stats
-	pssSteps := 0
-	pss := opt.PSS
-	if pss == nil {
-		so := opt.Shooting
-		so.Period = opt.Period
-		so.Steps = opt.Steps
-		var err error
-		pss, err = shooting.PSS(ctx, ckt, so)
-		if err != nil {
-			return nil, fmt.Errorf("pac: PSS failed: %w", err)
-		}
-		st.NewtonIters = pss.Iterations
-		pssSteps = pss.TotalTimeSteps
+	pss, err := shooting.PSS(ctx, ckt, shooting.Options{Period: opt.Period, Steps: opt.Steps})
+	if err != nil {
+		return nil, fmt.Errorf("pac: PSS failed: %w", err)
 	}
+	st := solver.Stats{NewtonIters: pss.Iterations}
 	orbit := pss.Orbit
 	if orbit == nil || len(orbit.X) < 2 {
 		return nil, errors.New("pac: PSS orbit missing")
@@ -221,7 +205,7 @@ func Analyze(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, e
 		out.X = append(out.X, x)
 	}
 	out.Stats = st
-	out.PSSTimeSteps = pssSteps
+	out.PSSTimeSteps = pss.TotalTimeSteps
 	return out, nil
 }
 

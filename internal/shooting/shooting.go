@@ -253,7 +253,7 @@ func PSS(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 	ckt.Finalize()
 	n := ckt.Size()
 
-	x0, err := transient.StartState(ctx, ckt, opt.X0, 0, "shooting")
+	x0, err := transient.StartState(ctx, ckt, opt.X0, 0, 1, "shooting")
 	if err != nil {
 		return nil, err
 	}

@@ -30,14 +30,16 @@ func (s FuncParamSystem) EvalAt(lambda float64, x []float64, jac bool) ([]float6
 	return s.F(lambda, x, jac)
 }
 
-// ContinuationOptions configures the adaptive λ stepping.
-type ContinuationOptions struct {
-	Newton    Options
-	StartStep float64 // initial Δλ (default 0.25)
-	MinStep   float64 // give up below this (default 1e-6)
-	Growth    float64 // step growth after success (default 2)
-	MaxSolves int     // cap on total Newton solves (default 200)
-}
+// The adaptive λ stepping starts at Δλ = contStartStep, multiplies it by
+// contGrowth after each accepted solve (capped at 0.5), halves it after a
+// failed one and gives up once it falls below contMinStep or after
+// contMaxSolves Newton solves.
+const (
+	contStartStep = 0.25
+	contMinStep   = 1e-6
+	contGrowth    = 2
+	contMaxSolves = 200
+)
 
 // ContinuationStats reports the path taken. Total sums the work of every
 // inner Newton solve (see Stats.Add) and carries the last one's
@@ -54,20 +56,9 @@ var ErrContinuation = errors.New("solver: continuation failed to reach lambda=1"
 
 // Continue tracks the solution of H(x, λ) = 0 from λ = 0 to λ = 1 with
 // adaptive steps and secant prediction. x holds the initial guess for λ = 0
-// on entry and the λ = 1 solution on exit.
-func Continue(ctx context.Context, sys ParamSystem, x []float64, opt ContinuationOptions) (ContinuationStats, error) {
-	if opt.StartStep <= 0 {
-		opt.StartStep = 0.25
-	}
-	if opt.MinStep <= 0 {
-		opt.MinStep = 1e-6
-	}
-	if opt.Growth <= 1 {
-		opt.Growth = 2
-	}
-	if opt.MaxSolves <= 0 {
-		opt.MaxSolves = 200
-	}
+// on entry and the λ = 1 solution on exit. opt configures every inner
+// Newton solve.
+func Continue(ctx context.Context, sys ParamSystem, x []float64, opt Options) (ContinuationStats, error) {
 	var cs ContinuationStats
 	n := sys.Size()
 
@@ -76,7 +67,7 @@ func Continue(ctx context.Context, sys ParamSystem, x []float64, opt Continuatio
 		sub := FuncSystem{N: n, F: func(xx []float64, jac bool) ([]float64, *la.CSR, error) {
 			return sys.EvalAt(lambda, xx, jac)
 		}}
-		st, err := Solve(ctx, sub, guess, opt.Newton)
+		st, err := Solve(ctx, sub, guess, opt)
 		cs.Total.AddFinal(st)
 		return st, err
 	}
@@ -86,11 +77,11 @@ func Continue(ctx context.Context, sys ParamSystem, x []float64, opt Continuatio
 		return cs, fmt.Errorf("solver: continuation failed at lambda=0: %w", err)
 	}
 	lambda := 0.0
-	step := opt.StartStep
+	step := contStartStep
 	xPrev := append([]float64(nil), x...) // solution at previous λ
 	lambdaPrev := 0.0
 
-	for lambda < 1 && cs.Solves < opt.MaxSolves {
+	for lambda < 1 && cs.Solves < contMaxSolves {
 		next := lambda + step
 		if next > 1 {
 			next = 1
@@ -110,7 +101,7 @@ func Continue(ctx context.Context, sys ParamSystem, x []float64, opt Continuatio
 			}
 			cs.Failures++
 			step /= 2
-			if step < opt.MinStep {
+			if step < contMinStep {
 				cs.FinalLambda = lambda
 				return cs, fmt.Errorf("%w (stalled at lambda=%.6f: %v)", ErrContinuation, lambda, err)
 			}
@@ -120,7 +111,7 @@ func Continue(ctx context.Context, sys ParamSystem, x []float64, opt Continuatio
 		lambdaPrev = lambda
 		copy(x, guess)
 		lambda = next
-		step *= opt.Growth
+		step *= contGrowth
 		if step > 0.5 {
 			step = 0.5
 		}
@@ -149,7 +140,7 @@ func SolveWithFallback(ctx context.Context, sys ParamSystem, x []float64, newton
 		copy(x, xTry)
 		return st, ContinuationStats{}, nil
 	}
-	cs, cerr := Continue(ctx, sys, x, ContinuationOptions{Newton: newtonOpt})
+	cs, cerr := Continue(ctx, sys, x, newtonOpt)
 	st.AddFinal(cs.Total)
 	if cerr != nil {
 		return st, cs, fmt.Errorf("solver: direct Newton failed (%v) and continuation failed: %w", err, cerr)

@@ -215,8 +215,8 @@ func TestContinuationSolvesHardProblem(t *testing.T) {
 		return r, j, nil
 	}}
 	x := []float64{0}
-	opt := ContinuationOptions{Newton: NewOptions()}
-	opt.Newton.MaxIter = 30
+	opt := NewOptions()
+	opt.MaxIter = 30
 	cs, err := Continue(context.Background(), ps, x, opt)
 	if err != nil {
 		t.Fatalf("continuation failed: %v (%+v)", err, cs)
@@ -247,8 +247,8 @@ func TestContinuationStallsReported(t *testing.T) {
 		return r, j, nil
 	}}
 	x := []float64{1}
-	opt := ContinuationOptions{Newton: NewOptions(), MaxSolves: 60}
-	opt.Newton.MaxIter = 12
+	opt := NewOptions()
+	opt.MaxIter = 12
 	_, err := Continue(context.Background(), ps, x, opt)
 	if err == nil {
 		t.Fatal("expected continuation failure")

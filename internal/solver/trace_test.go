@@ -130,7 +130,7 @@ func TestContinuationAggregatesHalvings(t *testing.T) {
 	opt.MaxIter = 200
 	opt.MaxHalve = 30
 	x := []float64{-12}
-	cs, err := Continue(context.Background(), ps, x, ContinuationOptions{Newton: opt})
+	cs, err := Continue(context.Background(), ps, x, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,25 +39,25 @@ func (m Method) String() string {
 	}
 }
 
-// Options configures a transient run.
+// Options configures a transient run, which marches from t = 0 to TStop.
 type Options struct {
-	Method  Method
-	TStart  float64
-	TStop   float64
-	Step    float64 // initial (and, for FixedStep, the only) step size
-	MaxStep float64 // 0 → (TStop−TStart)/50
-	MinStep float64 // 0 → Step·1e-9
+	Method Method
+	TStop  float64
+	Step   float64 // initial (and, for FixedStep, the only) step size
 	// FixedStep disables local-truncation-error control for a deterministic
 	// grid (the disparity sweep's transient baseline).
 	FixedStep bool
-	// LTETol is the relative local-truncation-error target (default 1e-3).
-	LTETol float64
 	// X0 is the initial condition; nil → compute a DC operating point.
 	X0     []float64
 	Newton solver.Options
-	// MaxPoints caps stored time points (default 4e6 guard).
-	MaxPoints int
 }
+
+// lteTol is the adaptive march's relative local-truncation-error target;
+// maxPoints caps the stored time points of a run.
+const (
+	lteTol    = 1e-3
+	maxPoints = 4_000_000
+)
 
 // Result is a stored trajectory.
 type Result struct {
@@ -116,40 +116,30 @@ func (r *Result) Probe(idx int) []float64 {
 // ErrStepUnderflow is returned when LTE control cannot find a workable step.
 var ErrStepUnderflow = errors.New("transient: time step underflow")
 
-// Run integrates the circuit over [TStart, TStop]. Cancelling ctx aborts
-// the march cooperatively between Newton iterations; an already-canceled
-// context returns ctx.Err() before any assembly work.
+// Run integrates the circuit over [0, TStop]. Adaptive steps stay within
+// [Step·1e-9, TStop/50]. Cancelling ctx aborts the march cooperatively
+// between Newton iterations; an already-canceled context returns ctx.Err()
+// before any assembly work.
 func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	ckt.Finalize()
 	n := ckt.Size()
-	if opt.TStop <= opt.TStart {
-		return nil, fmt.Errorf("transient: empty interval [%g, %g]", opt.TStart, opt.TStop)
+	if opt.TStop <= 0 {
+		return nil, fmt.Errorf("transient: empty interval [0, %g]", opt.TStop)
 	}
 	if opt.Step <= 0 {
-		opt.Step = (opt.TStop - opt.TStart) / 1000
+		opt.Step = opt.TStop / 1000
 	}
-	if opt.MaxStep <= 0 {
-		opt.MaxStep = (opt.TStop - opt.TStart) / 50
-	}
-	if opt.MinStep <= 0 {
-		opt.MinStep = opt.Step * 1e-9
-	}
-	if opt.LTETol <= 0 {
-		opt.LTETol = 1e-3
-	}
+	maxStep, minStep := opt.TStop/50, opt.Step*1e-9
 	// Non-destructive Newton defaults (set fields survive a zero MaxIter).
 	if opt.Newton.MaxIter == 0 {
 		opt.Newton.Damping = true
 	}
 	opt.Newton.Fill()
-	if opt.MaxPoints <= 0 {
-		opt.MaxPoints = 4_000_000
-	}
 
-	x, err := StartState(ctx, ckt, opt.X0, opt.TStart, "transient")
+	x, err := StartState(ctx, ckt, opt.X0, 0, 1, "transient")
 	if err != nil {
 		return nil, err
 	}
@@ -159,21 +149,21 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 		res.T = append(res.T, t)
 		res.X = append(res.X, append([]float64(nil), xx...))
 	}
-	record(opt.TStart, x)
+	record(0, x)
 
 	sys := NewStepper(ckt)
 	defer func() { res.Stats = sys.Stats }()
-	sys.Start(x, opt.TStart, false)
+	sys.Start(x, 0, false)
 
-	t := opt.TStart
+	t := 0.0
 	h := opt.Step
 	xPrev := append([]float64(nil), x...)
 	xNew := make([]float64, n)
 	pred := make([]float64, n)
 
-	for t < opt.TStop-1e-15*(opt.TStop-opt.TStart) {
-		if len(res.T) > opt.MaxPoints {
-			return res, fmt.Errorf("transient: exceeded MaxPoints=%d", opt.MaxPoints)
+	for t < opt.TStop-1e-15*opt.TStop {
+		if len(res.T) > maxPoints {
+			return res, fmt.Errorf("transient: exceeded %d stored points", maxPoints)
 		}
 		if t+h > opt.TStop {
 			h = opt.TStop - t
@@ -196,7 +186,7 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 			}
 			h /= 4
 			res.Rejected++
-			if h < opt.MinStep {
+			if h < minStep {
 				return res, fmt.Errorf("%w at t=%.6e (Newton: %v)", ErrStepUnderflow, t, err)
 			}
 			continue
@@ -210,7 +200,7 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 			lte := 0.0
 			for i := range pred {
 				e := math.Abs(xNew[i] - pred[i])
-				den := opt.Newton.AbsTol + math.Abs(xNew[i])*opt.LTETol
+				den := opt.Newton.AbsTol + math.Abs(xNew[i])*lteTol
 				if r := e / den; r > lte {
 					lte = r
 				}
@@ -218,16 +208,16 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 			if lte > 20 { // reject: predictor badly wrong
 				h = hTaken / 2
 				res.Rejected++
-				if h < opt.MinStep {
+				if h < minStep {
 					return res, fmt.Errorf("%w at t=%.6e (LTE)", ErrStepUnderflow, t)
 				}
 				continue
 			}
 			// Gentle step adaptation for the NEXT step.
 			if lte < 0.5 {
-				h = math.Min(hTaken*1.5, opt.MaxStep)
+				h = math.Min(hTaken*1.5, maxStep)
 			} else if lte > 2 {
-				h = math.Max(hTaken/1.5, opt.MinStep)
+				h = math.Max(hTaken/1.5, minStep)
 			}
 		}
 
@@ -241,13 +231,16 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 	return res, nil
 }
 
-// StartState returns a march's starting state: a copy of x0 when given,
-// else the DC operating point at time t. The DC solve is not in the
-// march's Stats, so it runs detached from the trace. Errors carry prefix.
-func StartState(ctx context.Context, ckt *circuit.Circuit, x0 []float64, t float64, prefix string) ([]float64, error) {
+// StartState returns a march's starting state over points copies of the
+// circuit's unknowns: a copy of x0 when given (its length must be
+// points·n), else the DC operating point at time t replicated points
+// times. The DC solve is not in the march's Stats, so it runs detached from
+// the trace. Errors carry prefix.
+func StartState(ctx context.Context, ckt *circuit.Circuit, x0 []float64, t float64, points int, prefix string) ([]float64, error) {
+	n := ckt.Size()
 	if x0 != nil {
-		if n := ckt.Size(); len(x0) != n {
-			return nil, fmt.Errorf("%s: X0 size %d, want %d", prefix, len(x0), n)
+		if len(x0) != points*n {
+			return nil, fmt.Errorf("%s: X0 size %d, want %d", prefix, len(x0), points*n)
 		}
 		return append([]float64(nil), x0...), nil
 	}
@@ -255,7 +248,11 @@ func StartState(ctx context.Context, ckt *circuit.Circuit, x0 []float64, t float
 	if err != nil {
 		return nil, fmt.Errorf("%s: DC start failed: %w", prefix, err)
 	}
-	return xdc, nil
+	x := make([]float64, points*n)
+	for p := 0; p < points; p++ {
+		copy(x[p*n:(p+1)*n], xdc)
+	}
+	return x, nil
 }
 
 // Stepper is the implicit step engine of transient's Run and shooting's

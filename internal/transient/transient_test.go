@@ -250,7 +250,7 @@ func TestAdaptiveStepTakesFewerPointsOnSmoothTail(t *testing.T) {
 	x0 := make([]float64, ckt.Size())
 	in, _ := ckt.NodeIndex("in")
 	x0[in] = 5
-	adaptive, err := Run(context.Background(), ckt, Options{Method: GEAR2, TStop: 10e-3, Step: 1e-6, X0: x0, LTETol: 1e-3})
+	adaptive, err := Run(context.Background(), ckt, Options{Method: GEAR2, TStop: 10e-3, Step: 1e-6, X0: x0})
 	if err != nil {
 		t.Fatal(err)
 	}
