@@ -54,15 +54,6 @@ func (r *Result) Gain(idx int) []float64 {
 	return out
 }
 
-// PhaseDeg returns the phase of X(node) in degrees across the sweep.
-func (r *Result) PhaseDeg(idx int) []float64 {
-	out := make([]float64, len(r.Freqs))
-	for k := range r.Freqs {
-		out[k] = cmplx.Phase(r.X[k][idx]) * 180 / math.Pi
-	}
-	return out
-}
-
 // Corner3dB estimates the −3 dB frequency of X(node) relative to its
 // response at the lowest swept frequency, by log-linear interpolation.
 // Returns an error when the response never falls below the −3 dB level.

@@ -3,6 +3,7 @@ package ac
 import (
 	"context"
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"repro/internal/circuit"
@@ -32,8 +33,8 @@ func TestACRCLowpassMatchesAnalytic(t *testing.T) {
 		if math.Abs(res.Gain(out)[k]-wantG) > 1e-9 {
 			t.Fatalf("f=%g: gain %v want %v", f, res.Gain(out)[k], wantG)
 		}
-		if math.Abs(res.PhaseDeg(out)[k]-wantP) > 1e-6 {
-			t.Fatalf("f=%g: phase %v want %v", f, res.PhaseDeg(out)[k], wantP)
+		if ph := cmplx.Phase(res.X[k][out]) * 180 / math.Pi; math.Abs(ph-wantP) > 1e-6 {
+			t.Fatalf("f=%g: phase %v want %v", f, ph, wantP)
 		}
 	}
 }
@@ -101,7 +102,7 @@ func TestACCommonSourceAmpGain(t *testing.T) {
 		t.Fatalf("|gain| = %v, want %v", got, want)
 	}
 	// Phase must be 180° (inverting).
-	ph := math.Abs(res.PhaseDeg(d)[0])
+	ph := math.Abs(cmplx.Phase(res.X[0][d]) * 180 / math.Pi)
 	if math.Abs(ph-180) > 1e-6 {
 		t.Fatalf("phase %v, want ±180", ph)
 	}

@@ -102,7 +102,7 @@ type Request struct {
 	Newton solver.Options
 	// Probes lists the outputs of interest. Runners do not need it to
 	// solve — Result accessors take explicit probes — but carriers like
-	// the CLI use it to drive uniform extraction (see Measurements).
+	// the CLI use it to drive uniform extraction.
 	Probes []Probe
 	// Seed optionally warm-starts the solve with a previously converged
 	// grid (Result.Seed of a compatible earlier run). It is advisory: a
@@ -300,15 +300,6 @@ func Canceled(err error) bool {
 		errors.Is(err, context.DeadlineExceeded) ||
 		solver.Interrupted(err) ||
 		errors.Is(err, hb.ErrInterrupted)
-}
-
-// Measurements applies Measure to every probe of the request.
-func Measurements(r Result, probes []Probe, rfAmp float64) []Measurement {
-	out := make([]Measurement, len(probes))
-	for i, p := range probes {
-		out[i] = r.Measure(p, rfAmp)
-	}
-	return out
 }
 
 // paramsAs coerces req.Params to the method's typed parameter struct; a

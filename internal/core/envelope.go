@@ -76,12 +76,6 @@ type EnvelopeResult struct {
 	n             int
 }
 
-// LineAt returns the state at fast index i of slow point j.
-func (e *EnvelopeResult) LineAt(j, i int) []float64 {
-	base := i * e.n
-	return e.Lines[j][base : base+e.n]
-}
-
 // Baseband returns the t1-average of unknown k along the slow axis.
 func (e *EnvelopeResult) Baseband(k int) []float64 {
 	out := make([]float64, len(e.T2))

@@ -39,16 +39,6 @@ func (s *Solution) T2Axis() []float64 {
 	return out
 }
 
-// BasebandSlice returns x̂_k(t1_{i1}, ·): the envelope along the
-// difference-frequency time scale at a fixed fast phase (paper Fig. 4).
-func (s *Solution) BasebandSlice(k, i1 int) []float64 {
-	out := make([]float64, s.N2)
-	for j := 0; j < s.N2; j++ {
-		out[j] = s.X[s.index(i1, j, k)]
-	}
-	return out
-}
-
 // BasebandMean returns the t1-average of x̂_k(·, t2_j) — the baseband content
 // after ideal filtering of the fast variations.
 func (s *Solution) BasebandMean(k int) []float64 {

@@ -40,14 +40,6 @@ func (s *Solution) Spectrum(k int) GridSpectrum {
 	return s.spectrumOf(func(i, j int) float64 { return s.X[s.index(i, j, k)] })
 }
 
-// SpectralTail reports how much unresolved high-frequency content the grid
-// carries along each axis — the refinement signal of the adaptive solver.
-// See GridSpectralTail for the definition; absFloor sets the amplitude
-// below which tail lines are ignored.
-func (s *Solution) SpectralTail(absFloor float64) (tail1, tail2 float64) {
-	return GridSpectralTail(s.X, s.n, s.N1, s.N2, absFloor)
-}
-
 // GridSpectralTail measures the spectral tail of a bi-periodic grid solution
 // in the (j·N1+i)·n+k layout shared by QPSS and HB: for every unknown it
 // takes the 2-D DFT of the unknown's multi-time surface and compares the

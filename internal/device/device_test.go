@@ -283,19 +283,6 @@ func TestDiodeChargeContinuityAtFcVj(t *testing.T) {
 	}
 }
 
-func TestMOSFETRegions(t *testing.T) {
-	m := &MOSFET{Inst: "M1", D: 0, G: 1, S: 2, Vt0: 0.5, KP: 1e-3}
-	if r := m.OperatingRegion(0.3, 2, 0); r != "off" {
-		t.Fatalf("vgs<vt should be off, got %s", r)
-	}
-	if r := m.OperatingRegion(1.5, 0.2, 0); r != "triode" {
-		t.Fatalf("expected triode, got %s", r)
-	}
-	if r := m.OperatingRegion(1.5, 2, 0); r != "sat" {
-		t.Fatalf("expected sat, got %s", r)
-	}
-}
-
 func TestMOSFETSquareLaw(t *testing.T) {
 	m := &MOSFET{Inst: "M1", D: 0, G: 1, S: 2, Vt0: 0.5, KP: 2e-4}
 	// Saturation: Id = KP/2·(vgs−vt)².

@@ -1,7 +1,5 @@
 package device
 
-import "math"
-
 // MOSFET is a level-1 (Shichman–Hodges) MOS transistor with channel-length
 // modulation and constant gate-overlap capacitances. The bulk is tied to the
 // source internally (no body effect), which matches the mixer circuits of the
@@ -74,29 +72,6 @@ func (m *MOSFET) idsN(vgs, vds float64) (id, gm, gds float64) {
 	return id, gm, gds
 }
 
-// Currents returns the drain current (positive into the drain for NMOS in
-// normal operation) and the conductances with respect to (vgs, vds, vgd)
-// handling both polarity and source/drain swap.
-func (m *MOSFET) Currents(vg, vd, vs float64) (id, gm, gds, gmSwap float64, swapped bool) {
-	sign := 1.0
-	if m.TypeP {
-		// Mirror all voltages for PMOS and negate the resulting current.
-		vg, vd, vs = -vg, -vd, -vs
-		sign = -1
-	}
-	vds := vd - vs
-	if vds >= 0 {
-		vgs := vg - vs
-		i, g, gd := m.idsN(vgs, vds)
-		return sign * i, sign * g, sign * gd, 0, false
-	}
-	// Swap: treat the physical drain as source.
-	vgs := vg - vd
-	i, g, gd := m.idsN(vgs, -vds)
-	// Current flows from (physical) source to drain.
-	return -sign * i, sign * g, sign * gd, 0, true
-}
-
 // Stamp adds the MOSFET's contributions. Derivatives are assembled with
 // respect to the actual node unknowns vd, vg, vs by chain rule, carefully
 // handling the swapped (vds < 0) case.
@@ -166,28 +141,5 @@ func (m *MOSFET) Stamp(s *Stamp) {
 			s.AddC(m.D, m.G, -m.Cgd)
 			s.AddC(m.D, m.D, m.Cgd)
 		}
-	}
-}
-
-// OperatingRegion reports the region ("off", "triode", "sat") at the given
-// terminal voltages — used by tests and bias diagnostics.
-func (m *MOSFET) OperatingRegion(vg, vd, vs float64) string {
-	if m.TypeP {
-		vg, vd, vs = -vg, -vd, -vs
-	}
-	vds := vd - vs
-	vgs := vg - vs
-	if vds < 0 {
-		vgs = vg - vd
-		vds = -vds
-	}
-	vov := vgs - math.Abs(m.vt())
-	switch {
-	case vov <= 0:
-		return "off"
-	case vds < vov:
-		return "triode"
-	default:
-		return "sat"
 	}
 }

@@ -206,7 +206,8 @@ func (e *ShardEnvelope) Encode() ([]byte, error) {
 }
 
 // DecodeShardEnvelope parses an envelope strictly (unknown fields and
-// version mismatches are errors).
+// version mismatches are errors). Workers decode every leased envelope
+// with it and fail the task with its message.
 func DecodeShardEnvelope(raw []byte) (*ShardEnvelope, error) {
 	var e ShardEnvelope
 	dec := json.NewDecoder(bytes.NewReader(raw))

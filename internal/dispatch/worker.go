@@ -64,7 +64,7 @@ func RunWorker(ctx context.Context, opt WorkerOptions) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		lease, err := w.lease(ctx)
+		lease, rawEnv, err := w.lease(ctx)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -84,7 +84,7 @@ func RunWorker(ctx context.Context, opt WorkerOptions) error {
 		if lease == nil {
 			continue // long-poll window expired empty
 		}
-		w.runShard(ctx, lease)
+		w.runShard(ctx, lease, rawEnv)
 	}
 }
 
@@ -101,34 +101,37 @@ func (w *worker) url(path string, q url.Values) string {
 }
 
 // lease long-polls the coordinator for one shard. nil lease, nil error
-// means the window expired with no work.
-func (w *worker) lease(ctx context.Context) (*Lease, error) {
+// means the window expired with no work. The envelope comes back as raw
+// bytes (lease.Env stays nil) for runShard to decode strictly.
+func (w *worker) lease(ctx context.Context) (*Lease, json.RawMessage, error) {
 	body, _ := json.Marshal(leaseRequest{Worker: w.opt.ID, WaitMS: w.opt.PollWait.Milliseconds()})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opt.Coordinator+"/v1/dispatch/lease", bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := w.opt.Client.Do(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusNoContent:
 		io.Copy(io.Discard, resp.Body)
-		return nil, nil
+		return nil, nil, nil
 	case http.StatusOK:
-		var lease Lease
+		// The outer Env field shadows Lease.Env, so the envelope's bytes
+		// stay raw.
+		var lease struct {
+			Lease
+			Env json.RawMessage `json:"env"`
+		}
 		if err := json.NewDecoder(resp.Body).Decode(&lease); err != nil {
-			return nil, fmt.Errorf("decoding lease: %w", err)
+			return nil, nil, fmt.Errorf("decoding lease: %w", err)
 		}
-		if lease.Env == nil || lease.Env.Req == nil {
-			return nil, fmt.Errorf("lease %s carries no envelope", lease.LeaseID)
-		}
-		return &lease, nil
+		return &lease.Lease, lease.Env, nil
 	default:
-		return nil, httpError(resp)
+		return nil, nil, httpError(resp)
 	}
 }
 
@@ -136,9 +139,17 @@ func (w *worker) lease(ctx context.Context) (*Lease, error) {
 // context.Background-derived cancellation — a canceled worker loop still
 // drains its current shard — and is aborted only when the coordinator
 // reports the lease lost (409 on the event stream).
-func (w *worker) runShard(ctx context.Context, lease *Lease) {
-	env := lease.Env
+func (w *worker) runShard(ctx context.Context, lease *Lease, rawEnv json.RawMessage) {
 	log := w.opt.Logf
+	// The strict decode refuses a skewed wire version or unknown field
+	// before anything reads the envelope, and fails the task at once
+	// rather than letting its lease run out.
+	env, err := DecodeShardEnvelope(rawEnv)
+	if err != nil {
+		log("dispatch worker %s: lease %s: %v", w.opt.ID, lease.TaskID, err)
+		w.postFail(ctx, lease, err.Error())
+		return
+	}
 	log("dispatch worker %s: leased %s (shard %d/%d, %d jobs, attempt %d)",
 		w.opt.ID, lease.TaskID, env.Shard+1, env.Shards, len(env.JobIDs), lease.Attempt)
 

@@ -101,11 +101,6 @@ func (s *Solution) HarmonicAmp(k, k1, k2 int) float64 {
 	return cmplx.Abs(s.HarmonicPhasor(k, k1, k2))
 }
 
-// BasebandAmp returns the amplitude at the difference mix (k1, −k1·sign…)
-// convenience for the common fd = K·F1 − F2 down-conversion product:
-// HarmonicAmp(k, K, −1).
-func (s *Solution) BasebandAmp(k, K int) float64 { return s.HarmonicAmp(k, K, -1) }
-
 // MaxHarmonicBeyond returns the largest amplitude among mixes with
 // |k1| > k1Cut (aliasing/truncation diagnostic: large values mean the box is
 // too small for the waveform's sharpness).

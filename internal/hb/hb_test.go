@@ -80,7 +80,7 @@ func TestHBIdealMixerDifferenceTone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := sol.BasebandAmp(m.Out, 1)
+	a := sol.HarmonicAmp(m.Out, 1, -1)
 	if math.Abs(a-0.5) > 1e-6 {
 		t.Fatalf("difference tone amp %v, want 0.5", a)
 	}

@@ -2,7 +2,6 @@ package la
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 )
 
@@ -35,13 +34,6 @@ func (m *CDense) Clone() *CDense {
 	c := NewCDense(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// Zero resets all entries.
-func (m *CDense) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
 }
 
 // MulVec computes y = A·x.
@@ -137,24 +129,4 @@ func (f *CLU) Solve(b, x []complex128) {
 		y[i] = s / ri[i]
 	}
 	copy(x, y)
-}
-
-// CNorm2 returns the Euclidean norm of a complex vector.
-func CNorm2(x []complex128) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return math.Sqrt(s)
-}
-
-// CNormInf returns max |x_i| of a complex vector.
-func CNormInf(x []complex128) float64 {
-	mx := 0.0
-	for _, v := range x {
-		if a := cmplx.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }

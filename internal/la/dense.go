@@ -72,13 +72,6 @@ func (m *Dense) Clone() *Dense {
 	return c
 }
 
-// Zero resets all entries to 0 without reallocating.
-func (m *Dense) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
 // Eye returns the n×n identity.
 func Eye(n int) *Dense {
 	m := NewDense(n, n)
@@ -103,67 +96,6 @@ func (m *Dense) MulVec(x, y []float64) {
 	}
 }
 
-// Mul computes C = A·B, allocating the result.
-func (m *Dense) Mul(b *Dense) *Dense {
-	if m.Cols != b.Rows {
-		panic(ErrShape)
-	}
-	c := NewDense(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		arow := m.Row(i)
-		crow := c.Row(i)
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bkj := range brow {
-				crow[j] += aik * bkj
-			}
-		}
-	}
-	return c
-}
-
-// AddScaled accumulates s·B into the receiver (in place).
-func (m *Dense) AddScaled(s float64, b *Dense) {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic(ErrShape)
-	}
-	for i, v := range b.Data {
-		m.Data[i] += s * v
-	}
-}
-
-// Scale multiplies all entries by s in place.
-func (m *Dense) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
-// Transpose returns a new transposed matrix.
-func (m *Dense) Transpose() *Dense {
-	t := NewDense(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// MaxAbs returns the largest absolute entry (∞-norm over elements).
-func (m *Dense) MaxAbs() float64 {
-	mx := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
 // String renders the matrix for debugging.
 func (m *Dense) String() string {
 	s := ""
@@ -175,10 +107,9 @@ func (m *Dense) String() string {
 
 // LU is a dense LU factorisation with partial pivoting: P·A = L·U.
 type LU struct {
-	n    int
-	lu   *Dense // L (unit diagonal, strictly lower) and U packed together
-	piv  []int  // row permutation: row i of PA is row piv[i] of A
-	sign int    // determinant sign of P
+	n   int
+	lu  *Dense // L (unit diagonal, strictly lower) and U packed together
+	piv []int  // row permutation: row i of PA is row piv[i] of A
 }
 
 // DenseLU factors A (which is overwritten in a copy) with partial pivoting.
@@ -194,7 +125,6 @@ func DenseLU(a *Dense) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivoting: find the largest |entry| in column k at or below k.
 		p, mx := k, math.Abs(lu.At(k, k))
@@ -212,7 +142,6 @@ func DenseLU(a *Dense) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivVal := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -227,7 +156,7 @@ func DenseLU(a *Dense) (*LU, error) {
 			}
 		}
 	}
-	return &LU{n: n, lu: lu, piv: piv, sign: sign}, nil
+	return &LU{n: n, lu: lu, piv: piv}, nil
 }
 
 // Solve solves A·x = b in place into x (x may alias b).
@@ -262,35 +191,6 @@ func (f *LU) Solve(b, x []float64) {
 	copy(x, y)
 }
 
-// SolveMatrix solves A·X = B column by column, returning X.
-func (f *LU) SolveMatrix(b *Dense) *Dense {
-	if b.Rows != f.n {
-		panic(ErrShape)
-	}
-	x := NewDense(b.Rows, b.Cols)
-	col := make([]float64, f.n)
-	out := make([]float64, f.n)
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < f.n; i++ {
-			col[i] = b.At(i, j)
-		}
-		f.Solve(col, out)
-		for i := 0; i < f.n; i++ {
-			x.Set(i, j, out[i])
-		}
-	}
-	return x
-}
-
-// Det returns the determinant from the factorisation.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // SolveDense is a convenience: factor A and solve A·x = b once.
 func SolveDense(a *Dense, b []float64) ([]float64, error) {
 	f, err := DenseLU(a)
@@ -300,31 +200,4 @@ func SolveDense(a *Dense, b []float64) ([]float64, error) {
 	x := make([]float64, len(b))
 	f.Solve(b, x)
 	return x, nil
-}
-
-// CondEstimate returns a cheap 1-norm condition estimate |A|₁·|A⁻¹e|∞-ish
-// bound used only for diagnostics (not a rigorous condition number).
-func CondEstimate(a *Dense) float64 {
-	f, err := DenseLU(a)
-	if err != nil {
-		return math.Inf(1)
-	}
-	n := a.Rows
-	norm1 := 0.0
-	for j := 0; j < n; j++ {
-		s := 0.0
-		for i := 0; i < n; i++ {
-			s += math.Abs(a.At(i, j))
-		}
-		if s > norm1 {
-			norm1 = s
-		}
-	}
-	e := make([]float64, n)
-	for i := range e {
-		e[i] = 1
-	}
-	x := make([]float64, n)
-	f.Solve(e, x)
-	return norm1 * NormInf(x)
 }

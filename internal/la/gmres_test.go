@@ -274,3 +274,27 @@ func TestGramSchmidtKernelsMatchPrimitives(t *testing.T) {
 		})
 	}
 }
+
+func TestGMRESWithExactLUPreconditionerOneIteration(t *testing.T) {
+	// With an exact-factorisation preconditioner GMRES must converge in a
+	// single iteration.
+	rng := rand.New(rand.NewSource(31))
+	m := randomSparse(rng, 40, 0.2)
+	f, err := SparseLUFactor(m, 0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, 40)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	x := make([]float64, 40)
+	res, err := GMRES(AsOperator(m), b, x, GMRESOptions{
+		Tol: 1e-12, M: SparseLUPreconditioner{F: f}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations > 2 {
+		t.Fatalf("exact preconditioner took %d iterations", res.Iterations)
+	}
+}

@@ -66,13 +66,6 @@ func (t *Triplet) Compress() *CSR {
 	return dst
 }
 
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
@@ -139,17 +132,6 @@ func (m *CSR) MulVec(x, y []float64) {
 	}
 }
 
-// MulVecAdd computes y += a·(A·x) without allocating.
-func (m *CSR) MulVecAdd(a float64, x, y []float64) {
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			s += m.Val[k] * x[m.ColIdx[k]]
-		}
-		y[i] += a * s
-	}
-}
-
 // Dense expands the matrix (for tests and tiny systems only).
 func (m *CSR) Dense() *Dense {
 	d := NewDense(m.Rows, m.Cols)
@@ -168,31 +150,6 @@ func (m *CSR) Clone() *CSR {
 		ColIdx: append([]int(nil), m.ColIdx...),
 		Val:    append([]float64(nil), m.Val...)}
 	return c
-}
-
-// Transpose returns Aᵀ in CSR form.
-func (m *CSR) Transpose() *CSR {
-	t := &CSR{Rows: m.Cols, Cols: m.Rows, RowPtr: make([]int, m.Cols+1)}
-	for _, j := range m.ColIdx {
-		t.RowPtr[j+1]++
-	}
-	for i := 0; i < t.Rows; i++ {
-		t.RowPtr[i+1] += t.RowPtr[i]
-	}
-	t.ColIdx = make([]int, m.NNZ())
-	t.Val = make([]float64, m.NNZ())
-	next := make([]int, t.Rows)
-	copy(next, t.RowPtr[:t.Rows])
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			j := m.ColIdx[k]
-			p := next[j]
-			t.ColIdx[p] = i
-			t.Val[p] = m.Val[k]
-			next[j]++
-		}
-	}
-	return t
 }
 
 // DiagIndex returns, for each row i, the position k in Val of a(i,i), or -1

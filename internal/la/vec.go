@@ -110,24 +110,6 @@ func scaleInto(dst []float64, a float64, src []float64) {
 	}
 }
 
-// CopyVec copies src into dst (lengths must match).
-func CopyVec(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic(ErrShape)
-	}
-	copy(dst, src)
-}
-
-// Sub computes z = x − y.
-func Sub(x, y, z []float64) {
-	if len(x) != len(y) || len(x) != len(z) {
-		panic(ErrShape)
-	}
-	for i := range x {
-		z[i] = x[i] - y[i]
-	}
-}
-
 // Fill sets every entry of x to v.
 func Fill(x []float64, v float64) {
 	for i := range x {

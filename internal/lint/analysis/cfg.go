@@ -397,7 +397,7 @@ func aborts(s ast.Stmt) bool {
 // values; the solver treats them as immutable — Transfer and TransferCond
 // must return fresh facts rather than mutate their inputs.
 type Flow struct {
-	// Bottom produces the entry fact (forward) or exit fact (backward).
+	// Bottom produces the entry fact.
 	Bottom func() any
 	// Join merges facts meeting at a block boundary.
 	Join func(a, b any) any
@@ -406,8 +406,7 @@ type Flow struct {
 	// Transfer applies one statement to a fact.
 	Transfer func(s ast.Stmt, fact any) any
 	// TransferCond, when non-nil, refines a fact along a conditional edge:
-	// cond held true (neg=false) or false (neg=true) on this path. Forward
-	// solving only.
+	// cond held true (neg=false) or false (neg=true) on this path.
 	TransferCond func(cond ast.Expr, neg bool, fact any) any
 }
 
@@ -455,48 +454,4 @@ func (c *CFG) ForwardSolve(fl Flow) []any {
 		}
 	}
 	return in
-}
-
-// BackwardSolve runs a backward fixpoint and returns the fact at each
-// block's exit, indexed by Block.Index. Seeds are the Exit and Abort sinks;
-// TransferCond is not applied (edge conditions refine forward facts only).
-func (c *CFG) BackwardSolve(fl Flow) []any {
-	out := make([]any, len(c.Blocks))
-	reached := make([]bool, len(c.Blocks))
-	var work []*Block
-	queued := make([]bool, len(c.Blocks))
-	for _, sink := range []*Block{c.Exit, c.Abort} {
-		out[sink.Index] = fl.Bottom()
-		reached[sink.Index] = true
-		work = append(work, sink)
-		queued[sink.Index] = true
-	}
-	for len(work) > 0 {
-		blk := work[0]
-		work = work[1:]
-		queued[blk.Index] = false
-
-		fact := out[blk.Index]
-		for i := len(blk.Stmts) - 1; i >= 0; i-- {
-			fact = fl.Transfer(blk.Stmts[i], fact)
-		}
-		for _, p := range blk.Preds {
-			pi := p.Index
-			if !reached[pi] {
-				out[pi] = fact
-				reached[pi] = true
-			} else {
-				j := fl.Join(out[pi], fact)
-				if fl.Equal(out[pi], j) {
-					continue
-				}
-				out[pi] = j
-			}
-			if !queued[pi] {
-				queued[pi] = true
-				work = append(work, p)
-			}
-		}
-	}
-	return out
 }

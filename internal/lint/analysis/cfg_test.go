@@ -433,84 +433,3 @@ func TestForwardSolveCondRefinement(t *testing.T) {
 		t.Error("fallthrough edge must see errKnownNil")
 	}
 }
-
-// TestBackwardSolveLiveness runs a tiny liveness analysis backwards: a
-// variable read after a block makes it live at that block's exit.
-func TestBackwardSolveLiveness(t *testing.T) {
-	c := buildCFG(t, `
-	x := 1
-	y := 2
-	if cond() {
-		use(x)
-	}
-	use(y)
-`)
-	fl := Flow{
-		Bottom: func() any { return map[string]bool{} },
-		Join: func(a, b any) any {
-			out := map[string]bool{}
-			for k := range a.(map[string]bool) {
-				out[k] = true
-			}
-			for k := range b.(map[string]bool) {
-				out[k] = true
-			}
-			return out
-		},
-		Equal: func(a, b any) bool {
-			am, bm := a.(map[string]bool), b.(map[string]bool)
-			if len(am) != len(bm) {
-				return false
-			}
-			for k := range am {
-				if !bm[k] {
-					return false
-				}
-			}
-			return true
-		},
-		Transfer: func(s ast.Stmt, f any) any {
-			out := map[string]bool{}
-			for k := range f.(map[string]bool) {
-				out[k] = true
-			}
-			switch s := s.(type) {
-			case *ast.AssignStmt:
-				for _, l := range s.Lhs {
-					if id, ok := l.(*ast.Ident); ok {
-						delete(out, id.Name)
-					}
-				}
-			case *ast.ExprStmt:
-				ast.Inspect(s, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						out[id.Name] = true
-					}
-					return true
-				})
-			}
-			return out
-		},
-	}
-	out := c.BackwardSolve(fl)
-	// At the entry block's exit both x and y are live: x is maybe-read in
-	// the branch, y is read after the join.
-	live := out[c.Entry.Index].(map[string]bool)
-	if !live["x"] || !live["y"] {
-		t.Errorf("x and y must be live at the entry block's exit, got %v", live)
-	}
-	// Nothing is live at the function's end.
-	if exitLive := out[c.Exit.Index].(map[string]bool); len(exitLive) != 0 {
-		t.Errorf("exit block has live variables: %v", exitLive)
-	}
-	found := false
-	for _, blk := range c.Blocks {
-		f, _ := out[blk.Index].(map[string]bool)
-		if f != nil && f["x"] && f["y"] {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no block exit has both x and y live; backward join is broken")
-	}
-}

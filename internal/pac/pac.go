@@ -84,9 +84,6 @@ func (r *Result) SidebandAmp(f, node, k int) float64 {
 	return cmplx.Abs(r.SidebandPhasor(f, node, k))
 }
 
-// DirectGain returns the transfer magnitude at the stimulus frequency.
-func (r *Result) DirectGain(f, node int) float64 { return r.SidebandAmp(f, node, 0) }
-
 // ConversionGain returns the gain from the stimulus to the k-th LO sideband
 // (k = −1 is the classical down-conversion product fs − f0).
 func (r *Result) ConversionGain(f, node, k int) float64 { return r.SidebandAmp(f, node, k) }

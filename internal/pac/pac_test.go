@@ -35,7 +35,7 @@ func TestPACStaticCircuitMatchesAC(t *testing.T) {
 	out, _ := ckt.NodeIndex("out")
 	out2, _ := ckt2.NodeIndex("out")
 	for f := range fs {
-		pacG := res.DirectGain(f, out)
+		pacG := res.SidebandAmp(f, out, 0)
 		acG := acRes.Gain(out2)[f]
 		if math.Abs(pacG-acG) > 0.02*acG+1e-9 {
 			t.Fatalf("fs=%g: PAC %v vs AC %v", fs[f], pacG, acG)
@@ -69,12 +69,12 @@ func TestPACIdealMixerConversionGain(t *testing.T) {
 	}
 	// Direct feedthrough at fs is zero for an ideal multiplier with a
 	// zero-mean LO.
-	if d := res.DirectGain(0, out); d > 0.01 {
+	if d := res.SidebandAmp(0, out, 0); d > 0.01 {
 		t.Fatalf("direct feedthrough %v, want ≈0", d)
 	}
 	// The RF port itself passes the stimulus straight through.
 	rfn, _ := ckt.NodeIndex("rf")
-	if d := res.DirectGain(0, rfn); math.Abs(d-1) > 1e-6 {
+	if d := res.SidebandAmp(0, rfn, 0); math.Abs(d-1) > 1e-6 {
 		t.Fatalf("stimulus node envelope %v, want 1", d)
 	}
 }

@@ -62,12 +62,6 @@ func BitEnvelope(bits []bool, edge float64) device.Envelope {
 	}
 }
 
-// OOKEnvelope is like BitEnvelope but on/off keyed (1/0 rather than ±1).
-func OOKEnvelope(bits []bool, edge float64) device.Envelope {
-	bi := BitEnvelope(bits, edge)
-	return func(u float64) float64 { return 0.5 * (bi(u) + 1) }
-}
-
 func mod(i, n int) int {
 	i %= n
 	if i < 0 {
@@ -119,39 +113,9 @@ func (s Spectrum) AmplitudeAt(f float64) (amp, binFreq float64) {
 	return s.Amp[best], s.Freq[best]
 }
 
-// TonePower returns amp²/2 at the bin nearest f (power in a 1Ω convention).
-func (s Spectrum) TonePower(f float64) float64 {
-	a, _ := s.AmplitudeAt(f)
-	return a * a / 2
-}
-
-// ErrNoFundamental is returned by distortion metrics when the fundamental
+// ErrNoFundamental is returned by the mixer measurements when the fundamental
 // amplitude is zero.
 var ErrNoFundamental = errors.New("rf: zero fundamental amplitude")
-
-// THD returns total harmonic distortion (ratio, not dB) of a waveform with
-// fundamental f0, summing harmonics 2..maxH.
-func (s Spectrum) THD(f0 float64, maxH int) (float64, error) {
-	a1, _ := s.AmplitudeAt(f0)
-	if a1 == 0 {
-		return 0, ErrNoFundamental
-	}
-	sum := 0.0
-	for h := 2; h <= maxH; h++ {
-		a, _ := s.AmplitudeAt(f0 * float64(h))
-		sum += a * a
-	}
-	return math.Sqrt(sum) / a1, nil
-}
-
-// HarmonicAmplitudes returns the amplitudes of harmonics 1..maxH of f0.
-func (s Spectrum) HarmonicAmplitudes(f0 float64, maxH int) []float64 {
-	out := make([]float64, maxH)
-	for h := 1; h <= maxH; h++ {
-		out[h-1], _ = s.AmplitudeAt(f0 * float64(h))
-	}
-	return out
-}
 
 // DB converts an amplitude ratio to decibels (20·log10).
 func DB(ratio float64) float64 {

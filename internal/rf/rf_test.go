@@ -66,13 +66,6 @@ func TestBitEnvelopeEmptyBits(t *testing.T) {
 	}
 }
 
-func TestOOKEnvelope(t *testing.T) {
-	env := OOKEnvelope([]bool{true, false}, 0.05)
-	if math.Abs(env(0.25)-1) > 1e-9 || math.Abs(env(0.75)) > 1e-9 {
-		t.Fatalf("OOK levels: %v %v", env(0.25), env(0.75))
-	}
-}
-
 func TestSpectrumSingleTone(t *testing.T) {
 	n := 1024
 	fs := 1e6
@@ -88,48 +81,6 @@ func TestSpectrumSingleTone(t *testing.T) {
 	}
 	if math.Abs(bf-f0) > 1e-6 {
 		t.Fatalf("bin freq = %v, want %v", bf, f0)
-	}
-	if p := sp.TonePower(f0); math.Abs(p-2.5*2.5/2) > 1e-9 {
-		t.Fatalf("power = %v", p)
-	}
-}
-
-func TestTHDOfClippedSine(t *testing.T) {
-	n := 2048
-	f0 := 16 / float64(n)
-	pure := make([]float64, n)
-	clipped := make([]float64, n)
-	for i := range pure {
-		v := math.Sin(2 * math.Pi * f0 * float64(i))
-		pure[i] = v
-		clipped[i] = math.Max(-0.7, math.Min(0.7, v))
-	}
-	spPure := NewSpectrum(pure, 1)
-	spClip := NewSpectrum(clipped, 1)
-	thdPure, err := spPure.THD(f0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	thdClip, err := spClip.THD(f0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if thdPure > 1e-9 {
-		t.Fatalf("pure sine THD = %v", thdPure)
-	}
-	if thdClip < 0.05 {
-		t.Fatalf("clipped sine THD = %v, expected strong odd harmonics", thdClip)
-	}
-	h := spClip.HarmonicAmplitudes(f0, 4)
-	if h[1] > h[2] { // clipping is odd-symmetric: HD3 >> HD2
-		t.Fatalf("expected HD3 > HD2, got %v", h)
-	}
-}
-
-func TestTHDNoFundamental(t *testing.T) {
-	sp := NewSpectrum(make([]float64, 64), 1)
-	if _, err := sp.THD(0.1, 3); err == nil {
-		t.Fatal("expected ErrNoFundamental")
 	}
 }
 

@@ -69,34 +69,6 @@ type Result struct {
 	Monodromy *la.Dense
 }
 
-// FloquetMultipliers returns the eigenvalues of the monodromy matrix. The
-// orbit is asymptotically stable when every multiplier lies strictly inside
-// the unit circle (algebraic MNA constraints contribute near-zero
-// multipliers).
-func (r *Result) FloquetMultipliers() ([]complex128, error) {
-	if r.Monodromy == nil {
-		return nil, errors.New("shooting: monodromy unavailable (matrix-free mode)")
-	}
-	return la.Eigenvalues(r.Monodromy)
-}
-
-// Stable reports whether all Floquet multipliers are inside the unit circle
-// with the given margin (e.g. 1e-6).
-func (r *Result) Stable(margin float64) (bool, error) {
-	rad, err := r.spectralRadius()
-	if err != nil {
-		return false, err
-	}
-	return rad < 1-margin, nil
-}
-
-func (r *Result) spectralRadius() (float64, error) {
-	if r.Monodromy == nil {
-		return 0, errors.New("shooting: monodromy unavailable (matrix-free mode)")
-	}
-	return la.SpectralRadius(r.Monodromy)
-}
-
 // ErrNoConvergence is returned when shooting-Newton stalls.
 var ErrNoConvergence = errors.New("shooting: Newton on the periodicity condition did not converge")
 
@@ -276,8 +248,8 @@ func PSS(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 		}
 		res.FinalError = la.NormInf(r)
 		if res.FinalError <= opt.Tol {
-			// Record the converged orbit and keep the monodromy for
-			// Floquet-stability queries.
+			// Record the converged orbit and keep the monodromy, whose
+			// eigenvalues are the Floquet multipliers.
 			res.Monodromy = m
 			_, _, orbit, steps2, err := g.propagate(x0, false, true, 0)
 			res.TotalTimeSteps += steps2
