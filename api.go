@@ -205,10 +205,10 @@ type MPDEAccuracyOptions = core.AccuracyOptions
 
 // MPDEQuasiPeriodicAdaptive computes the quasi-periodic steady state with
 // automatic fast-grid sizing: solve coarse, measure the spectral tail of
-// the converged solution, refine the aliasing axes (warm-starting from the
-// interpolated coarse grid) until the tail passes acc.RelTol, stalls at the
-// stimulus's own spectral floor, or hits a cap. With acc.RelTol = 0 it is
-// exactly the fixed-grid solve.
+// the converged solution, refine the aliasing axes (each round starting
+// from the envelope march at its grid) until the tail passes acc.RelTol,
+// stalls at the stimulus's own spectral floor, or hits a cap. With
+// acc.RelTol = 0 it is exactly the fixed-grid solve.
 func MPDEQuasiPeriodicAdaptive(ctx context.Context, ckt *Circuit, opt MPDEOptions, acc MPDEAccuracyOptions) (*MPDESolution, error) {
 	return core.AdaptiveQPSS(ctx, ckt, opt, acc)
 }

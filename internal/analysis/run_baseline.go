@@ -414,8 +414,8 @@ func runHB(ctx context.Context, req Request) (Result, error) {
 
 // runHBAdaptive sizes the HB torus sampling by core.GridRefinement, the
 // policy of core.AdaptiveQPSS: both solutions share the (j·N1+i)·n+k grid
-// layout, so the tail estimator and the bilinear warm-start interpolation
-// apply verbatim.
+// layout, so the tail estimator applies verbatim. Each finer solve starts
+// from the coarser solution interpolated onto its grid.
 func runHBAdaptive(ctx context.Context, req Request, p HBParams, opt hb.Options, n, k int) (Result, error) {
 	n2 := orDefault(p.N2, adaptiveHBStartN2)
 	if p.F2 <= 0 {
@@ -424,8 +424,8 @@ func runHBAdaptive(ctx context.Context, req Request, p HBParams, opt hb.Options,
 	ref := core.NewGridRefinement(core.AccuracyOptions{RelTol: p.Accuracy.RelTol, AbsTol: p.Accuracy.AbsTol},
 		n, orDefault(p.N1, adaptiveHBStartN1), n2)
 	var work solver.Stats
+	opt.N1, opt.N2 = ref.N1, ref.N2
 	for {
-		opt.N1, opt.N2, opt.X0 = ref.N1, ref.N2, ref.Seed
 		sol, err := hb.Solve(ctx, req.Circuit, opt)
 		if err != nil {
 			return nil, err
@@ -434,7 +434,43 @@ func runHBAdaptive(ctx context.Context, req Request, p HBParams, opt hb.Options,
 		if !ref.Next(sol.X) {
 			return &hbResult{sol: sol, k: k, n: n, work: work, refines: ref.Refinements}, nil
 		}
+		opt.X0 = interpolateGrid(sol.X, n, opt.N1, opt.N2, ref.N1, ref.N2)
+		opt.N1, opt.N2 = ref.N1, ref.N2
 	}
+}
+
+// interpolateGrid resamples a bi-periodic grid solution (layout
+// (j·N1+i)·n+k) from an oldN1×oldN2 grid onto a newN1×newN2 grid by
+// bilinear interpolation with periodic wrap on both axes. Because both
+// grids sample t1 ∈ [0,T1) and t2 ∈ [0,Td) uniformly from zero, fractional
+// index scaling is exact in time — the result is the natural warm start for
+// a refined HB solve.
+func interpolateGrid(x []float64, n, oldN1, oldN2, newN1, newN2 int) []float64 {
+	out := make([]float64, newN1*newN2*n)
+	for j := 0; j < newN2; j++ {
+		v := float64(j) * float64(oldN2) / float64(newN2)
+		j0 := int(v)
+		fj := v - float64(j0)
+		j0 %= oldN2
+		j1 := (j0 + 1) % oldN2
+		for i := 0; i < newN1; i++ {
+			u := float64(i) * float64(oldN1) / float64(newN1)
+			i0 := int(u)
+			fi := u - float64(i0)
+			i0 %= oldN1
+			i1 := (i0 + 1) % oldN1
+			p00 := (j0*oldN1 + i0) * n
+			p10 := (j0*oldN1 + i1) * n
+			p01 := (j1*oldN1 + i0) * n
+			p11 := (j1*oldN1 + i1) * n
+			dst := (j*newN1 + i) * n
+			for k := 0; k < n; k++ {
+				out[dst+k] = (1-fj)*((1-fi)*x[p00+k]+fi*x[p10+k]) +
+					fj*((1-fi)*x[p01+k]+fi*x[p11+k])
+			}
+		}
+	}
+	return out
 }
 
 type hbResult struct {

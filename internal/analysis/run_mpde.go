@@ -73,8 +73,8 @@ func runQPSS(ctx context.Context, req Request) (Result, error) {
 	req.Circuit.Finalize()
 	if p.Accuracy.Enabled() {
 		// Tolerance-driven sizing: the grid is the solver's choice, so a
-		// fixed-shape seed cannot be assumed compatible — the interpolated
-		// warm starts between rounds replace it.
+		// fixed-shape seed cannot be assumed compatible — each round
+		// starts from its own envelope march instead.
 		sol, err := core.AdaptiveQPSS(ctx, req.Circuit, opt, core.AccuracyOptions{
 			RelTol: p.Accuracy.RelTol, AbsTol: p.Accuracy.AbsTol,
 		})

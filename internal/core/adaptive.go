@@ -14,8 +14,8 @@ import (
 // under-resolved (silently wrong spectra) or over-resolved (wasted cubic
 // solve time) by a fixed grid. AdaptiveQPSS turns the choice into a
 // tolerance: start coarse, measure the spectral tail of the converged
-// solution, and refine the aliasing axis — warm-starting each finer solve
-// from the interpolated coarse solution — until the tail falls below the
+// solution, and refine the aliasing axis — starting each finer solve from
+// the envelope march at its own grid — until the tail falls below the
 // tolerance or a cap is hit.
 
 // The adaptive solver's starting grid, deliberately coarse — one
@@ -74,10 +74,9 @@ func (a *TailAxis) Grow(tail, relTol float64) bool {
 
 // GridRefinement is the spectral-tail refinement policy of the solvers on
 // a bi-periodic (j·N1+i)·n+k grid, AdaptiveQPSS and adaptive HB. Solve on
-// N1×N2 from Seed (nil on the first grid), then pass the solution to Next.
+// N1×N2, then pass the solution to Next.
 type GridRefinement struct {
 	N1, N2       int
-	Seed         []float64
 	Tail1, Tail2 float64 // the tails of the solution last passed to Next
 	Refinements  int
 
@@ -97,9 +96,9 @@ func NewGridRefinement(acc AccuracyOptions, n, n1, n2 int) *GridRefinement {
 
 // Next measures the tails of x, the solution on the current grid, and
 // reports whether to solve again: every axis that TailAxis.Grow keeps
-// open doubles, and Seed becomes x interpolated onto the finer grid. It
-// stops when both axes pass or stall, after adaptiveMaxRounds refinements,
-// or where the finer grid would cross adaptiveMaxGridPoints.
+// open doubles. It stops when both axes pass or stall, after
+// adaptiveMaxRounds refinements, or where the finer grid would cross
+// adaptiveMaxGridPoints.
 func (g *GridRefinement) Next(x []float64) bool {
 	g.Tail1, g.Tail2 = GridSpectralTail(x, g.n, g.N1, g.N2, g.acc.AbsTol)
 	grow1 := g.ax1.Grow(g.Tail1, g.acc.RelTol)
@@ -117,54 +116,16 @@ func (g *GridRefinement) Next(x []float64) bool {
 	if n1*n2 > adaptiveMaxGridPoints {
 		return false
 	}
-	g.Seed = InterpolateGrid(x, g.n, g.N1, g.N2, n1, n2)
 	g.N1, g.N2 = n1, n2
 	g.Refinements++
 	return true
 }
 
-// InterpolateGrid resamples a bi-periodic grid solution (layout
-// (j·N1+i)·n+k) from an oldN1×oldN2 grid onto a newN1×newN2 grid by
-// bilinear interpolation with periodic wrap on both axes. Because both
-// grids sample t1 ∈ [0,T1) and t2 ∈ [0,Td) uniformly from zero, fractional
-// index scaling is exact in time — the result is the natural warm start for
-// a refined solve.
-func InterpolateGrid(x []float64, n, oldN1, oldN2, newN1, newN2 int) []float64 {
-	if oldN1 == newN1 && oldN2 == newN2 {
-		return append([]float64(nil), x...)
-	}
-	out := make([]float64, newN1*newN2*n)
-	for j := 0; j < newN2; j++ {
-		v := float64(j) * float64(oldN2) / float64(newN2)
-		j0 := int(v)
-		fj := v - float64(j0)
-		j0 %= oldN2
-		j1 := (j0 + 1) % oldN2
-		for i := 0; i < newN1; i++ {
-			u := float64(i) * float64(oldN1) / float64(newN1)
-			i0 := int(u)
-			fi := u - float64(i0)
-			i0 %= oldN1
-			i1 := (i0 + 1) % oldN1
-			p00 := (j0*oldN1 + i0) * n
-			p10 := (j0*oldN1 + i1) * n
-			p01 := (j1*oldN1 + i0) * n
-			p11 := (j1*oldN1 + i1) * n
-			dst := (j*newN1 + i) * n
-			for k := 0; k < n; k++ {
-				out[dst+k] = (1-fj)*((1-fi)*x[p00+k]+fi*x[p10+k]) +
-					fj*((1-fi)*x[p01+k]+fi*x[p11+k])
-			}
-		}
-	}
-	return out
-}
-
 // AdaptiveQPSS computes the quasi-periodic steady state with automatic
 // fast-grid sizing: it solves on a coarse grid (opt.N1/N2 when set,
 // AdaptiveStartN1×AdaptiveStartN2 otherwise) and refines it by the
-// GridRefinement policy, warm-starting each finer solve from the
-// interpolated coarse solution. Solver work (Newton iterations,
+// GridRefinement policy. Every round starts from the envelope march at its
+// own grid (QPSS's start for a nil X0). Solver work (Newton iterations,
 // factorisations, assembly time, …) is accumulated across rounds into the
 // returned Solution's Stats, alongside Refinements and the final tails.
 //
@@ -186,8 +147,8 @@ func AdaptiveQPSS(ctx context.Context, ckt *circuit.Circuit, opt Options, acc Ac
 	ckt.Finalize()
 	n := ckt.Size()
 	// A caller's warm start is advisory: keep it only when it matches the
-	// starting grid — the refinement rounds replace it with interpolated
-	// seeds anyway, and a stale shape must not strand the solve.
+	// starting grid — the refinement rounds start from their own marches,
+	// and a stale shape must not strand the solve.
 	if len(opt.X0) != opt.N1*opt.N2*n {
 		opt.X0 = nil
 	}
@@ -230,9 +191,7 @@ func AdaptiveQPSS(ctx context.Context, ckt *circuit.Circuit, opt Options, acc Ac
 		if !more {
 			break
 		}
-		// QPSS treats a bad seed gracefully (continuation fallback), so
-		// interpolation error cannot strand the refined solve.
-		opt.N1, opt.N2, opt.X0 = ref.N1, ref.N2, ref.Seed
+		opt.N1, opt.N2, opt.X0 = ref.N1, ref.N2, nil
 	}
 	// Grid-shape numbers describe the final solve; work counters the sum of
 	// every round.

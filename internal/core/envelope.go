@@ -225,43 +225,75 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 	ckt.Finalize()
 	n := ckt.Size()
 	N1 := opt.N1
-	nLine := N1 * n
-	h1 := opt.Shear.T1() / float64(N1)
 
 	ctx, span := obs.Start(ctx, "envelope.march")
 	if span != nil {
 		span.SetInt("n1", int64(N1))
-		span.SetInt("line_unknowns", int64(nLine))
+		span.SetInt("line_unknowns", int64(N1*n))
 		defer span.End()
 	}
 
-	asm := newLineAssembler(ckt, opt.Shear, n, N1, h1)
 	res := &EnvelopeResult{Ckt: ckt, Shear: opt.Shear, N1: N1, n: n}
-
-	// Initial line: fast-periodic steady state with the slow derivative off.
 	x, err := transient.StartState(ctx, ckt, opt.X0Line, 0, N1, "core: envelope")
 	if err != nil {
 		return nil, err
 	}
-	st, err := solver.Solve(ctx, asm, x, opt.Newton)
-	res.Stats.Add(st)
-	if err != nil {
-		return nil, fmt.Errorf("core: envelope initial fast-periodic line failed: %w", err)
-	}
-	record := func(t2 float64, line []float64) {
+	m := newEnvelopeMarch(ckt, opt.Shear, N1)
+	err = m.run(ctx, x, &opt, opt.StepT2*1e-6, func(_ int, t2 float64, line []float64) {
 		res.T2 = append(res.T2, t2)
 		res.Lines = append(res.Lines, append([]float64(nil), line...))
+	})
+	if len(res.Lines) == 0 {
+		return nil, err
 	}
-	record(0, x)
+	res.Stats = m.st
+	res.PatternBuilds, res.PatternReuse = m.asm.builds, m.asm.reuse
+	res.AcceptedSteps, res.RejectedSteps = m.accepted, m.rejected
+	return res, err
+}
+
+// envelopeMarch is the envelope's step loop, shared by EnvelopeFollow and
+// the QPSS march start. Every line solve runs through one Newton
+// workspace, so each step starts from a numeric refactorisation of the
+// previous step's LU in its pivot order, and a warm step allocates
+// nothing.
+type envelopeMarch struct {
+	asm *lineAssembler
+	ws  solver.Workspace
+	// st totals the Newton work of every line solve, rejected attempts
+	// included; accepted and rejected count slow steps as EnvelopeResult's
+	// AcceptedSteps and RejectedSteps do.
+	st                 solver.Stats
+	accepted, rejected int
+}
+
+func newEnvelopeMarch(ckt *circuit.Circuit, sh Shear, N1 int) *envelopeMarch {
+	return &envelopeMarch{asm: newLineAssembler(ckt, sh, ckt.Size(), N1, sh.T1()/float64(N1))}
+}
+
+// run solves the initial fast-periodic line from x with the slow
+// derivative off, then marches it in t2 to opt.T2Stop, solving every step
+// in place in x. accept receives each accepted line with its step count
+// (0 for the initial line) and slow time; the line is x itself, so accept
+// copies what it keeps. A failed step solve halves the step down to
+// minStep, and a step that fails at minStep ends the march. Cancelling ctx
+// ends it with the solver's interrupt.
+func (m *envelopeMarch) run(ctx context.Context, x []float64, opt *EnvelopeOptions, minStep float64,
+	accept func(k int, t2 float64, line []float64)) error {
+	asm := m.asm
+	n, N1 := asm.n, asm.N1
+	nLine := N1 * n
+	st, err := m.ws.SolveTimed(ctx, asm, x, opt.Newton)
+	m.st.Add(st)
+	if err != nil {
+		return fmt.Errorf("core: envelope initial fast-periodic line failed: %w", err)
+	}
+	accept(0, 0, x)
 
 	// March in t2. A converged solve's last evaluation was residual-only
 	// at its solution, so asm.q holds the line's charges: the initial
 	// line's here, each accepted line's at its acceptance.
 	asm.qPrev = append([]float64(nil), asm.q...)
-	finish := func(err error) (*EnvelopeResult, error) {
-		res.PatternBuilds, res.PatternReuse = asm.builds, asm.reuse
-		return res, err
-	}
 
 	// With RelTol > 0 each solved step passes an LTE test. The estimate is
 	// the classic divided-difference one: the backward-Euler LTE h²/2·x″ is
@@ -272,20 +304,23 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 	// the standard order-1 controller h·(safety/√err) clamped to
 	// [minStep, maxStep]. Without it every step is StepT2.
 	lte := opt.RelTol > 0
-	maxStep, minStep := opt.T2Stop/10, opt.StepT2*1e-6
+	maxStep := opt.T2Stop / 10
 	var (
 		t2    = 0.0
 		h2    = opt.StepT2
 		hPrev = 0.0                          // step between the last two accepted lines
 		xm1   []float64                      // accepted line before xAcc (nil on the first step)
 		xAcc  = append([]float64(nil), x...) // last accepted line (step start)
-		pred  = make([]float64, nLine)
-		scale = make([]float64, n) // per-unknown LTE scale, rebuilt each step
+		pred  []float64
+		scale []float64 // per-unknown LTE scale, rebuilt each step
 	)
 	if lte {
 		h2 = math.Min(h2, maxStep)
+		pred, scale = make([]float64, nLine), make([]float64, n)
 	}
-	for t2 < opt.T2Stop-1e-15*opt.T2Stop {
+	// The march ends when less than half the step floor remains: a shorter
+	// step is rounding in t2, which sums StepT2 steps short of T2Stop.
+	for opt.T2Stop-t2 > minStep/2 {
 		if h2 < minStep {
 			h2 = minStep
 		}
@@ -293,19 +328,19 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 			h2 = opt.T2Stop - t2
 		}
 		asm.t2, asm.h2 = t2+h2, h2
-		st, err := solver.Solve(ctx, asm, x, opt.Newton)
-		res.Stats.Add(st)
+		st, err := m.ws.SolveTimed(ctx, asm, x, opt.Newton)
+		m.st.Add(st)
 		if err != nil {
 			if solver.Interrupted(err) {
-				return finish(fmt.Errorf("core: envelope interrupted at t2=%.3e: %w", t2, err))
+				return fmt.Errorf("core: envelope interrupted at t2=%.3e: %w", t2, err)
 			}
-			res.RejectedSteps++
+			m.rejected++
 			copy(x, xAcc) // discard the failed iterate as a warm start
 			// The attempted step (after any final-step truncation) is h2
 			// itself; once it has reached the floor a retry would replay the
 			// identical solve, so fail instead of spinning.
 			if h2 <= minStep {
-				return finish(fmt.Errorf("core: envelope step underflow at t2=%.3e: %w", t2, err))
+				return fmt.Errorf("core: envelope step underflow at t2=%.3e: %w", t2, err)
 			}
 			h2 = math.Max(h2/2, minStep)
 			continue
@@ -342,27 +377,27 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 				}
 			}
 			if errNorm > 1 && h2 > minStep {
-				res.RejectedSteps++
+				m.rejected++
 				copy(x, xAcc)
 				h2 = math.Max(h2*math.Max(0.1, math.Min(0.5, 0.9/math.Sqrt(errNorm))), minStep)
 				continue
 			}
+			hPrev = h2
+			if xm1 == nil {
+				xm1 = make([]float64, nLine)
+			}
+			copy(xm1, xAcc)
 		}
-		hPrev = h2
-		if xm1 == nil {
-			xm1 = make([]float64, nLine)
-		}
-		copy(xm1, xAcc)
 		copy(xAcc, x)
 		copy(asm.qPrev, asm.q)
 		t2 += h2
-		res.AcceptedSteps++
-		record(t2, x)
+		m.accepted++
+		accept(m.accepted, t2, x)
 		if lte {
 			h2 = math.Min(h2*math.Max(0.3, math.Min(2, 0.9/math.Sqrt(math.Max(errNorm, 1e-10)))), maxStep)
 		} else {
 			h2 = opt.StepT2
 		}
 	}
-	return finish(nil)
+	return nil
 }

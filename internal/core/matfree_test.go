@@ -13,7 +13,8 @@ import (
 // converged grids to agree far inside the Newton tolerance. It also pins the
 // observability contract: the matrix-free solve reports operator applies and
 // preconditioner builds, and never assembles a global LU unless GMRES falls
-// back.
+// back. The matrix-free solve starts from the DC grid, so that no march's
+// line LUs enter its counters.
 func TestQPSSMatrixFreeMatchesDirect(t *testing.T) {
 	sh := Shear{F1: 1e6, F2: 0.9e6, K: 1}
 	opt := Options{N1: 32, N2: 24, Shear: sh}
@@ -27,6 +28,7 @@ func TestQPSSMatrixFreeMatchesDirect(t *testing.T) {
 	ckt2, _, _ := twoToneRC(sh, 1, 0.5)
 	mfOpt := opt
 	mfOpt.Newton.Linear = solver.MatrixFree
+	mfOpt.X0 = dcStart(t, ckt2, opt.N1*opt.N2)
 	mf, err := QPSS(context.Background(), ckt2, mfOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -70,13 +72,16 @@ func TestQPSSMatrixFreeMatchesDirect(t *testing.T) {
 // exponential mixer must converge through GMRES alone — zero direct-LU
 // rescues, zero global factorisations. (The abandoned residual-differencing
 // operator failed exactly here: finite-difference noise stalled every late
-// Newton solve into the fallback path.)
+// Newton solve into the fallback path.) It starts from the DC grid, the
+// hard start, which also keeps the march's line LUs out of the counters.
 func TestQPSSMatrixFreeMixerNoFallbacks(t *testing.T) {
 	sh := Shear{F1: 1e6, F2: 0.875e6, K: 1}
+	ckt := nonlinearMixer(sh)
 	var opt Options
 	opt.N1, opt.N2, opt.Shear = 24, 16, sh
 	opt.Newton.Linear = solver.MatrixFree
-	sol, err := QPSS(context.Background(), nonlinearMixer(sh), opt)
+	opt.X0 = dcStart(t, ckt, opt.N1*opt.N2)
+	sol, err := QPSS(context.Background(), ckt, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,6 +58,7 @@ type Options struct {
 	// accumulation order). 0 uses runtime.GOMAXPROCS(0); 1 is sequential.
 	AssemblyWorkers int
 	// X0, when non-nil, warm-starts the grid unknowns (length N1·N2·n).
+	// nil: one slow period of the envelope march, DC on failure.
 	X0 []float64
 }
 
@@ -167,13 +168,30 @@ func QPSS(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Solution, er
 	sol.Stats.GridPoints = N1 * N2
 	sol.Stats.Unknowns = nTot
 
-	asm := newAssembler(ckt, opt)
-
-	// Initial guess: X0, or the DC operating point replicated across the grid.
+	// Initial guess: X0, else one slow period of the envelope march, else
+	// (the march failed) the DC operating point replicated across the grid.
 	x, err := transient.StartState(ctx, ckt, opt.X0, 0, N1*N2, "core")
 	if err != nil {
 		return nil, err
 	}
+	start := "x0"
+	if opt.X0 == nil {
+		start = "march"
+		ms, err := marchStart(ctx, ckt, opt, x)
+		ms.FillFactor = 0 // the reported fill is the grid Jacobian's
+		sol.Stats.Add(ms)
+		if solver.Interrupted(err) {
+			return nil, err
+		}
+		if err != nil {
+			start = "dc"
+		}
+	}
+	if span != nil {
+		span.SetStr("start", start)
+	}
+
+	asm := newAssembler(ckt, opt)
 
 	var sys solver.System = solver.FuncSystem{N: nTot, F: func(xx []float64, jac bool) ([]float64, *la.CSR, error) {
 		return asm.assemble(xx, 1, jac)
@@ -220,6 +238,37 @@ func QPSS(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Solution, er
 	sol.Stats.PatternBuilds = asm.builds
 	sol.Stats.PatternReuse = asm.reuse
 	return sol, nil
+}
+
+// marchStart overwrites x, the DC operating point replicated across the
+// grid, with one slow period of the envelope march at StepT2 = Td/N2. The
+// march discretises t2 by backward Euler, as the grid does, and lacks only
+// the periodic wrap, so once the slow transients have decayed within Td its
+// lines are close to the quasi-periodic orbit. The line at t2 = j·Td/N2
+// becomes grid line j, the line at Td wraps to line 0, and the initial line
+// at t2 = 0 is dropped. The line solves run direct whatever the grid solve
+// uses. No step is halved, so every line stays on the grid: a failed step
+// ends the march, and x is restored to the DC point. It returns the
+// march's Newton work and its error.
+func marchStart(ctx context.Context, ckt *circuit.Circuit, opt Options, x []float64) (solver.Stats, error) {
+	n, N1, N2 := ckt.Size(), opt.N1, opt.N2
+	nLine := N1 * n
+	dc := append([]float64(nil), x[:n]...)
+	eo := EnvelopeOptions{T2Stop: opt.Shear.Td(), StepT2: opt.Shear.Td() / float64(N2), Newton: opt.Newton}
+	eo.Newton.Linear = solver.DirectSparse
+	m := newEnvelopeMarch(ckt, opt.Shear, N1)
+	// The march works in grid line 0, where its line at Td lands.
+	err := m.run(ctx, x[:nLine], &eo, eo.StepT2, func(k int, _ float64, line []float64) {
+		if 0 < k && k < N2 {
+			copy(x[k*nLine:(k+1)*nLine], line)
+		}
+	})
+	if err != nil {
+		for p := 0; p < N1*N2; p++ {
+			copy(x[p*n:(p+1)*n], dc)
+		}
+	}
+	return m.st, err
 }
 
 // assembler evaluates the MPDE residual and Jacobian over the grid. The

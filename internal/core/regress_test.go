@@ -179,8 +179,17 @@ func TestQPSSMatrixFreeParallelDeterminism(t *testing.T) {
 // TestQPSSPatternAndFactorizationReuse checks the hot-path bookkeeping: one
 // symbolic pattern build per solve, every later Jacobian assembly a reuse
 // hit, and at most one full LU factorisation when the pattern is stable.
+// The solve starts from the DC grid, so that the grid Newton takes several
+// iterations and no march's line work enters the counters.
 func TestQPSSPatternAndFactorizationReuse(t *testing.T) {
-	sol := solveMixer(t, 0)
+	sh := Shear{F1: 1e6, F2: 0.875e6, K: 1}
+	ckt := nonlinearMixer(sh)
+	opt := Options{N1: 24, N2: 16, Shear: sh}
+	opt.X0 = dcStart(t, ckt, opt.N1*opt.N2)
+	sol, err := QPSS(context.Background(), ckt, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := sol.Stats
 	if st.NewtonIters < 2 {
 		t.Skipf("solve converged in %d iterations; reuse not exercised", st.NewtonIters)

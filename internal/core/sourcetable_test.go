@@ -47,12 +47,16 @@ func countedMixer(sh Shear) (*circuit.Circuit, *atomic.Int64) {
 // TestQPSSTabulatesSources: a direct QPSS solve evaluates each grid
 // point's waveforms once — every later Jacobian evaluation and damping
 // trial replays them — a new context (a continuation λ) re-records each
-// point once more, and the envelope line re-records once per slow time.
+// point once more, and the envelope line re-records once per slow time,
+// in EnvelopeFollow and in the march that starts QPSS.
 func TestQPSSTabulatesSources(t *testing.T) {
 	sh := Shear{F1: 1e6, F2: 0.875e6, K: 1}
 	const n1, n2 = 16, 12
 	ckt, calls := countedMixer(sh)
+	// The grid check starts from the DC grid, so only the grid records.
 	opt := Options{N1: n1, N2: n2, Shear: sh}
+	opt.X0 = dcStart(t, ckt, n1*n2)
+	calls.Store(0)
 	sol, err := QPSS(context.Background(), ckt, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -85,6 +89,16 @@ func TestQPSSTabulatesSources(t *testing.T) {
 	}
 	if want := int64(n1 * (1 + env.AcceptedSteps + env.RejectedSteps)); calls.Load() != want {
 		t.Fatalf("envelope: %d source evaluations over %d steps, want %d", calls.Load(), env.AcceptedSteps, want)
+	}
+
+	// From the march start: N1 points per slow step, the initial line's
+	// included, then the grid's N1·N2.
+	calls.Store(0)
+	if _, err := QPSS(context.Background(), ckt, Options{N1: n1, N2: n2, Shear: sh}); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(n1*(n2+1) + n1*n2); calls.Load() != want {
+		t.Fatalf("march start: %d source evaluations, want %d (%d march lines of %d, then the grid)", calls.Load(), want, n2+1, n1)
 	}
 }
 

@@ -42,7 +42,6 @@ type Block struct {
 	Index int
 	Stmts []ast.Stmt
 	Succs []Edge
-	Preds []*Block
 }
 
 // An Edge is one control transfer. When Cond is non-nil the edge is taken
@@ -78,11 +77,6 @@ func NewCFG(body *ast.BlockStmt) *CFG {
 	b.cur = c.Entry
 	b.stmtList(body.List)
 	b.edge(b.cur, c.Exit, nil, false)
-	for _, blk := range c.Blocks {
-		for _, e := range blk.Succs {
-			e.To.Preds = append(e.To.Preds, blk)
-		}
-	}
 	return c
 }
 

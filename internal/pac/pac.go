@@ -79,14 +79,12 @@ func (r *Result) SidebandPhasor(f, node, k int) complex128 {
 	return r.X[f][(k+r.K)*r.n+node]
 }
 
-// SidebandAmp returns |X̂_k(node)|.
+// SidebandAmp returns |X̂_k(node)|: with a unit stimulus, the gain to the
+// k-th LO sideband (k = −1 is the classical down-conversion product
+// fs − f0).
 func (r *Result) SidebandAmp(f, node, k int) float64 {
 	return cmplx.Abs(r.SidebandPhasor(f, node, k))
 }
-
-// ConversionGain returns the gain from the stimulus to the k-th LO sideband
-// (k = −1 is the classical down-conversion product fs − f0).
-func (r *Result) ConversionGain(f, node, k int) float64 { return r.SidebandAmp(f, node, k) }
 
 // Analyze runs PAC. Cancelling ctx aborts the internal PSS solve and the
 // stimulus-frequency sweep cooperatively; an already-canceled context

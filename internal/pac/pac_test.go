@@ -41,7 +41,7 @@ func TestPACStaticCircuitMatchesAC(t *testing.T) {
 			t.Fatalf("fs=%g: PAC %v vs AC %v", fs[f], pacG, acG)
 		}
 		// No conversion in a static circuit.
-		if c := res.ConversionGain(f, out, -1); c > 1e-8 {
+		if c := res.SidebandAmp(f, out, -1); c > 1e-8 {
 			t.Fatalf("static circuit converts: %v", c)
 		}
 	}
@@ -62,8 +62,8 @@ func TestPACIdealMixerConversionGain(t *testing.T) {
 		t.Fatal(err)
 	}
 	out, _ := ckt.NodeIndex("out")
-	up := res.ConversionGain(0, out, +1)
-	dn := res.ConversionGain(0, out, -1)
+	up := res.SidebandAmp(0, out, +1)
+	dn := res.SidebandAmp(0, out, -1)
 	if math.Abs(up-0.5) > 0.02 || math.Abs(dn-0.5) > 0.02 {
 		t.Fatalf("conversion gains up=%v dn=%v, want 0.5", up, dn)
 	}
@@ -98,11 +98,11 @@ func TestPACSwitchingMixerHasLOSidebands(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := ckt.NodeIndex("d")
-	conv := res.ConversionGain(0, d, -1)
+	conv := res.SidebandAmp(0, d, -1)
 	if conv < 0.05 {
 		t.Fatalf("down-conversion gain %v too small", conv)
 	}
-	far := res.ConversionGain(0, d, -7)
+	far := res.SidebandAmp(0, d, -7)
 	if far > conv {
 		t.Fatalf("sideband 7 (%v) should be weaker than sideband 1 (%v)", far, conv)
 	}

@@ -190,8 +190,8 @@ type Stats struct {
 	BatchReuse      int
 	// AssemblyTime totals the time spent inside System.Eval (residual and
 	// Jacobian assembly); FactorTime totals LU factorisation time. Both
-	// are zero for time-march steps solved through a Workspace, which do
-	// not read the clock; the march's wall time covers them.
+	// are zero for time-march steps solved through Workspace.Solve, which
+	// does not read the clock; the march's wall time covers them.
 	AssemblyTime time.Duration
 	FactorTime   time.Duration
 	// Trace holds one convergence record per iteration — recorded only when
@@ -392,11 +392,12 @@ func (c *countingOp) Size() int            { return c.op.Size() }
 // loop's vectors and its operator counter, so a warm Workspace's solve
 // allocates nothing.
 //
-// A march step is too small to time: on a few unknowns the clock reads
-// around each assembly and factorisation cost about as much as the work
-// they time. Solves through a Workspace therefore leave Stats.AssemblyTime
-// and Stats.FactorTime zero; the march's own wall time accounts for them.
-// The one-shot Solve keeps both timers.
+// A circuit march step is too small to time: on a few unknowns the clock
+// reads around each assembly and factorisation cost about as much as the
+// work they time. Solve therefore leaves Stats.AssemblyTime and
+// Stats.FactorTime zero, and the march's own wall time accounts for them.
+// A march whose steps are large enough to time (the envelope's fast
+// lines) solves through SolveTimed, as the one-shot Solve does.
 type Workspace struct {
 	direct directFactor
 	vec    []float64 // the loop's five n-vectors: dx, xTrial, neg, r, rNew
@@ -410,7 +411,14 @@ type Workspace struct {
 // a one-shot Workspace's solve, and it also times the assembly and
 // factorisation intervals into Stats.AssemblyTime and Stats.FactorTime.
 func Solve(ctx context.Context, sys System, x []float64, opt Options) (Stats, error) {
-	return new(Workspace).solveSpan(ctx, sys, x, opt, true)
+	return new(Workspace).SolveTimed(ctx, sys, x, opt)
+}
+
+// SolveTimed is Solve through w with the interval clock on: it times the
+// assembly and factorisation intervals into Stats.AssemblyTime and
+// Stats.FactorTime.
+func (w *Workspace) SolveTimed(ctx context.Context, sys System, x []float64, opt Options) (Stats, error) {
+	return w.solveSpan(ctx, sys, x, opt, true)
 }
 
 // Solve runs damped Newton from x (updated in place to the solution),

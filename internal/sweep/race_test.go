@@ -108,12 +108,13 @@ func TestSweepCancelReturnsPromptly(t *testing.T) {
 }
 
 // TestSweepJobTimeout gives each job a deadline far below its runtime and
-// expects per-job timeouts without failing the sweep as a whole.
+// expects per-job timeouts without failing the sweep as a whole. The 64×48
+// grid solves in about 0.1 s on a 2-vCPU host, ten times the deadline.
 func TestSweepJobTimeout(t *testing.T) {
 	spec := sweep.Spec{
 		Name:       "timeout",
 		Methods:    []sweep.Method{sweep.QPSS},
-		Grid:       sweep.Grid{Fd: []float64{100e3}, N1: []int{24}, N2: []int{16}},
+		Grid:       sweep.Grid{Fd: []float64{100e3}, N1: []int{64}, N2: []int{48}},
 		Build:      balancedTarget,
 		Workers:    1,
 		JobTimeout: 10 * time.Millisecond,
