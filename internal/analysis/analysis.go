@@ -169,7 +169,8 @@ type Stats struct {
 	// UsedContinuation marks solves rescued by source stepping.
 	UsedContinuation bool `json:"used_continuation,omitempty"`
 	// GridPoints counts collocation points of grid methods; PatternBuilds
-	// the Jacobian symbolic assemblies. Neither is exported per job.
+	// the Jacobian assemblies that took a new block-stencil plan, compiled
+	// or loaded from the process-wide table. Neither is exported per job.
 	GridPoints    int `json:"-"`
 	PatternBuilds int `json:"-"`
 }

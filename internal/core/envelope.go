@@ -62,9 +62,10 @@ type EnvelopeResult struct {
 
 	// Stats totals the Newton work of every per-step solve, rejected
 	// attempts included. PatternBuilds/PatternReuse count the line
-	// Jacobian's block-stencil compiles and its replays into an unchanged
-	// pattern (the pattern is shared by every slow step — one compile
-	// serves every step size the controller tries).
+	// Jacobian's new block-stencil plans, compiled or loaded from the
+	// process-wide table, and its replays into an unchanged pattern (the
+	// pattern is shared by every slow step — one plan serves every step
+	// size the controller tries).
 	Stats         solver.Stats
 	PatternBuilds int
 	PatternReuse  int

@@ -74,9 +74,12 @@ type Stats struct {
 	GridPoints         int
 	Unknowns           int
 	JacobianNNZ        int
-	// PatternBuilds counts Jacobian block-stencil compiles (1 for a solve
-	// whose device stamps keep their pattern); PatternReuse counts
-	// Jacobian assemblies that replayed values into an unchanged pattern.
+	// PatternBuilds counts the Jacobian assemblies that took a new
+	// block-stencil plan, compiled or loaded from the process-wide table
+	// (1 for a solve whose device stamps keep their pattern), so it never
+	// depends on what earlier solves left in the table; PatternReuse
+	// counts Jacobian assemblies that replayed values into an unchanged
+	// pattern.
 	PatternBuilds int
 	PatternReuse  int
 	// Refinements counts the grid-refinement rounds AdaptiveQPSS ran beyond
@@ -272,9 +275,10 @@ func marchStart(ctx context.Context, ckt *circuit.Circuit, opt Options, x []floa
 }
 
 // assembler evaluates the MPDE residual and Jacobian over the grid. The
-// Jacobian is a block stencil over the per-point G and C blocks, compiled
-// once per solve (its shape is fixed by the difference stencil and the
-// device topology) and replayed every iteration; the N1·N2 independent
+// Jacobian is a block stencil over the per-point G and C blocks, replayed
+// every iteration. Its plan depends only on the difference stencil and the
+// device topology, so it is compiled once per process for each grid shape
+// and loaded by every later solve of that shape; the N1·N2 independent
 // grid-point evaluations and the block-row replay both run on a worker pool
 // with per-worker circuit.Eval workspaces. Each grid point and each
 // Jacobian block row is produced by exactly one worker in a fixed
@@ -309,8 +313,9 @@ type assembler struct {
 
 	// The global Jacobian: each block row p sums G(p), then the d1 and the
 	// d2 stencil terms coef·C(pp), weighted by coef = [1, d1c…, d2c…]. The
-	// stencil is built on the first Jacobian assembly; builds counts its
-	// compiles and reuse its replays into an unchanged pattern.
+	// stencil is built on the first Jacobian assembly; builds counts the
+	// assemblies that took a new plan (compiled or loaded) and reuse its
+	// replays into an unchanged pattern.
 	jac           *la.BlockStencil
 	coef          []float64
 	jm            la.CSR

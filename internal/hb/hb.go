@@ -371,7 +371,8 @@ func (o *hbOperator) Apply(v, out []float64) {
 // spectral derivative is replaced by first-order differences on the same
 // grid, giving a sparse, bandable matrix whose LU is an excellent
 // preconditioner for the dense spectral operator. The companion is a block
-// stencil compiled once per solve and replayed at every build.
+// stencil, its plan compiled once per process for each grid shape, and
+// replayed at every build.
 func (w *workspace) fdPreconditioner(x []float64) (la.Preconditioner, error) {
 	w.evalGrid(x, true)
 	w.jac.Assemble(&w.jm, w.coef)

@@ -231,3 +231,27 @@ func BenchmarkBlockStencilReplay(b *testing.B) {
 		st.Assemble(&m, coef)
 	}
 }
+
+// BenchmarkBlockStencilPrepare: a 40×30 grid-shaped stencil taking its
+// plan, compiled on a table miss and loaded on a hit.
+func BenchmarkBlockStencilPrepare(b *testing.B) {
+	st := gridLikeStencil(40, 30)
+	for _, c := range []struct {
+		name string
+		tab  func() *stencilTable
+	}{
+		{"miss", func() *stencilTable { return newStencilTable(stencilCacheBytes) }},
+		{"hit", func() *stencilTable { return stencils }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			st.plan = nil
+			st.prepareIn(stencils)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.plan = nil
+				st.prepareIn(c.tab())
+			}
+		})
+	}
+}

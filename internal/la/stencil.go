@@ -36,9 +36,13 @@ func Term(row, col, s, k int) BlockTerm {
 // replay can miss the pattern.
 //
 // Prepare decides before a replay whether the plan still fits: it compares
-// each source's pattern with the one compiled for, by slice identity first
+// each source's pattern with the one prepared for, by slice identity first
 // (StampMap hands out one pattern until its devices change their stamps).
-// A changed source pattern recompiles into fresh pattern slices, so a
+// A plan depends only on the stencil's shape — block size, dimensions,
+// terms and every source's pattern — so plans live in a process-wide,
+// byte-bounded table, and a stencil of a shape compiled before loads that
+// plan instead of compiling. Plans are immutable: a changed source pattern
+// moves the stencil to another plan with its own pattern slices, so a
 // matrix handed out earlier keeps a valid pattern and SparseLU may
 // recognise an unchanged one by identity.
 type BlockStencil struct {
@@ -48,13 +52,28 @@ type BlockStencil struct {
 	// first[g·rows+r] indexes group g's first term at block row r or later;
 	// first[len(first)-1] is len(terms).
 	first []int32
+	hash  uint64 // of terms and first
 
-	// The compiled plan; rowPtr is nil until the first Prepare. prog
-	// holds every term in list order as Src, Coef, n, its kind and its n
-	// slots, a group's first write to a slot as ^slot; start maps first
-	// onto prog.
+	plan   *stencilPlan   // nil until the first Prepare
+	srcPat []blockPattern // each source's pattern when plan was checked
+}
+
+// stencilPlan is a compiled block stencil. It is immutable once built and
+// shared, through the process-wide table, by every stencil of its shape.
+type stencilPlan struct {
+	// The shape compiled for, beyond its table key's dimensions: the terms
+	// and group bounds (the compiling stencil's own, never written after
+	// NewBlockStencil), and source s's pattern as pats[srcPat[s]], private
+	// copies of the distinct patterns.
+	terms  []BlockTerm
+	first  []int32
+	pats   []blockPattern
+	srcPat []int32
+
+	// The union pattern, and the program: prog holds every term in list
+	// order as Src, Coef, n, its kind and its n slots, a group's first
+	// write to a slot as ^slot; start maps first onto prog.
 	rowPtr, colIdx []int
-	srcPat         []blockPattern // each source's pattern at the compile
 	prog, start    []int32
 	fill           []bool // group g leaves some slot unwritten
 }
@@ -84,6 +103,7 @@ func NewBlockStencil(bs, rows, cols int, src []*CSR, groups [][]BlockTerm) *Bloc
 		terms:  make([]BlockTerm, 0, nTerms),
 		first:  make([]int32, 0, len(groups)*rows+1),
 		srcPat: make([]blockPattern, len(src))}
+	h := uint64(fnvOffset)
 	for _, terms := range groups {
 		r, prev := 0, int32(0)
 		for _, t := range terms {
@@ -96,12 +116,17 @@ func NewBlockStencil(bs, rows, cols int, src []*CSR, groups [][]BlockTerm) *Bloc
 				b.first = append(b.first, int32(len(b.terms)))
 			}
 			b.terms = append(b.terms, t)
+			h = hashWord(hashWord(h, uint64(t.Row)<<32|uint64(t.Col)), uint64(t.Src)<<32|uint64(t.Coef))
 		}
 		for ; r < rows; r++ {
 			b.first = append(b.first, int32(len(b.terms)))
 		}
 	}
 	b.first = append(b.first, int32(len(b.terms)))
+	for _, f := range b.first {
+		h = hashWord(h, uint64(f))
+	}
+	b.hash = h
 	return b
 }
 
@@ -113,23 +138,28 @@ func NewStepStencil(n int, g, c *CSR) *BlockStencil {
 }
 
 // Prepare readies the plan for the sources' current patterns and reports
-// whether that took a compile: on first use, and whenever a source's
-// pattern differs from the one compiled for. After a compile, matrices
-// replayed into must be re-Bound.
+// whether that took a new plan: on first use, and whenever a source's
+// pattern differs from the one prepared for. The plan comes from the
+// process-wide table, or from a compile on a table miss. After a new plan,
+// matrices replayed into must be re-Bound.
 //
 //mpde:hotpath
 func (b *BlockStencil) Prepare() bool {
+	return b.prepareIn(stencils)
+}
+
+func (b *BlockStencil) prepareIn(tab *stencilTable) bool {
 	if b.current() {
 		return false
 	}
-	b.compile()
+	b.plan = tab.plan(b)
 	return true
 }
 
-// current reports whether every source still has the compiled pattern,
+// current reports whether every source still has the pattern of the plan,
 // by slice identity or, failing that, by content.
 func (b *BlockStencil) current() bool {
-	if b.rowPtr == nil {
+	if b.plan == nil {
 		return false
 	}
 	for s, m := range b.src {
@@ -141,7 +171,7 @@ func (b *BlockStencil) current() bool {
 	return true
 }
 
-// adopt reports whether source s holds its compiled pattern in other
+// adopt reports whether source s holds its prepared pattern in other
 // slices, and if so holds them, which makes the next check O(1).
 func (b *BlockStencil) adopt(s int) bool {
 	m, p := b.src[s], &b.srcPat[s]
@@ -152,15 +182,30 @@ func (b *BlockStencil) adopt(s int) bool {
 	return true
 }
 
-// compile builds the union pattern into fresh slices and every term's
-// slot list, one destination row at a time.
-func (b *BlockStencil) compile() {
+// compile builds a plan for the sources' patterns, sp, into fresh slices:
+// the distinct patterns' private copies, and the union pattern and every
+// term's slot list, one destination row at a time.
+func (b *BlockStencil) compile(sp *sourcePatterns) *stencilPlan {
 	bs := b.bs
-	for s, m := range b.src {
-		if m.Rows != bs || m.Cols != bs {
-			panic(ErrShape)
+	pl := &stencilPlan{terms: b.terms, first: b.first, srcPat: make([]int32, len(b.src))}
+	var hashes []uint64 // of pl.pats
+	for k := range sp.distinct {
+		d := &sp.distinct[k]
+		d.match = -1
+		for j, h := range hashes {
+			if h == d.hash && pl.pats[j].equal(d.blockPattern) {
+				d.match = int32(j)
+				break
+			}
 		}
-		b.srcPat[s] = blockPattern{m.RowPtr, m.ColIdx}
+		if d.match < 0 {
+			d.match = int32(len(pl.pats))
+			pl.pats = append(pl.pats, blockPattern{slices.Clone(d.rowPtr), slices.Clone(d.colIdx)})
+			hashes = append(hashes, d.hash)
+		}
+	}
+	for s, k := range sp.slot {
+		pl.srcPat[s] = sp.distinct[k].match
 	}
 	// Term t sits at prog[at[t]:at[t+1]].
 	at := make([]int32, len(b.terms)+1)
@@ -168,13 +213,10 @@ func (b *BlockStencil) compile() {
 		at[t+1] = at[t] + 4 + int32(len(b.src[term.Src].ColIdx))
 	}
 	nProg := int(at[len(b.terms)])
-	if cap(b.prog) < nProg {
-		b.prog = make([]int32, nProg)
-	}
-	b.prog = b.prog[:nProg]
-	b.start = slices.Grow(b.start[:0], len(b.first))[:len(b.first)]
+	pl.prog = make([]int32, nProg)
+	pl.start = make([]int32, len(b.first))
 	for i, t := range b.first {
-		b.start[i] = at[t]
+		pl.start[i] = at[t]
 	}
 	nSlot := nProg - 4*len(b.terms)
 	stores := make([]int32, len(b.terms)) // first writes per term
@@ -205,8 +247,7 @@ func (b *BlockStencil) compile() {
 			group[t] = int32(g)
 		}
 	}
-	b.fill = slices.Grow(b.fill[:0], groups)[:groups]
-	clear(b.fill)
+	pl.fill = make([]bool, groups)
 	covered := make([]int, groups)
 	var owner []int32
 
@@ -245,11 +286,11 @@ func (b *BlockStencil) compile() {
 						stores[t]++
 						slot = ^slot
 					}
-					b.prog[int(at[t])+4+k] = slot
+					pl.prog[int(at[t])+4+k] = slot
 				}
 			}
 			for g, c := range covered {
-				b.fill[g] = b.fill[g] || c < len(cols)
+				pl.fill[g] = pl.fill[g] || c < len(cols)
 				covered[g] = 0
 			}
 		}
@@ -262,22 +303,24 @@ func (b *BlockStencil) compile() {
 		case 0:
 			kind = termAdd
 		}
-		h := b.prog[at[t]:]
+		h := pl.prog[at[t]:]
 		h[0], h[1], h[2], h[3] = term.Src, term.Coef, n, kind
 	}
-	b.rowPtr, b.colIdx = rowPtr, colIdx
+	pl.rowPtr, pl.colIdx = rowPtr, colIdx
+	return pl
 }
 
-// Bind points dst at the compiled pattern with a Val of its length, grown
+// Bind points dst at the plan's pattern with a Val of its length, grown
 // only when its capacity is short.
 func (b *BlockStencil) Bind(dst *CSR) {
+	pl := b.plan
 	dst.Rows, dst.Cols = b.rows*b.bs, b.cols*b.bs
-	dst.RowPtr, dst.ColIdx = b.rowPtr, b.colIdx
-	dst.Val = growFloats(dst.Val, len(b.colIdx))
+	dst.RowPtr, dst.ColIdx = pl.rowPtr, pl.colIdx
+	dst.Val = growFloats(dst.Val, len(pl.colIdx))
 }
 
 // Replay writes group g's block rows [lo, hi) into val, a value array over
-// the compiled pattern: their slots start at -0.0 and each term adds
+// the plan's pattern: their slots start at -0.0 and each term adds
 // coef[Coef]·src[Src] in list order. The first term to reach a slot stores
 // its product, which is -0.0 plus it bit for bit, so only a group that
 // leaves slots unwritten pays for the fill. Replays of disjoint block-row
@@ -285,11 +328,12 @@ func (b *BlockStencil) Bind(dst *CSR) {
 //
 //mpde:hotpath
 func (b *BlockStencil) Replay(val, coef []float64, g, lo, hi int) {
-	if b.fill[g] {
-		Fill(val[b.rowPtr[lo*b.bs]:b.rowPtr[hi*b.bs]], negZero)
+	pl := b.plan
+	if pl.fill[g] {
+		Fill(val[pl.rowPtr[lo*b.bs]:pl.rowPtr[hi*b.bs]], negZero)
 	}
 	at := g * b.rows
-	for p := b.prog[b.start[at+lo]:b.start[at+hi]]; len(p) > 0; {
+	for p := pl.prog[pl.start[at+lo]:pl.start[at+hi]]; len(p) > 0; {
 		n := 4 + int(p[2])
 		v, slots, c := b.src[p[0]].Val, p[4:n], coef[p[1]]
 		switch p[3] {

@@ -254,8 +254,9 @@ func decodeStencil(data []byte) (bs, rows, cols int, src []*CSR, groups [][]Bloc
 // FuzzBlockStencil pins compiled block stencils to a Triplet fed the same
 // coef·value terms in the same order, bit for bit: repeated destination
 // blocks, ±0, negative and subnormal coefficients and values, two replays
-// with fresh values, and a recompile after a source changes its pattern,
-// which must leave the pattern handed out before it as it was.
+// with fresh values, a plan loaded from the table that replays as a fresh
+// compile does, and a recompile after a source changes its pattern, which
+// must leave the pattern handed out before it as it was.
 func FuzzBlockStencil(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 5, 0xff, 0x01, 0x11, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 2})
 	f.Add([]byte{2, 2, 2, 11, 0x5a, 0x01, 0xff, 0xff, 0x10, 0x00, 0, 1, 1, 0, 3, 1, 1, 1, 1, 1, 2, 1, 1, 2, 1, 0, 0, 0, 0, 0})
@@ -290,6 +291,31 @@ func FuzzBlockStencil(f *testing.F) {
 				}
 			}
 		}
+		// A stencil of the same shape over copies of the sources loads the
+		// plan a fresh compile stored, and replays it bit for bit alike.
+		tab := newStencilTable(stencilCacheBytes)
+		fresh := NewBlockStencil(bs, rows, cols, src, groups)
+		loaded := NewBlockStencil(bs, rows, cols, cloneSources(src), cloneGroups(groups))
+		fresh.prepareIn(tab)
+		loaded.prepareIn(tab)
+		if c := stencilCountsOf(tab); c != (stencilCounts{1, 1}) {
+			t.Fatalf("a stencil of a stored shape: table counts %+v, want 1 hit and 1 miss", c)
+		}
+		var mf, ml CSR
+		fresh.Bind(&mf)
+		loaded.Bind(&ml)
+		coef := make([]float64, 8)
+		for k := range coef {
+			coef[k] = fuzzValue(data[(k+5)%len(data)] ^ 0x5a)
+		}
+		for g := range groups {
+			fresh.Replay(mf.Val, coef, g, 0, rows)
+			loaded.Replay(ml.Val, coef, g, 0, rows)
+			if !replayMatches(&ml, &mf) {
+				t.Fatalf("group %d: the loaded plan's replay differs from a fresh compile's", g)
+			}
+		}
+
 		// Source 0 takes a one-entry pattern in fresh slices: a changed
 		// pattern recompiles, an equal one keeps the plan.
 		rowPtr, colIdx := slices.Clone(m.RowPtr), slices.Clone(m.ColIdx)
@@ -305,7 +331,7 @@ func FuzzBlockStencil(f *testing.F) {
 			t.Fatalf("source pattern changed %v, but Prepare compiled %v", changed, !changed)
 		}
 		st.Bind(&m)
-		coef := []float64{1, -1, 2, math.Copysign(0, -1), 0.5, 3, -0.25, math.SmallestNonzeroFloat64}
+		coef = []float64{1, -1, 2, math.Copysign(0, -1), 0.5, 3, -0.25, math.SmallestNonzeroFloat64}
 		for g, terms := range groups {
 			st.Replay(m.Val, coef, g, 0, rows)
 			if want := stencilTriplet(bs, rows, cols, src, terms, coef).Compress(); !replayMatches(&m, want) {

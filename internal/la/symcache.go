@@ -1,10 +1,8 @@
 package la
 
 import (
-	"container/list"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 )
 
@@ -34,44 +32,39 @@ type symbolicKey struct {
 	hash uint64
 }
 
-// symbolicEntry is one stored analysis: a SparseLU without value arrays or
-// scratch, whose aRowPtr/aColIdx are the table's own copy of the pattern.
-// Entries are immutable; clones share every array they hold.
-type symbolicEntry struct {
-	key   symbolicKey
-	sym   *SparseLU
-	bytes int
-}
-
-// symbolicTable is a byte-bounded LRU map from pattern to analysis. It is
-// safe for concurrent use.
+// symbolicTable is a byte-bounded LRU map from pattern to analysis: a
+// SparseLU without value arrays or scratch, whose aRowPtr/aColIdx are the
+// table's own copy of the pattern. Stored analyses are immutable; clones
+// share every array they hold. It is safe for concurrent use.
 type symbolicTable struct {
-	budget int
+	*lru[symbolicKey, *SparseLU]
 
 	hits, misses, rejections atomic.Int64
-
-	mu      sync.Mutex
-	entries map[symbolicKey]*list.Element // of *symbolicEntry
-	lru     list.List                     // front = most recently used
-	bytes   int
 }
 
 func newSymbolicTable(budget int) *symbolicTable {
-	return &symbolicTable{budget: budget, entries: map[symbolicKey]*list.Element{}}
+	return &symbolicTable{lru: newLRU[symbolicKey, *SparseLU](budget)}
 }
 
 // patternHash mixes a CSR pattern one word at a time (FNV-1a's constants
 // over ints instead of bytes). Collisions only cost a miss: a hit compares
 // the patterns.
 func patternHash(rowPtr, colIdx []int) uint64 {
-	h := uint64(14695981039346656037)
+	h := uint64(fnvOffset)
 	for _, v := range rowPtr {
-		h = (h ^ uint64(v)) * 1099511628211
+		h = hashWord(h, uint64(v))
 	}
 	for _, v := range colIdx {
-		h = (h ^ uint64(v)) * 1099511628211
+		h = hashWord(h, uint64(v))
 	}
 	return h
+}
+
+const fnvOffset = 14695981039346656037
+
+// hashWord mixes one word into h.
+func hashWord(h, v uint64) uint64 {
+	return (h ^ v) * 1099511628211
 }
 
 // factor is SparseLUFactor behind the table; tol is already normalised.
@@ -102,48 +95,17 @@ func (t *symbolicTable) stats() (hits, misses, rejections int64) {
 // lookup returns the stored analysis of a's pattern under key, marking it
 // most recently used, or nil.
 func (t *symbolicTable) lookup(key symbolicKey, a *CSR) *SparseLU {
-	t.mu.Lock()
-	el := t.entries[key]
-	if el != nil {
-		t.lru.MoveToFront(el)
-	}
-	t.mu.Unlock()
-	if el == nil {
-		return nil
-	}
-	sym := el.Value.(*symbolicEntry).sym
-	if !samePattern(a.RowPtr, a.ColIdx, sym.aRowPtr, sym.aColIdx) {
-		return nil // hash collision
+	sym, ok := t.get(key)
+	if !ok || !samePattern(a.RowPtr, a.ColIdx, sym.aRowPtr, sym.aColIdx) {
+		return nil // absent, or a hash collision
 	}
 	return sym
 }
 
-// store records f's analysis under key, replacing what the key held, and
-// evicts least-recently-used entries until the table fits its budget. An
-// analysis larger than the whole budget is not stored.
+// store records f's analysis under key (see lru.put).
 func (t *symbolicTable) store(key symbolicKey, f *SparseLU) {
 	sym := f.analysis()
-	e := &symbolicEntry{key: key, sym: sym, bytes: sym.analysisBytes()}
-	if e.bytes > t.budget {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if el := t.entries[key]; el != nil {
-		t.remove(el)
-	}
-	t.entries[key] = t.lru.PushFront(e)
-	t.bytes += e.bytes
-	for t.bytes > t.budget {
-		t.remove(t.lru.Back())
-	}
-}
-
-// remove drops one entry; t.mu is held.
-func (t *symbolicTable) remove(el *list.Element) {
-	e := t.lru.Remove(el).(*symbolicEntry)
-	delete(t.entries, e.key)
-	t.bytes -= e.bytes
+	t.put(key, sym, sym.analysisBytes())
 }
 
 // analysis returns f's symbolic analysis as a table entry: f's read-only

@@ -209,13 +209,17 @@ func (m *metrics) snapshot(cache *resultCache, start time.Time, ds dispatch.Stat
 			pts = append(pts, intPoint(s.name, s.help, false, v))
 		}
 	}
-	// The symbolic-LU table is process-wide, outside any job's counters:
-	// per-job stats never depend on what earlier jobs left in it.
+	// The symbolic-LU and block-stencil tables are process-wide, outside
+	// any job's counters: per-job stats never depend on what earlier jobs
+	// left in them.
 	symHits, symMisses, symRejections := la.SymbolicCacheStats()
+	stHits, stMisses := la.StencilCacheStats()
 	pts = append(pts,
 		intPoint("mpde_la_symbolic_cache_hits_total", "Sparse-LU factorisations served by a pivot-verified refactor of a stored symbolic analysis.", false, symHits),
 		intPoint("mpde_la_symbolic_cache_misses_total", "Sparse-LU factorisations that found no stored symbolic analysis for their pattern.", false, symMisses),
 		intPoint("mpde_la_symbolic_cache_rejections_total", "Stored symbolic analyses whose pivots the new values would not pick; factored fresh.", false, symRejections),
+		intPoint("mpde_la_stencil_cache_hits_total", "Block-stencil Jacobian plans loaded from the table of compiled plans.", false, stHits),
+		intPoint("mpde_la_stencil_cache_misses_total", "Block-stencil Jacobian plans compiled because the table held none of their shape.", false, stMisses),
 		intPoint("mpde_sweep_jobs_ok_total", "Per-analysis ok outcomes inside engine runs.", false, m.sweepOK.Load()),
 		intPoint("mpde_sweep_jobs_failed_total", "Per-analysis failures inside engine runs.", false, m.sweepFailed.Load()),
 		intPoint("mpde_sweep_jobs_canceled_total", "Per-analysis cancellations inside engine runs.", false, m.sweepCanc.Load()),

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,6 +16,8 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/ckts"
+	"repro/internal/core"
 	"repro/internal/la"
 	"repro/internal/solver"
 )
@@ -346,5 +349,43 @@ func TestSymbolicCacheMetricsExposed(t *testing.T) {
 	}
 	if got := m["mpde_la_symbolic_cache_hits_total"]; got < float64(before+1) {
 		t.Errorf("mpde_la_symbolic_cache_hits_total = %v after a repeated factorisation, want at least %d", got, before+1)
+	}
+}
+
+// TestStencilCacheMetricsExposed: the process-wide block-stencil table's
+// counters appear in both renderings, and a repeated QPSS solve loads its
+// Jacobian plans as hits.
+func TestStencilCacheMetricsExposed(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	mix := ckts.NewIdealMixer(ckts.IdealMixerConfig{F1: 1e6, F2: 0.9e6, LoadC: 1e-9})
+	opt := core.Options{N1: 12, N2: 8, Shear: mix.Shear}
+	if _, err := core.QPSS(context.Background(), mix.Ckt, opt); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := la.StencilCacheStats()
+	if _, err := core.QPSS(context.Background(), mix.Ckt, opt); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	names := []string{"mpde_la_stencil_cache_hits_total", "mpde_la_stencil_cache_misses_total"}
+	for _, n := range names {
+		if !bytes.Contains(prom, []byte("\n# TYPE "+n+" counter\n"+n+" ")) {
+			t.Errorf("/metrics missing counter %s", n)
+		}
+	}
+	m := metricsSnapshot(t, ts.URL)
+	for _, n := range names {
+		if _, ok := m[n]; !ok {
+			t.Errorf("/metrics?format=json missing %s", n)
+		}
+	}
+	if got := m["mpde_la_stencil_cache_hits_total"]; got < float64(before+1) {
+		t.Errorf("mpde_la_stencil_cache_hits_total = %v after a repeated QPSS solve, want at least %d", got, before+1)
 	}
 }
