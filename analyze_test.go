@@ -74,9 +74,7 @@ func TestAnalyzeMatchesDirectCall(t *testing.T) {
 	}{
 		{"qpss", true, repro.QPSSParams{N1: 16, N2: 8, Shear: sh},
 			func(ckt *repro.Circuit) (any, error) {
-				// The registry turns the continuation fallback on unless
-				// QPSSParams.NoContinuation is set.
-				return core.QPSS(ctx, ckt, core.Options{N1: 16, N2: 8, Shear: sh, Continuation: true})
+				return core.QPSS(ctx, ckt, core.Options{N1: 16, N2: 8, Shear: sh})
 			}},
 		{"envelope", true, repro.EnvelopeParams{N1: 16, Shear: sh, T2Stop: sh.Td() / 4, StepT2: sh.Td() / 40},
 			func(ckt *repro.Circuit) (any, error) {

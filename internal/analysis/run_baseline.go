@@ -81,8 +81,6 @@ type ShootingParams struct {
 	Period float64
 	// Steps is the number of fixed BE steps per period (default 200).
 	Steps int
-	// MatrixFree selects the GMRES/finite-difference update.
-	MatrixFree bool
 	// Fd is the difference frequency gain measurement references.
 	Fd float64
 }
@@ -306,10 +304,7 @@ func runShooting(ctx context.Context, req Request) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt := shooting.Options{
-		Period: p.Period, Steps: p.Steps,
-		MatrixFree: p.MatrixFree, Newton: req.Newton,
-	}
+	opt := shooting.Options{Period: p.Period, Steps: p.Steps, Newton: req.Newton}
 	req.Circuit.Finalize()
 	if len(req.Seed) == req.Circuit.Size() {
 		opt.X0 = req.Seed

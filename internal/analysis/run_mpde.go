@@ -60,7 +60,7 @@ func runQPSS(ctx context.Context, req Request) (Result, error) {
 	opt := core.Options{
 		N1: p.N1, N2: p.N2, Shear: p.Shear,
 		DiffT1: p.DiffT1, DiffT2: p.DiffT2,
-		Newton: req.Newton, Continuation: !p.NoContinuation,
+		Newton: req.Newton, NoContinuation: p.NoContinuation,
 		AssemblyWorkers: p.AssemblyWorkers,
 	}
 	if p.Linear != "" {

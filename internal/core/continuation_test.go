@@ -33,7 +33,7 @@ func TestQPSSContinuationRescuesHardStart(t *testing.T) {
 	ckt := hardMixer(sh)
 	// Starve Newton so the direct attempt fails and the continuation path
 	// runs; continuation must still deliver a solution.
-	opt := Options{N1: 24, N2: 12, Shear: sh, Continuation: true}
+	opt := Options{N1: 24, N2: 12, Shear: sh}
 	opt.Newton = solver.NewOptions()
 	opt.Newton.MaxIter = 6 // starve the direct path; the λ=0 anchor still fits
 	sol, err := QPSS(context.Background(), ckt, opt)
@@ -63,7 +63,7 @@ func TestQPSSContinuationRescuesHardStart(t *testing.T) {
 func TestQPSSNoContinuationFailsFast(t *testing.T) {
 	sh := Shear{F1: 1e6, F2: 0.9e6, K: 1}
 	ckt := hardMixer(sh)
-	opt := Options{N1: 24, N2: 12, Shear: sh, Continuation: false}
+	opt := Options{N1: 24, N2: 12, Shear: sh, NoContinuation: true}
 	opt.Newton = solver.NewOptions()
 	opt.Newton.MaxIter = 3
 	if _, err := QPSS(context.Background(), ckt, opt); err == nil {

@@ -102,7 +102,7 @@ func TestQPSSMarchStart(t *testing.T) {
 func TestQPSSMarchFailureFallsBackToDC(t *testing.T) {
 	sh := Shear{F1: 1e6, F2: 0.9e6, K: 1}
 	ckt := hardMixer(sh)
-	opt := Options{N1: 24, N2: 12, Shear: sh, Continuation: true}
+	opt := Options{N1: 24, N2: 12, Shear: sh}
 	opt.Newton = solver.NewOptions()
 	opt.Newton.MaxIter = 6
 	sol, spans, err := tracedQPSS(context.Background(), ckt, opt)

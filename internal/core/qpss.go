@@ -48,9 +48,10 @@ type Options struct {
 	// caller who only sets Linear or PivotTol keeps them while MaxIter
 	// defaults to 60.
 	Newton solver.Options
-	// Continuation enables the source-stepping fallback when plain Newton
-	// fails — the paper's "10–20 minute" robust path (default true).
-	Continuation bool
+	// NoContinuation disables the source-stepping fallback that runs when
+	// plain Newton fails — the paper's "10–20 minute" robust path, on by
+	// default.
+	NoContinuation bool
 	// AssemblyWorkers bounds the worker pool that evaluates the N1·N2 grid
 	// points and stamps the Jacobian block rows in parallel. Results are
 	// byte-identical for every worker count (each grid point and each
@@ -214,7 +215,7 @@ func QPSS(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Solution, er
 		if solver.Interrupted(err) {
 			return nil, err
 		}
-		if !opt.Continuation {
+		if opt.NoContinuation {
 			return nil, err
 		}
 		// Source-stepping continuation on the signal sources: bias stays on,

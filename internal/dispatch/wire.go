@@ -44,7 +44,7 @@ import (
 // mpdewirelock reports any mutation of a locked field.
 //
 //go:generate go run ./gen
-const WireVersion = 2
+const WireVersion = 3
 
 // RequestWire is the canonical wire form of one resolved sweep request:
 // everything that can change the timing-free result bytes, and nothing

@@ -66,7 +66,8 @@ type Result struct {
 	// factorisation per stimulus frequency — the same counters QPSS
 	// exports, via analysis.Result.Stats().
 	Stats solver.Stats
-	// PSSTimeSteps counts the backward-Euler steps of the internal PSS.
+	// PSSTimeSteps counts the backward-Euler steps of the internal PSS:
+	// one period per shooting-Newton iteration, the last being the orbit.
 	PSSTimeSteps int
 }
 

@@ -9,10 +9,10 @@ import (
 	"repro/internal/solver"
 )
 
-// TestPropagateNoAllocs: a period of dense-monodromy integration allocates
-// its result vectors and nothing per step — the step solves, the device
-// evaluations and the sensitivity updates all run in per-run storage — so
-// the allocations per propagate do not grow with the step count.
+// TestPropagateNoAllocs: a period of integration allocates nothing per step
+// — the step solves, the device evaluations, the sensitivity updates and
+// the orbit record all run in per-run storage — so the allocations per
+// propagate do not grow with the step count.
 func TestPropagateNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation bounds do not hold under the race detector")
@@ -29,7 +29,7 @@ func TestPropagateNoAllocs(t *testing.T) {
 	perPropagate := func(steps int) float64 {
 		g := newIntegrator(context.Background(), ckt, 1/f/float64(steps), steps, opt)
 		run := func() {
-			if _, _, _, _, err := g.propagate(x0, true, false, 0); err != nil {
+			if _, err := g.propagate(x0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/la"
 	"repro/internal/obs"
-	"repro/internal/solver"
 	"repro/internal/transient"
 )
 
@@ -116,25 +115,6 @@ func TestPSSRectifierMatchesLongTransient(t *testing.T) {
 	}
 }
 
-func TestPSSMatrixFreeAgreesWithDense(t *testing.T) {
-	f := 1e3
-	ckt, _, _ := rcDriven(f)
-	dense, err := PSS(context.Background(), ckt, Options{Period: 1 / f, Steps: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckt2, _, _ := rcDriven(f)
-	free, err := PSS(context.Background(), ckt2, Options{Period: 1 / f, Steps: 128, MatrixFree: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range dense.X0 {
-		if math.Abs(dense.X0[i]-free.X0[i]) > 1e-5 {
-			t.Fatalf("x0[%d]: dense %v vs matrix-free %v", i, dense.X0[i], free.X0[i])
-		}
-	}
-}
-
 func TestPSSNonlinearMixerlikeCircuit(t *testing.T) {
 	// A MOSFET common-source stage driven hard — strongly nonlinear PSS.
 	f := 10e6
@@ -216,18 +196,6 @@ func TestFloquetMultipliersLinearRC(t *testing.T) {
 	}
 }
 
-func TestFloquetUnavailableMatrixFree(t *testing.T) {
-	f := 1e3
-	ckt, _, _ := rcDriven(f)
-	res, err := PSS(context.Background(), ckt, Options{Period: 1 / f, Steps: 128, MatrixFree: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Monodromy != nil {
-		t.Fatal("matrix-free mode should not expose a monodromy")
-	}
-}
-
 func TestFloquetNonlinearMixerStable(t *testing.T) {
 	f := 10e6
 	ckt := circuit.New("cs-floquet")
@@ -264,56 +232,6 @@ func TestPSSHonorsCanceledContext(t *testing.T) {
 	}
 }
 
-// TestPSSMatrixFreeCountsReintegrationSteps: matrix-free shooting's
-// TotalTimeSteps counts the BE steps its finite-difference re-integrations
-// take — whole periods, one per GMRES operator application, at most n+1 per
-// update on this n-unknown linear circuit — besides the shooting periods
-// and the recorded orbit.
-func TestPSSMatrixFreeCountsReintegrationSteps(t *testing.T) {
-	f := 1e3
-	ckt, _, _ := rcDriven(f)
-	const steps = 64
-	res, err := PSS(context.Background(), ckt, Options{Period: 1 / f, Steps: steps, MatrixFree: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	updates := res.Iterations - 1
-	if updates < 1 {
-		t.Fatalf("converged without an update (%d iterations); the test needs one", res.Iterations)
-	}
-	if res.TotalTimeSteps%steps != 0 {
-		t.Fatalf("TotalTimeSteps = %d is not a whole number of %d-step periods", res.TotalTimeSteps, steps)
-	}
-	fd := res.TotalTimeSteps/steps - (res.Iterations + 1)
-	if n := ckt.Size(); fd < updates || fd > (n+1)*updates {
-		t.Fatalf("%d re-integrated periods over %d updates (TotalTimeSteps %d), want %d..%d",
-			fd, updates, res.TotalTimeSteps, updates, (n+1)*updates)
-	}
-}
-
-// TestMatrixFreeUpdateSurfacesInterrupt: a failed re-integration must fail
-// the update instead of feeding GMRES a zeroed operator, which took its
-// breakdown exit with a fabricated update and no error.
-func TestMatrixFreeUpdateSurfacesInterrupt(t *testing.T) {
-	f := 1e3
-	ckt, _, _ := rcDriven(f)
-	ckt.Finalize()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	opt := solver.NewOptions()
-	g := newIntegrator(ctx, ckt, 1/f/64, 64, opt)
-	n := ckt.Size()
-	x0, phi, r := make([]float64, n), make([]float64, n), make([]float64, n)
-	for i := range r {
-		phi[i] = 0.1 * float64(i+1)
-		r[i] = phi[i] - x0[i]
-	}
-	dx, _, err := matrixFreeUpdate(g, x0, phi, r)
-	if !solver.Interrupted(err) {
-		t.Fatalf("matrixFreeUpdate on a canceled context: dx = %v, err = %v; want an interrupt error", dx, err)
-	}
-}
-
 // TestTracedIterationsMatchStats: a PSS from the DC point traces only the
 // step solves its Stats count, so the traced newton.solve iterations sum
 // to Stats.NewtonIters; the DC start runs detached from the trace.
@@ -340,5 +258,46 @@ func TestTracedIterationsMatchStats(t *testing.T) {
 	}
 	if traced != int64(res.Stats.NewtonIters) {
 		t.Fatalf("traced newton.solve iterations sum to %d, Stats.NewtonIters = %d", traced, res.Stats.NewtonIters)
+	}
+}
+
+// TestPSSIntegratesEachPeriodOnce: every iteration integrates one period
+// and the converged one is the orbit, so a converged solve takes exactly
+// Iterations·Steps BE steps and its orbit closes on X0.
+func TestPSSIntegratesEachPeriodOnce(t *testing.T) {
+	rect := circuit.New("rect")
+	rect.V("V1", "in", "0", device.Sine{Amp: 5, F1: 1e3, K1: 1})
+	rect.D("D1", "in", "out", 1e-14)
+	rect.R("RL", "out", "0", 10e3)
+	rect.C("CL", "out", "0", 1e-6)
+	cs := circuit.New("cs")
+	cs.V("VDD", "vdd", "0", device.DC(3))
+	cs.V("VG", "g", "0", device.Sum{device.DC(0.8), device.Sine{Amp: 0.7, F1: 10e6, K1: 1}})
+	cs.R("RD", "vdd", "d", 5e3)
+	cs.C("CD", "d", "0", 2e-12)
+	cs.M("M1", "d", "g", "0", device.MOSFET{Vt0: 0.5, KP: 1e-3})
+	rc, _, _ := rcDriven(1e3)
+	for _, c := range []struct {
+		name   string
+		ckt    *circuit.Circuit
+		period float64
+		steps  int
+	}{{"rc", rc, 1e-3, 128}, {"rect", rect, 1e-3, 100}, {"cs", cs, 1e-7, 256}} {
+		res, err := PSS(context.Background(), c.ckt, Options{Period: c.period, Steps: c.steps})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if want := res.Iterations * c.steps; res.TotalTimeSteps != want {
+			t.Fatalf("%s: TotalTimeSteps = %d over %d iterations of %d steps, want %d",
+				c.name, res.TotalTimeSteps, res.Iterations, c.steps, want)
+		}
+		if len(res.Orbit.X) != c.steps+1 {
+			t.Fatalf("%s: orbit has %d points, want %d", c.name, len(res.Orbit.X), c.steps+1)
+		}
+		for i, x := range res.X0 {
+			if res.Orbit.X[0][i] != x {
+				t.Fatalf("%s: orbit starts at %v, X0 is %v", c.name, res.Orbit.X[0], res.X0)
+			}
+		}
 	}
 }

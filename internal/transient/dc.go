@@ -84,46 +84,79 @@ func DC(ctx context.Context, ckt *circuit.Circuit, opt DCOptions) ([]float64, so
 		return x, st, nil
 	}
 
-	// Gmin stepping: solve with a large artificial conductance to ground,
-	// then relax it geometrically down to the circuit's own Gmin.
+	// Gmin stepping from zero.
 	la.Fill(x, 0)
-	gmin0 := 1e-2
+	ectx := device.EvalCtx{T: opt.Time, Lambda: 1}
+	if opt.SignalsOff {
+		ectx = device.EvalCtx{T: opt.Time, Lambda: 0, SignalOnlyLambda: true}
+	}
+	st2, err := gminLadder(ctx, ckt, ectx, x, opt.Newton)
+	st.AddFinal(st2)
+	if err != nil {
+		return nil, st, err
+	}
+	return x, st, nil
+}
+
+// gminLadder solves the circuit at ectx from x (in place) by gmin stepping:
+// a large artificial conductance from every node to ground, relaxed
+// geometrically over dcGminSteps steps down to the circuit's own Gmin. The
+// returned Stats total every step's solve and report the last step's
+// iterate. Every step solves through one Newton workspace, so the ladder
+// factors its Jacobian once and refactors it in that pivot order after.
+func gminLadder(ctx context.Context, ckt *circuit.Circuit, ectx device.EvalCtx, x []float64, opt solver.Options) (solver.Stats, error) {
+	const gmin0 = 1e-2
 	target := ckt.Gmin
 	if target <= 0 {
 		target = 1e-12
 	}
 	ratio := math.Pow(target/gmin0, 1/float64(dcGminSteps))
-	g := gmin0
+	sys := &gminSystem{ev: ckt.NewEval(), ctx: ectx, nodes: ckt.NumNodes(), g: gmin0, r: make([]float64, ckt.Size())}
+	var ws solver.Workspace
+	var st solver.Stats
 	for k := 0; k <= dcGminSteps; k++ {
-		sys := solver.FuncSystem{N: n, F: func(xx []float64, jac bool) ([]float64, *la.CSR, error) {
-			ctx := device.EvalCtx{T: opt.Time, Lambda: 1}
-			if opt.SignalsOff {
-				ctx = device.EvalCtx{T: opt.Time, Lambda: 0, SignalOnlyLambda: true}
-			}
-			res := ev.EvalAt(xx, ctx, jac)
-			r := res.Residual(nil)
-			for i := 0; i < ckt.NumNodes(); i++ {
-				r[i] += g * xx[i]
-			}
-			var jm *la.CSR
-			if jac {
-				// Re-stamp the extra gmin onto a copy of G's diagonal.
-				jm = res.G.Clone()
-				di := jm.DiagIndex()
-				for i := 0; i < ckt.NumNodes(); i++ {
-					if di[i] >= 0 {
-						jm.Val[di[i]] += g
-					}
-				}
-			}
-			return r, jm, nil
-		}}
-		st2, err2 := solver.Solve(ctx, sys, x, opt.Newton)
+		st2, err := ws.SolveTimed(ctx, sys, x, opt)
 		st.AddFinal(st2)
-		if err2 != nil {
-			return nil, st, fmt.Errorf("transient: DC gmin stepping failed at gmin=%.3e: %w", g, err2)
+		if err != nil {
+			return st, fmt.Errorf("transient: DC gmin stepping failed at gmin=%.3e: %w", sys.g, err)
 		}
-		g *= ratio
+		sys.g *= ratio
 	}
-	return x, st, nil
+	return st, nil
+}
+
+// gminSystem is one gmin-stepping step: the circuit's DC system with an
+// extra conductance g from every node to ground. It owns its residual and
+// its Jacobian: each evaluation writes G into jm afresh, and g is added on
+// the node diagonal.
+type gminSystem struct {
+	ev    *circuit.Eval
+	ctx   device.EvalCtx
+	nodes int
+	g     float64
+	c, jm la.CSR
+	r     []float64
+}
+
+func (s *gminSystem) Size() int { return len(s.r) }
+
+func (s *gminSystem) Eval(x []float64, jac bool) ([]float64, *la.CSR, error) {
+	res := s.ev.EvalAtInto(x, s.ctx, jac, &s.c, &s.jm)
+	r := res.Residual(s.r)
+	for i := 0; i < s.nodes; i++ {
+		r[i] += s.g * x[i]
+	}
+	if !jac {
+		return r, nil, nil
+	}
+	jm := &s.jm
+	for i := 0; i < s.nodes; i++ {
+		for p := jm.RowPtr[i]; p < jm.RowPtr[i+1]; p++ {
+			if jm.ColIdx[p] == i {
+				jm.Val[p] += s.g
+				break
+			}
+		}
+	}
+	return r, jm, nil
 }

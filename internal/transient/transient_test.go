@@ -8,6 +8,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/device"
 	"repro/internal/obs"
+	"repro/internal/solver"
 )
 
 // rcCircuit returns V(5V step via DC) → R → out → C → gnd.
@@ -300,6 +301,35 @@ func TestDCStatsTotalEveryFallback(t *testing.T) {
 		if !c.fails && !st.Converged {
 			t.Fatalf("MaxIter %d: rescued DC reports Converged = false (residual %.3e)", c.maxIter, st.Residual)
 		}
+	}
+}
+
+// TestGminLadderFactorsOnce: the gmin ladder solves its 13 same-pattern
+// steps through one Newton workspace, so the hard diode deck, solved by the
+// ladder alone from zero, takes one fresh factorisation and refactors after.
+func TestGminLadderFactorsOnce(t *testing.T) {
+	ckt := circuit.New("dio-hard")
+	ckt.V("V1", "in", "0", device.DC(5))
+	ckt.R("R1", "in", "a", 10)
+	ckt.D("D1", "a", "0", 1e-14)
+	ckt.Finalize()
+	opt := solver.NewOptions()
+	opt.MaxStep = 10
+	x := make([]float64, ckt.Size())
+	st, err := gminLadder(context.Background(), ckt, device.EvalCtx{Lambda: 1}, x, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d Newton iterations, %d factorisations, %d refactorisations", st.NewtonIters, st.Factorizations, st.Refactorizations)
+	if st.Factorizations != 1 || st.Refactorizations == 0 {
+		t.Fatalf("%d factorisations and %d refactorisations over the ladder, want 1 and the rest refactors",
+			st.Factorizations, st.Refactorizations)
+	}
+	if !st.Converged {
+		t.Fatalf("ladder reports Converged = false (residual %.3e)", st.Residual)
+	}
+	if a, _ := ckt.NodeIndex("a"); x[a] <= 0 || x[a] >= 1 {
+		t.Fatalf("diode voltage %v, want a forward drop in (0, 1) V", x[a])
 	}
 }
 
