@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sort"
 
 	"repro/internal/core"
-	"repro/internal/fft"
 	"repro/internal/hb"
 	"repro/internal/rf"
 	"repro/internal/shooting"
@@ -492,14 +490,6 @@ func (r *hbResult) Stats() Stats {
 	return st
 }
 
-func (r *hbResult) phasor(p Probe, k1, k2 int) complex128 {
-	ph := r.sol.HarmonicPhasor(p.P, k1, k2)
-	if p.M >= 0 {
-		ph -= r.sol.HarmonicPhasor(p.M, k1, k2)
-	}
-	return ph
-}
-
 // Waveform reconstructs the probe's time record over one beat period
 // (fd = K·F1 − F2) by trigonometric interpolation of the torus solution.
 func (r *hbResult) Waveform(p Probe) (Waveform, bool) {
@@ -532,70 +522,34 @@ func (r *hbResult) Spectrum(p Probe, top int) ([]Line, bool) {
 	if top <= 0 {
 		return nil, true
 	}
-	N1, N2 := r.sol.N1, r.sol.N2
-	// One 2-D DFT per leg; differential probing subtracts coefficient
-	// planes so phase information survives.
-	spec := make([]complex128, N1*N2)
-	for j := 0; j < N2; j++ {
-		for i := 0; i < N1; i++ {
-			v := r.sol.At(i, j)[p.P]
-			if p.M >= 0 {
-				v -= r.sol.At(i, j)[p.M]
-			}
-			spec[j*N1+i] = complex(v, 0)
-		}
-	}
-	plan := fft.NewPlan2D(N2, N1)
-	plan.Forward(spec, make([]complex128, plan.ScratchLen()))
-	f2 := r.sol.F2
-	if N2 == 1 {
-		f2 = 0
-	}
-	var all []Line
-	for j := 0; j < N2; j++ {
-		k2 := j
-		if k2 > N2/2 {
-			k2 -= N2
-		}
-		for i := 0; i < N1; i++ {
-			k1 := i
-			if k1 > N1/2 {
-				k1 -= N1
-			}
-			if k1 == 0 && k2 == 0 {
-				continue
-			}
-			// Canonical half-plane: conjugate pairs appear once.
-			if k1 < 0 || (k1 == 0 && k2 < 0) {
-				continue
-			}
-			amp := cmplx.Abs(spec[j*N1+i]) / float64(N1*N2)
-			// Fold in the conjugate line — except for self-conjugate bins
-			// (0 or Nyquist on both axes), which have no distinct partner.
-			if (2*k1)%N1 != 0 || (2*k2)%N2 != 0 {
-				amp *= 2
-			}
-			all = append(all, Line{K1: k1, K2: k2, Freq: float64(k1)*r.sol.F1 + float64(k2)*f2, Amp: amp})
-		}
-	}
-	sort.SliceStable(all, func(a, b int) bool { return all[a].Amp > all[b].Amp })
-	if top < len(all) {
-		all = all[:top]
-	}
-	return all, true
+	return mixLines(r.sol.Spectrum(p.P, p.M), top), true
 }
 
 func (r *hbResult) Measure(p Probe, rfAmp float64) Measurement {
+	// One transform per leg; a differential probe subtracts phasors, so
+	// phase information survives.
+	plus := r.sol.Spectrum(p.P, -1)
+	var minus core.GridSpectrum
+	if p.M >= 0 {
+		minus = r.sol.Spectrum(p.M, -1)
+	}
+	amp := func(k1, k2 int) float64 {
+		ph := plus.Phasor(k1, k2)
+		if p.M >= 0 {
+			ph -= minus.Phasor(k1, k2)
+		}
+		return cmplx.Abs(ph)
+	}
 	// The down-converted fundamental lives at the (K, −1) mix on the
 	// unsheared torus, its harmonics at (2K, −2), (3K, −3).
 	k := r.k
-	a1 := cmplx.Abs(r.phasor(p, k, -1))
+	a1 := amp(k, -1)
 	m := Measurement{Swing: 2 * a1} // peak-to-peak of the fundamental line
 	if rfAmp > 0 && a1 > 0 {
 		g := rf.ConversionGain{Ratio: a1 / rfAmp}
 		g.DB = rf.DB(g.Ratio)
-		g.HD2 = cmplx.Abs(r.phasor(p, 2*k, -2)) / a1
-		g.HD3 = cmplx.Abs(r.phasor(p, 3*k, -3)) / a1
+		g.HD2 = amp(2*k, -2) / a1
+		g.HD3 = amp(3*k, -3) / a1
 		m.GainValid = true
 		m.Gain = g
 	}

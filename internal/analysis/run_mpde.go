@@ -135,17 +135,18 @@ func (r *qpssResult) Spectrum(p Probe, top int) ([]Line, bool) {
 	if top <= 0 {
 		return nil, true
 	}
-	var gs core.GridSpectrum
-	if p.M >= 0 {
-		gs = r.sol.SpectrumDiff(p.P, p.M)
-	} else {
-		gs = r.sol.Spectrum(p.P)
+	return mixLines(r.sol.SpectrumDiff(p.P, p.M), top), true
+}
+
+// mixLines lists the top dominant mixes of a grid spectrum, for QPSS and HB
+// alike.
+func mixLines(gs core.GridSpectrum, top int) []Line {
+	mixes := gs.DominantMixes(top)
+	out := make([]Line, len(mixes))
+	for i, m := range mixes {
+		out[i] = Line{K1: m.K1, K2: m.K2, Freq: gs.MixFreq(m.K1, m.K2), Amp: m.Amp}
 	}
-	var out []Line
-	for _, m := range gs.DominantMixes(top) {
-		out = append(out, Line{K1: m.K1, K2: m.K2, Freq: gs.MixFreq(m.K1, m.K2), Amp: m.Amp})
-	}
-	return out, true
+	return out
 }
 
 func (r *qpssResult) Measure(p Probe, rfAmp float64) Measurement {

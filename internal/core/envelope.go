@@ -220,7 +220,6 @@ func EnvelopeFollow(ctx context.Context, ckt *circuit.Circuit, opt EnvelopeOptio
 	// survives a zero MaxIter.
 	if opt.Newton.MaxIter == 0 {
 		opt.Newton.MaxIter = 60
-		opt.Newton.Damping = true
 	}
 	opt.Newton.Fill()
 	ckt.Finalize()

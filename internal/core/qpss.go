@@ -148,11 +148,9 @@ func QPSS(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Solution, er
 		return nil, errors.New("core: Order2 differences need at least 3 points per axis")
 	}
 	// Merge Newton defaults non-destructively: fields the caller set —
-	// Linear, PivotTol, … — survive even with MaxIter left zero
-	// (a zero MaxIter also opts into damping, the analysis default).
+	// Linear, PivotTol, … — survive even with MaxIter left zero.
 	if opt.Newton.MaxIter == 0 {
 		opt.Newton.MaxIter = 60
-		opt.Newton.Damping = true
 	}
 	opt.Newton.Fill()
 	ckt.Finalize()

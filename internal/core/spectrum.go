@@ -1,43 +1,169 @@
 package core
 
 import (
+	"math"
 	"math/cmplx"
 
 	"repro/internal/fft"
 )
 
-// GridSpectrum is the 2-D Fourier decomposition of one unknown's multi-time
-// surface: index (k1, k2) is the mix at frequency k1·F1 + k2/Td — harmonics
-// of the LO beating with harmonics of the difference frequency. It gives the
-// frequency-domain view of the time-domain solution for free (the paper's
-// method never needs it to *solve*, but gain/distortion reporting does).
+// GridSpectrum is the 2-D Fourier decomposition of one probe's surface on a
+// bi-periodic grid in the (j·N1+i)·n+k layout that QPSS and HB share: bin
+// (k1, k2) is the mix at frequency k1·F1 + k2·Fd — harmonics of the first
+// axis's tone beating with harmonics of the second axis's (the difference
+// frequency on QPSS's sheared grid, the second tone on HB's torus). It is
+// the one place a grid solution's bins become mixes. Each real mix is a
+// conjugate pair of bins folded into one cosine line: every bin counts
+// twice except the self-conjugate ones, (0,0), (0,N2/2), (N1/2,0) and
+// (N1/2,N2/2), which are their own partners.
 type GridSpectrum struct {
 	N1, N2 int
 	F1, Fd float64
 	coef   []complex128 // 2-D DFT, layout j*N1 + i (k1 fast)
 }
 
-// spectrumOf transforms a per-grid-point scalar into a GridSpectrum.
-func (s *Solution) spectrumOf(value func(i, j int) float64) GridSpectrum {
-	N1, N2 := s.N1, s.N2
+// Mix is one line of a GridSpectrum: the (K1, K2) mix and its cosine
+// amplitude.
+type Mix struct {
+	K1, K2 int
+	Amp    float64
+}
+
+// NewGridSpectrum transforms one probe of the grid solution x (n unknowns
+// per point on an N1×N2 grid): unknown kPlus, minus unknown kMinus when
+// kMinus ≥ 0. Subtracting before the transform keeps the phase information
+// that a subtraction of per-node amplitudes would destroy. f1 and fd are
+// the frequencies of one harmonic step along each axis.
+func NewGridSpectrum(x []float64, n, N1, N2, kPlus, kMinus int, f1, fd float64) GridSpectrum {
 	plane := make([]complex128, N1*N2)
-	for j := 0; j < N2; j++ {
-		for i := 0; i < N1; i++ {
-			plane[j*N1+i] = complex(value(i, j), 0)
+	for p := range plane {
+		v := x[p*n+kPlus]
+		if kMinus >= 0 {
+			v -= x[p*n+kMinus]
 		}
+		plane[p] = complex(v, 0)
 	}
-	p := fft.NewPlan2D(N2, N1)
-	p.Forward(plane, make([]complex128, p.ScratchLen()))
-	return GridSpectrum{
-		N1: N1, N2: N2,
-		F1: s.Shear.F1, Fd: 1 / s.Shear.Td(),
-		coef: plane,
-	}
+	plan := fft.NewPlan2D(N2, N1)
+	plan.Forward(plane, make([]complex128, plan.ScratchLen()))
+	return GridSpectrum{N1: N1, N2: N2, F1: f1, Fd: fd, coef: plane}
 }
 
 // Spectrum computes the grid spectrum of unknown k.
 func (s *Solution) Spectrum(k int) GridSpectrum {
-	return s.spectrumOf(func(i, j int) float64 { return s.X[s.index(i, j, k)] })
+	return s.SpectrumDiff(k, -1)
+}
+
+// SpectrumDiff computes the grid spectrum of the differential quantity
+// x_kPlus − x_kMinus (e.g. the balanced mixer's differential output); a
+// negative kMinus selects x_kPlus alone.
+func (s *Solution) SpectrumDiff(kPlus, kMinus int) GridSpectrum {
+	return NewGridSpectrum(s.X, s.n, s.N1, s.N2, kPlus, kMinus, s.Shear.F1, 1/s.Shear.Td())
+}
+
+// harmonic maps FFT index i of an axis of length n to its signed harmonic
+// number in (−n/2, n/2].
+func harmonic(i, n int) int {
+	if i > n/2 {
+		return i - n
+	}
+	return i
+}
+
+// bin returns the coefficient index of the (k1, k2) mix.
+func (g GridSpectrum) bin(k1, k2 int) int {
+	i := ((k1 % g.N1) + g.N1) % g.N1
+	j := ((k2 % g.N2) + g.N2) % g.N2
+	return j*g.N1 + i
+}
+
+// folds reports whether bin p has a distinct conjugate partner to fold in:
+// every bin but the self-conjugate ones.
+func (g GridSpectrum) folds(p int) bool {
+	i, j := p%g.N1, p/g.N1
+	return (2*i)%g.N1 != 0 || (2*j)%g.N2 != 0
+}
+
+// amp is the cosine amplitude of bin p.
+func (g GridSpectrum) amp(p int) float64 {
+	a := cmplx.Abs(g.coef[p]) / float64(g.N1*g.N2)
+	if g.folds(p) {
+		a *= 2
+	}
+	return a
+}
+
+// MixAmp returns the cosine amplitude of the (k1, k2) mix; (0, 0) is the DC
+// value. k1 ∈ [−N1/2, N1/2], k2 ∈ [−N2/2, N2/2].
+func (g GridSpectrum) MixAmp(k1, k2 int) float64 {
+	return g.amp(g.bin(k1, k2))
+}
+
+// Phasor returns the complex phasor of the (k1, k2) mix, normalised so that
+// its modulus is the line's cosine amplitude. Differential quantities
+// subtract phasors, not amplitudes.
+func (g GridSpectrum) Phasor(k1, k2 int) complex128 {
+	p := g.bin(k1, k2)
+	c := g.coef[p] / complex(float64(g.N1*g.N2), 0)
+	if g.folds(p) {
+		c *= 2
+	}
+	return c
+}
+
+// MixFreq returns the physical frequency of the (k1, k2) mix in Hz.
+func (g GridSpectrum) MixFreq(k1, k2 int) float64 {
+	return float64(k1)*g.F1 + float64(k2)*g.Fd
+}
+
+// DominantMixes returns up to n mixes by descending amplitude, excluding
+// DC and listing each conjugate pair once; equal amplitudes keep bin order
+// (k2 slow, k1 fast).
+func (g GridSpectrum) DominantMixes(n int) []Mix {
+	top := make([]Mix, 0, max(0, min(n, g.N1*g.N2)))
+	for j := 0; j < g.N2; j++ {
+		k2 := harmonic(j, g.N2)
+		for i := 0; i < g.N1; i++ {
+			k1 := harmonic(i, g.N1)
+			// One bin of each conjugate pair: k1 > 0, and k2 ≥ 0 in a
+			// column that is its own conjugate (k1 = 0 or N1/2); DC is not
+			// a mix.
+			if k1 < 0 || (2*i)%g.N1 == 0 && k2 < 0 || k1 == 0 && k2 == 0 {
+				continue
+			}
+			m := Mix{k1, k2, g.amp(j*g.N1 + i)}
+			// Bounded stable insertion: m goes after every kept line at
+			// least as large, and falls off the end of a full list.
+			at := len(top)
+			for at > 0 && top[at-1].Amp < m.Amp {
+				at--
+			}
+			if at == cap(top) {
+				continue
+			}
+			if len(top) < cap(top) {
+				top = append(top, Mix{})
+			}
+			copy(top[at+1:], top[at:])
+			top[at] = m
+		}
+	}
+	return top
+}
+
+// Eval sums the spectrum's trigonometric series at torus phases (th1, th2),
+// in cycles: the exact interpolant of the grid samples. The sum runs over
+// every bin, so each conjugate pair enters from both sides.
+func (g GridSpectrum) Eval(th1, th2 float64) float64 {
+	acc := complex(0, 0)
+	for j := 0; j < g.N2; j++ {
+		k2 := harmonic(j, g.N2)
+		for i := 0; i < g.N1; i++ {
+			k1 := harmonic(i, g.N1)
+			ang := 2 * math.Pi * (float64(k1)*th1 + float64(k2)*th2)
+			acc += g.coef[j*g.N1+i] * cmplx.Rect(1, ang)
+		}
+	}
+	return real(acc) / float64(g.N1*g.N2)
 }
 
 // GridSpectralTail measures the spectral tail of a bi-periodic grid solution
@@ -67,15 +193,9 @@ func GridSpectralTail(x []float64, n, N1, N2 int, absFloor float64) (tail1, tail
 		plan.Forward(coef, scratch)
 		maxAC, out1, out2 := 0.0, 0.0, 0.0
 		for j := 0; j < N2; j++ {
-			k2 := j
-			if k2 > N2/2 {
-				k2 -= N2
-			}
+			k2 := harmonic(j, N2)
 			for i := 0; i < N1; i++ {
-				k1 := i
-				if k1 > N1/2 {
-					k1 -= N1
-				}
+				k1 := harmonic(i, N1)
 				if k1 == 0 && k2 == 0 {
 					continue
 				}
@@ -112,88 +232,4 @@ func absInt(i int) int {
 		return -i
 	}
 	return i
-}
-
-// SpectrumDiff computes the grid spectrum of the differential quantity
-// x_kPlus − x_kMinus (e.g. the balanced mixer's differential output).
-// Subtracting before transforming keeps the phase information that a
-// subtraction of per-node amplitudes would destroy.
-func (s *Solution) SpectrumDiff(kPlus, kMinus int) GridSpectrum {
-	return s.spectrumOf(func(i, j int) float64 {
-		return s.X[s.index(i, j, kPlus)] - s.X[s.index(i, j, kMinus)]
-	})
-}
-
-// MixAmp returns the cosine amplitude of the (k1, k2) mix; (0, 0) is the DC
-// value. k1 ∈ [−N1/2, N1/2], k2 ∈ [−N2/2, N2/2].
-func (g GridSpectrum) MixAmp(k1, k2 int) float64 {
-	i := ((k1 % g.N1) + g.N1) % g.N1
-	j := ((k2 % g.N2) + g.N2) % g.N2
-	a := cmplx.Abs(g.coef[j*g.N1+i]) / float64(g.N1*g.N2)
-	if k1 != 0 || k2 != 0 {
-		a *= 2 // fold in the conjugate line
-	}
-	return a
-}
-
-// MixFreq returns the physical frequency of the (k1, k2) mix in Hz.
-func (g GridSpectrum) MixFreq(k1, k2 int) float64 {
-	return float64(k1)*g.F1 + float64(k2)*g.Fd
-}
-
-// DominantMixes returns up to n (k1, k2, amplitude) triples sorted by
-// descending amplitude, excluding DC; a quick "what is this node doing"
-// diagnostic.
-func (g GridSpectrum) DominantMixes(n int) [](struct {
-	K1, K2 int
-	Amp    float64
-}) {
-	type mix struct {
-		K1, K2 int
-		Amp    float64
-	}
-	var all []mix
-	for j := 0; j < g.N2; j++ {
-		k2 := j
-		if k2 > g.N2/2 {
-			k2 -= g.N2
-		}
-		for i := 0; i < g.N1; i++ {
-			k1 := i
-			if k1 > g.N1/2 {
-				k1 -= g.N1
-			}
-			if k1 == 0 && k2 == 0 {
-				continue
-			}
-			// Keep the canonical half-plane so conjugate pairs appear once.
-			if k1 < 0 || (k1 == 0 && k2 < 0) {
-				continue
-			}
-			all = append(all, mix{k1, k2, g.MixAmp(k1, k2)})
-		}
-	}
-	// Selection sort for the top n (n is tiny).
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]struct {
-		K1, K2 int
-		Amp    float64
-	}, 0, n)
-	for pick := 0; pick < n; pick++ {
-		best := -1
-		for i := range all {
-			if best < 0 || all[i].Amp > all[best].Amp {
-				best = i
-			}
-		}
-		out = append(out, struct {
-			K1, K2 int
-			Amp    float64
-		}{all[best].K1, all[best].K2, all[best].Amp})
-		all[best] = all[len(all)-1]
-		all = all[:len(all)-1]
-	}
-	return out
 }

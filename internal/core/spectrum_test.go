@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"repro/internal/circuit"
@@ -92,5 +93,64 @@ func TestGridSpectrumDCValue(t *testing.T) {
 	g := sol.Spectrum(a)
 	if math.Abs(g.MixAmp(0, 0)-2.5) > 1e-9 {
 		t.Fatalf("DC mix %v, want 2.5", g.MixAmp(0, 0))
+	}
+}
+
+// torusSamples fills an N1×N2 single-unknown grid with f(i, j).
+func torusSamples(N1, N2 int, f func(i, j int) float64) []float64 {
+	x := make([]float64, N1*N2)
+	for j := 0; j < N2; j++ {
+		for i := 0; i < N1; i++ {
+			x[j*N1+i] = f(i, j)
+		}
+	}
+	return x
+}
+
+// TestGridSpectrumSelfConjugateBins: a Nyquist line on either axis or both
+// is its own conjugate, so it reads its amplitude undoubled; an ordinary
+// mix folds in its partner; and a line in the k1 = N1/2 column, whose two
+// conjugate bins both have k1 > 0, is listed once.
+func TestGridSpectrumSelfConjugateBins(t *testing.T) {
+	const N1, N2, A = 8, 6, 0.75
+	sign := func(k int) float64 { return 1 - 2*float64(k%2) }
+	for _, c := range []struct {
+		name   string
+		k1, k2 int
+		f      func(i, j int) float64
+	}{
+		{"(0,N2/2)", 0, N2 / 2, func(i, j int) float64 { return A * sign(j) }},
+		{"(N1/2,0)", N1 / 2, 0, func(i, j int) float64 { return A * sign(i) }},
+		{"(N1/2,N2/2)", N1 / 2, N2 / 2, func(i, j int) float64 { return A * sign(i+j) }},
+		{"(1,2)", 1, 2, func(i, j int) float64 {
+			return A * math.Cos(2*math.Pi*(float64(i)/N1+2*float64(j)/N2))
+		}},
+		{"(N1/2,1)", N1 / 2, 1, func(i, j int) float64 {
+			return A * sign(i) * math.Cos(2*math.Pi*float64(j)/N2)
+		}},
+	} {
+		g := NewGridSpectrum(torusSamples(N1, N2, c.f), 1, N1, N2, 0, -1, 1, 1)
+		if a := g.MixAmp(c.k1, c.k2); math.Abs(a-A) > 1e-12 {
+			t.Errorf("%s: MixAmp %v, want %v", c.name, a, A)
+		}
+		if a := cmplx.Abs(g.Phasor(c.k1, c.k2)); math.Abs(a-A) > 1e-12 {
+			t.Errorf("%s: |Phasor| %v, want %v", c.name, a, A)
+		}
+		top := g.DominantMixes(3)
+		if top[0].K1 != c.k1 || top[0].K2 != c.k2 || math.Abs(top[0].Amp-A) > 1e-12 || top[1].Amp > 1e-12 {
+			t.Errorf("%s: DominantMixes %+v, want the one line at amplitude %v", c.name, top, A)
+		}
+	}
+}
+
+// TestDominantMixesAllocs: a listing allocates its result and nothing else.
+func TestDominantMixesAllocs(t *testing.T) {
+	const N1, N2 = 40, 30
+	x := torusSamples(N1, N2, func(i, j int) float64 {
+		return math.Sin(float64(3*i+7*j)) + 0.1*float64(i*j%5)
+	})
+	g := NewGridSpectrum(x, 1, N1, N2, 0, -1, 1, 1)
+	if a := testing.AllocsPerRun(20, func() { g.DominantMixes(12) }); a != 1 {
+		t.Fatalf("allocs per listing = %v, want 1", a)
 	}
 }

@@ -233,3 +233,21 @@ func TestOneTimeRecordMatchesOneTime(t *testing.T) {
 		}
 	}
 }
+
+// TestHarmonicAmpSelfConjugateBin: a line at the θ2 Nyquist bin (0, N2/2)
+// is its own conjugate, so HarmonicAmp reads its amplitude undoubled, as
+// it does for an ordinary mix.
+func TestHarmonicAmpSelfConjugateBin(t *testing.T) {
+	const N1, N2, A = 8, 4, 0.5
+	sol := &Solution{F1: 1e6, F2: 0.9e6, N1: N1, N2: N2, X: make([]float64, N1*N2), n: 1}
+	for j := 0; j < N2; j++ {
+		for i := 0; i < N1; i++ {
+			sol.X[j*N1+i] = A*float64(1-2*(j%2)) + A*math.Cos(2*math.Pi*float64(i)/N1)
+		}
+	}
+	for _, mix := range [][2]int{{0, N2 / 2}, {1, 0}} {
+		if a := sol.HarmonicAmp(0, mix[0], mix[1]); math.Abs(a-A) > 1e-12 {
+			t.Errorf("HarmonicAmp%v = %v, want %v", mix, a, A)
+		}
+	}
+}

@@ -3,6 +3,8 @@ package la
 import (
 	"slices"
 	"sync/atomic"
+
+	"repro/internal/lru"
 )
 
 // stencilCacheBytes bounds the stencil table: the capacity of the arrays
@@ -32,13 +34,13 @@ type stencilKey struct {
 // stencilTable is a byte-bounded LRU map from stencil shape to compiled
 // plan. It is safe for concurrent use.
 type stencilTable struct {
-	*lru[stencilKey, *stencilPlan]
+	*lru.Cache[stencilKey, *stencilPlan]
 
 	hits, misses atomic.Int64
 }
 
 func newStencilTable(budget int) *stencilTable {
-	return &stencilTable{lru: newLRU[stencilKey, *stencilPlan](budget)}
+	return &stencilTable{Cache: lru.New[stencilKey, *stencilPlan](budget)}
 }
 
 // sourcePatterns sorts a stencil's sources by pattern slice: source s
@@ -91,14 +93,14 @@ func (t *stencilTable) plan(b *BlockStencil) *stencilPlan {
 	}
 	t.misses.Add(1)
 	pl := b.compile(&sp)
-	t.put(key, pl, pl.bytes())
+	t.Put(key, pl, pl.bytes())
 	return pl
 }
 
 // lookup returns the stored plan of b's shape under key, marking it most
 // recently used, or nil.
 func (t *stencilTable) lookup(key stencilKey, b *BlockStencil, sp *sourcePatterns) *stencilPlan {
-	pl, ok := t.get(key)
+	pl, ok := t.Get(key)
 	if !ok || !slices.Equal(pl.first, b.first) || !slices.Equal(pl.terms, b.terms) {
 		return nil // absent, or a hash collision
 	}

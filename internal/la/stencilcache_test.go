@@ -169,8 +169,8 @@ func TestBlockStencilTableMissOnChange(t *testing.T) {
 // is evicted, the retained bytes never exceed the budget, and a plan larger
 // than the whole budget is not stored.
 func TestStencilTableBound(t *testing.T) {
-	if stencils.budget != stencilCacheBytes {
-		t.Fatalf("process table budget %d, want stencilCacheBytes %d", stencils.budget, stencilCacheBytes)
+	if stencils.Budget() != stencilCacheBytes {
+		t.Fatalf("process table budget %d, want stencilCacheBytes %d", stencils.Budget(), stencilCacheBytes)
 	}
 	type shape struct {
 		bs, rows, cols int
@@ -192,15 +192,15 @@ func TestStencilTableBound(t *testing.T) {
 		t.Helper()
 		s := shapes[i]
 		NewBlockStencil(s.bs, s.rows, s.cols, cloneSources(s.src), s.groups).prepareIn(tab)
-		if tab.bytes > tab.budget {
-			t.Fatalf("table retains %d bytes over its %d budget", tab.bytes, tab.budget)
+		if tab.Bytes() > tab.Budget() {
+			t.Fatalf("table retains %d bytes over its %d budget", tab.Bytes(), tab.Budget())
 		}
 	}
 	for i := range shapes {
 		prepare(i)
 	}
-	if c := stencilCountsOf(tab); c.misses != 3 || len(tab.entries) != 2 {
-		t.Fatalf("after three shapes: counts %+v, %d entries; want 3 misses, 2 entries", c, len(tab.entries))
+	if c := stencilCountsOf(tab); c.misses != 3 || tab.Len() != 2 {
+		t.Fatalf("after three shapes: counts %+v, %d entries; want 3 misses, 2 entries", c, tab.Len())
 	}
 	prepare(1) // hit: shape 2 becomes least recently used
 	prepare(0) // evicted earlier: miss, evicting shape 2
@@ -218,9 +218,9 @@ func TestStencilTableBound(t *testing.T) {
 		s := shapes[0]
 		NewBlockStencil(s.bs, s.rows, s.cols, s.src, s.groups).prepareIn(small)
 	}
-	if c := stencilCountsOf(small); c != (stencilCounts{0, 2}) || len(small.entries) != 0 || small.bytes != 0 {
+	if c := stencilCountsOf(small); c != (stencilCounts{0, 2}) || small.Len() != 0 || small.Bytes() != 0 {
 		t.Fatalf("a plan over the budget: counts %+v, %d entries, %d bytes; want 2 misses and nothing stored",
-			c, len(small.entries), small.bytes)
+			c, small.Len(), small.Bytes())
 	}
 }
 

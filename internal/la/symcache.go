@@ -4,6 +4,8 @@ import (
 	"math"
 	"slices"
 	"sync/atomic"
+
+	"repro/internal/lru"
 )
 
 // symbolicCacheBytes bounds the symbolic table: the capacity of the index
@@ -37,13 +39,13 @@ type symbolicKey struct {
 // table's own copy of the pattern. Stored analyses are immutable; clones
 // share every array they hold. It is safe for concurrent use.
 type symbolicTable struct {
-	*lru[symbolicKey, *SparseLU]
+	*lru.Cache[symbolicKey, *SparseLU]
 
 	hits, misses, rejections atomic.Int64
 }
 
 func newSymbolicTable(budget int) *symbolicTable {
-	return &symbolicTable{lru: newLRU[symbolicKey, *SparseLU](budget)}
+	return &symbolicTable{Cache: lru.New[symbolicKey, *SparseLU](budget)}
 }
 
 // patternHash mixes a CSR pattern one word at a time (FNV-1a's constants
@@ -95,17 +97,17 @@ func (t *symbolicTable) stats() (hits, misses, rejections int64) {
 // lookup returns the stored analysis of a's pattern under key, marking it
 // most recently used, or nil.
 func (t *symbolicTable) lookup(key symbolicKey, a *CSR) *SparseLU {
-	sym, ok := t.get(key)
+	sym, ok := t.Get(key)
 	if !ok || !samePattern(a.RowPtr, a.ColIdx, sym.aRowPtr, sym.aColIdx) {
 		return nil // absent, or a hash collision
 	}
 	return sym
 }
 
-// store records f's analysis under key (see lru.put).
+// store records f's analysis under key (see lru.Cache.Put).
 func (t *symbolicTable) store(key symbolicKey, f *SparseLU) {
 	sym := f.analysis()
-	t.put(key, sym, sym.analysisBytes())
+	t.Put(key, sym, sym.analysisBytes())
 }
 
 // analysis returns f's symbolic analysis as a table entry: f's read-only

@@ -268,8 +268,8 @@ func TestSparseLUFactorConcurrentHits(t *testing.T) {
 // TestSymbolicTableBound: past the byte budget the least recently used
 // pattern is evicted, and the retained bytes never exceed the budget.
 func TestSymbolicTableBound(t *testing.T) {
-	if symbolic.budget != symbolicCacheBytes {
-		t.Fatalf("process table budget %d, want symbolicCacheBytes %d", symbolic.budget, symbolicCacheBytes)
+	if symbolic.Budget() != symbolicCacheBytes {
+		t.Fatalf("process table budget %d, want symbolicCacheBytes %d", symbolic.Budget(), symbolicCacheBytes)
 	}
 	pats := []*CSR{batchFamily(40, 1, 1)[0], batchFamily(41, 1, 2)[0], batchFamily(42, 1, 3)[0]}
 	size := make([]int, len(pats))
@@ -287,15 +287,15 @@ func TestSymbolicTableBound(t *testing.T) {
 		if _, err := tab.factor(pats[i], 0.001); err != nil {
 			t.Fatal(err)
 		}
-		if tab.bytes > tab.budget {
-			t.Fatalf("table retains %d bytes over its %d budget", tab.bytes, tab.budget)
+		if tab.Bytes() > tab.Budget() {
+			t.Fatalf("table retains %d bytes over its %d budget", tab.Bytes(), tab.Budget())
 		}
 	}
 	for i := range pats {
 		factor(i)
 	}
-	if c := countsOf(tab); c.misses != 3 || len(tab.entries) != 2 {
-		t.Fatalf("after three patterns: counts %+v, %d entries; want 3 misses, 2 entries", c, len(tab.entries))
+	if c := countsOf(tab); c.misses != 3 || tab.Len() != 2 {
+		t.Fatalf("after three patterns: counts %+v, %d entries; want 3 misses, 2 entries", c, tab.Len())
 	}
 	factor(1) // hit: pattern 2 becomes least recently used
 	factor(0) // evicted earlier: miss, evicting pattern 2
@@ -315,8 +315,8 @@ func TestSymbolicTableBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c := countsOf(small); c.misses != 2 || small.bytes != 0 {
-		t.Fatalf("oversized analysis: counts %+v, %d bytes retained", c, small.bytes)
+	if c := countsOf(small); c.misses != 2 || small.Bytes() != 0 {
+		t.Fatalf("oversized analysis: counts %+v, %d bytes retained", c, small.Bytes())
 	}
 }
 

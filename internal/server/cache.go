@@ -1,9 +1,6 @@
 package server
 
-import (
-	"container/list"
-	"sync"
-)
+import "repro/internal/lru"
 
 // resultCache is a byte-size-bounded LRU of serialized sweep results keyed
 // by the content hash of (canonical deck, resolved options). Values are the
@@ -12,65 +9,16 @@ import (
 // produced it. Entries are immutable; callers must not modify what Get
 // returns.
 type resultCache struct {
-	mu    sync.Mutex
-	max   int64
-	size  int64
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-}
-
-type cacheEntry struct {
-	key string
-	val []byte
+	*lru.Cache[string, []byte]
 }
 
 // newResultCache bounds the cache at maxBytes; maxBytes <= 0 disables it
 // (every Get misses, every Put is dropped).
-func newResultCache(maxBytes int64) *resultCache {
-	return &resultCache{max: maxBytes, ll: list.New(), items: map[string]*list.Element{}}
+func newResultCache(maxBytes int64) resultCache {
+	return resultCache{lru.New[string, []byte](int(maxBytes))}
 }
 
-func (c *resultCache) Get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
-}
-
-func (c *resultCache) Put(key string, val []byte) {
-	if c.max <= 0 || int64(len(val)) > c.max {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*cacheEntry)
-		c.size += int64(len(val)) - int64(len(e.val))
-		e.val = val
-		c.ll.MoveToFront(el)
-	} else {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
-		c.size += int64(len(val))
-	}
-	for c.size > c.max {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*cacheEntry)
-		c.ll.Remove(back)
-		delete(c.items, e.key)
-		c.size -= int64(len(e.val))
-	}
-}
-
-// Stats reports the entry count and resident bytes.
-func (c *resultCache) Stats() (entries int, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items), c.size
+// Put stores val, which retains len(val) bytes, under key.
+func (c resultCache) Put(key string, val []byte) {
+	c.Cache.Put(key, val, len(val))
 }

@@ -182,8 +182,7 @@ func (p metricPoint) render() string {
 // dispatch plane's state (queue depth, leases, worker registry); both the
 // Prometheus and JSON renderings are built from the same points, so the
 // two formats cannot drift apart.
-func (m *metrics) snapshot(cache *resultCache, start time.Time, ds dispatch.Stats) []metricPoint {
-	entries, bytes := cache.Stats()
+func (m *metrics) snapshot(cache resultCache, start time.Time, ds dispatch.Stats) []metricPoint {
 	pts := []metricPoint{
 		floatPoint("mpde_uptime_seconds", "Seconds since the server started.", true, time.Since(start).Seconds()),
 		intPoint("mpde_jobs_submitted_total", "Jobs accepted, including cache hits.", false, m.submitted.Load()),
@@ -196,8 +195,8 @@ func (m *metrics) snapshot(cache *resultCache, start time.Time, ds dispatch.Stat
 		intPoint("mpde_singleflight_shared_total", "Submits coalesced onto an identical in-flight run.", false, m.sharedHits.Load()),
 		intPoint("mpde_cache_hits_total", "Submits served from the result cache.", false, m.cacheHits.Load()),
 		intPoint("mpde_cache_misses_total", "Cacheable submits that had to run.", false, m.cacheMisses.Load()),
-		intPoint("mpde_cache_entries", "Resident result-cache entries.", true, int64(entries)),
-		intPoint("mpde_cache_bytes", "Resident result-cache bytes.", true, bytes),
+		intPoint("mpde_cache_entries", "Resident result-cache entries.", true, int64(cache.Len())),
+		intPoint("mpde_cache_bytes", "Resident result-cache bytes.", true, int64(cache.Bytes())),
 	}
 	duration := reflect.TypeOf(time.Duration(0))
 	statsType := reflect.TypeOf(analysis.Stats{})

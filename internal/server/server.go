@@ -102,7 +102,7 @@ type Server struct {
 	opt     Options
 	mux     *http.ServeMux
 	mgr     *manager
-	cache   *resultCache
+	cache   resultCache
 	coord   *dispatch.Coordinator
 	metrics metrics
 	start   time.Time

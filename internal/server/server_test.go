@@ -655,11 +655,11 @@ func TestResultCacheLRU(t *testing.T) {
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a (recently used) must survive")
 	}
-	if n, sz := c.Stats(); n != 2 || sz != 80 {
+	if n, sz := c.Len(), c.Bytes(); n != 2 || sz != 80 {
 		t.Fatalf("stats = %d entries %d bytes", n, sz)
 	}
 	c.Put("huge", make([]byte, 200)) // larger than the bound: dropped
-	if n, _ := c.Stats(); n != 2 {
+	if n := c.Len(); n != 2 {
 		t.Fatal("oversized value must be rejected, not evict the world")
 	}
 	// Disabled cache.

@@ -207,11 +207,7 @@ func PSS(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 		opt.Tol = 1e-7
 	}
 	// Merge the inner-solve Newton defaults non-destructively: a caller who
-	// sets Linear or PivotTol but leaves MaxIter zero keeps them (a zero
-	// MaxIter also opts into damping, the analysis default).
-	if opt.Newton.MaxIter == 0 {
-		opt.Newton.Damping = true
-	}
+	// sets Linear or PivotTol but leaves MaxIter zero keeps them.
 	opt.Newton.Fill()
 	ckt.Finalize()
 	n := ckt.Size()

@@ -103,8 +103,7 @@ type Options struct {
 	RelTol    float64 // per-unknown relative tolerance (default 1e-6)
 	ResidTol  float64 // residual ∞-norm acceptance (default 1e-9 scaled)
 	MaxStep   float64 // ∞-norm clamp on each Newton step (0 = no clamp)
-	Damping   bool    // enable residual-based step halving (default true via NewOptions)
-	MaxHalve  int     // max step halvings per iteration (default 8)
+	MaxHalve  int     // max residual-based step halvings per iteration (default 8)
 	Linear    LinearSolverKind
 	PivotTol  float64 // sparse LU threshold-pivoting tolerance (default 0.001)
 	GMRESTol  float64 // the floor of the matrix-free forcing term (default 1e-10)
@@ -120,7 +119,6 @@ type Options struct {
 // NewOptions returns the defaults used across the analyses.
 func NewOptions() Options {
 	var o Options
-	o.Damping = true
 	o.Fill()
 	return o
 }
@@ -129,8 +127,7 @@ func NewOptions() Options {
 // default, leaving fields the caller has set untouched. Analyses use it to
 // merge caller-provided options with their defaults non-destructively: a
 // caller who only sets Interrupt or Linear keeps those while the tolerances
-// default. Note Damping cannot be defaulted here (false is a meaningful
-// setting); NewOptions enables it.
+// default.
 func (o *Options) Fill() {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 50
@@ -646,7 +643,7 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 				return st, err
 			}
 			nrm = la.NormInf(rNew)
-			if !opt.Damping || nrm <= 2*rNorm || h >= opt.MaxHalve || math.IsNaN(rNorm) {
+			if nrm <= 2*rNorm || h >= opt.MaxHalve || math.IsNaN(rNorm) {
 				if math.IsNaN(nrm) && h < opt.MaxHalve {
 					alpha /= 2
 					st.Halvings++

@@ -10,11 +10,10 @@ import (
 )
 
 // TestNewOptionsMatchesFill pins NewOptions to the documented defaults: the
-// zero value filled plus damping. This catches drift like the GMRESIter
-// default that NewOptions used to omit.
+// zero value filled. This catches drift like the GMRESIter default that
+// NewOptions used to omit.
 func TestNewOptionsMatchesFill(t *testing.T) {
 	var filled Options
-	filled.Damping = true
 	filled.Fill()
 	got := NewOptions()
 	if !reflect.DeepEqual(got, filled) {

@@ -203,23 +203,19 @@ func TestWorkspaceSolveNoAllocs(t *testing.T) {
 // the accepted point from: a converged solve's last System.Eval was a
 // residual-only evaluation at the x it returns.
 func TestConvergedSolveLastEvalAtSolution(t *testing.T) {
-	for _, damping := range []bool{false, true} {
-		var lastX []float64
-		lastJac := true
-		sys := circleLine(9, 2)
-		spy := FuncSystem{N: 2, F: func(x []float64, jac bool) ([]float64, *la.CSR, error) {
-			lastX, lastJac = append(lastX[:0], x...), jac
-			return sys.F(x, jac)
-		}}
-		opt := NewOptions()
-		opt.Damping = damping
-		x := []float64{5, -3}
-		var ws Workspace
-		if _, err := ws.Solve(context.Background(), spy, x, opt); err != nil {
-			t.Fatal(err)
-		}
-		if lastJac || math.Float64bits(lastX[0]) != math.Float64bits(x[0]) || math.Float64bits(lastX[1]) != math.Float64bits(x[1]) {
-			t.Fatalf("damping %v: last evaluation at %v (jac %v), solution %v", damping, lastX, lastJac, x)
-		}
+	var lastX []float64
+	lastJac := true
+	sys := circleLine(9, 2)
+	spy := FuncSystem{N: 2, F: func(x []float64, jac bool) ([]float64, *la.CSR, error) {
+		lastX, lastJac = append(lastX[:0], x...), jac
+		return sys.F(x, jac)
+	}}
+	x := []float64{5, -3}
+	var ws Workspace
+	if _, err := ws.Solve(context.Background(), spy, x, NewOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if lastJac || math.Float64bits(lastX[0]) != math.Float64bits(x[0]) || math.Float64bits(lastX[1]) != math.Float64bits(x[1]) {
+		t.Fatalf("last evaluation at %v (jac %v), solution %v", lastX, lastJac, x)
 	}
 }

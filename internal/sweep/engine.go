@@ -309,10 +309,10 @@ func (s *Spec) runJob(ctx context.Context, job Job, seed []float64, nJobs int) (
 		return jr, nil
 	}
 
-	// Sweep points run 60 damped Newton iterations for every method (the
+	// Sweep points run 60 Newton iterations for every method (the
 	// runners' own defaults are the solver-wide 50, tuned for single
 	// solves; sweep points lean on the extra headroom).
-	newton := solver.Options{MaxIter: 60, Damping: true}
+	newton := solver.Options{MaxIter: 60}
 	res, err := analysis.Run(jctx, analysis.Request{
 		Method:  string(job.Method),
 		Circuit: tgt.Ckt,

@@ -47,14 +47,10 @@ func DC(ctx context.Context, ckt *circuit.Circuit, opt DCOptions) ([]float64, so
 	ev := ckt.NewEval()
 	n := ckt.Size()
 	// Merge Newton defaults non-destructively so set fields (Linear,
-	// PivotTol, …) survive a zero MaxIter.
-	if opt.Newton.MaxIter == 0 {
-		opt.Newton.Damping = true
-		// DC benefits from a modest voltage clamp per iteration; a
-		// caller-set clamp survives.
-		if opt.Newton.MaxStep == 0 {
-			opt.Newton.MaxStep = 10
-		}
+	// PivotTol, …) survive. DC benefits from a modest voltage clamp per
+	// iteration; a caller-set clamp survives.
+	if opt.Newton.MaxStep == 0 {
+		opt.Newton.MaxStep = 10
 	}
 	opt.Newton.Fill()
 

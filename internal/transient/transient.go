@@ -133,11 +133,7 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 		opt.Step = opt.TStop / 1000
 	}
 	maxStep, minStep := opt.TStop/50, opt.Step*1e-9
-	// Non-destructive Newton defaults (set fields survive a zero MaxIter).
-	if opt.Newton.MaxIter == 0 {
-		opt.Newton.Damping = true
-	}
-	opt.Newton.Fill()
+	opt.Newton.Fill() // non-destructive: set fields survive
 
 	x, err := StartState(ctx, ckt, opt.X0, 0, 1, "transient")
 	if err != nil {
