@@ -52,35 +52,28 @@ func TestCancelInterruptsInFlightNewton(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	type outcome struct {
-		err  error
-		wall time.Duration
-	}
-	done := make(chan outcome, 1)
-	started := make(chan struct{})
+	done := make(chan error, 1)
 	go func() {
-		close(started)
-		t0 := time.Now()
 		_, err := analysis.Run(ctx, analysis.Request{
 			Method:  "qpss",
 			Circuit: mix.Ckt,
 			Params:  analysis.QPSSParams{Shear: mix.Shear}, // the paper's 40×30 grid
+			// Cancel from inside the solve, at its first Newton iteration, so
+			// the cancellation lands mid-solve however fast the host is.
+			Progress: func(analysis.Progress) { cancel() },
 		})
-		done <- outcome{err, time.Since(t0)}
+		done <- err
 	}()
-	<-started
-	time.Sleep(30 * time.Millisecond) // let the Newton loop get going
-	cancel()
 	select {
-	case o := <-done:
-		if o.err == nil {
+	case err := <-done:
+		if err == nil {
 			t.Fatal("QPSS completed despite cancellation")
 		}
-		if !analysis.Canceled(o.err) {
-			t.Fatalf("want a cancellation-classified error, got %v", o.err)
+		if !analysis.Canceled(err) {
+			t.Fatalf("want a cancellation-classified error, got %v", err)
 		}
-		if !errors.Is(o.err, context.Canceled) {
-			t.Fatalf("interrupt must wrap context.Canceled, got %v", o.err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("interrupt must wrap context.Canceled, got %v", err)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("cancellation did not interrupt the in-flight solve")

@@ -2,12 +2,14 @@ package ckts
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/rf"
+	"repro/internal/solver"
 	"repro/internal/transient"
 )
 
@@ -188,5 +190,50 @@ func TestBalancedMixerShearMatchesPaper(t *testing.T) {
 	}
 	if math.Abs(m.Shear.Disparity()-30000) > 1 {
 		t.Fatalf("disparity = %v, want 30000", m.Shear.Disparity())
+	}
+}
+
+// TestBalancedMixerMatrixFreeOffPaperDeck solves the balanced mixer direct
+// and matrix-free on decks away from the paper's 450 MHz / 15 kHz, where
+// the slow axis couples the lines strongly: higher difference frequencies
+// and an Order2 slow-axis stencil. The line-sweep preconditioner keeps
+// GMRES to a handful of iterations per solve with no direct rescue, and the
+// matrix-free grid lands on the direct one.
+func TestBalancedMixerMatrixFreeOffPaperDeck(t *testing.T) {
+	for _, d := range []struct {
+		f1, fd float64
+		n1, n2 int
+		order  core.DiffOrder
+	}{
+		{10e6, 100e3, 40, 30, core.Order1},
+		{10e6, 100e3, 40, 30, core.Order2},
+		{450e6, 1.5e6, 64, 48, core.Order1},
+		{450e6, 15e6, 64, 48, core.Order1},
+	} {
+		solve := func(linear solver.LinearSolverKind) *core.Solution {
+			t.Helper()
+			m := NewBalancedMixer(BalancedMixerConfig{F1: d.f1, Fd: d.fd})
+			opt := core.Options{N1: d.n1, N2: d.n2, Shear: m.Shear, DiffT1: d.order, DiffT2: d.order}
+			opt.Newton.Linear = linear
+			sol, err := core.QPSS(context.Background(), m.Ckt, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sol
+		}
+		direct, mf := solve(solver.DirectSparse), solve(solver.MatrixFree)
+		maxDiff := 0.0
+		for i := range mf.X {
+			maxDiff = math.Max(maxDiff, math.Abs(mf.X[i]-direct.X[i]))
+		}
+		st := mf.Stats
+		name := fmt.Sprintf("%g/%g Hz %dx%d order %d", d.f1, d.fd, d.n1, d.n2, d.order)
+		t.Logf("%s: %d GMRES iterations, max|ΔX| = %.3g", name, st.LinearIters, maxDiff)
+		if st.LinearIters > 12 || st.GMRESFallbacks != 0 {
+			t.Errorf("%s: %d GMRES iterations and %d fallbacks, want ≤ 12 and 0", name, st.LinearIters, st.GMRESFallbacks)
+		}
+		if maxDiff > 1e-10 {
+			t.Errorf("%s: matrix-free grid deviates from direct by %v", name, maxDiff)
+		}
 	}
 }

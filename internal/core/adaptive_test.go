@@ -41,6 +41,27 @@ func TestGridSpectralTailSeparatesSmoothFromAliased(t *testing.T) {
 	}
 }
 
+// TestGridSpectralTailNyquistWeighsOnce: a self-conjugate Nyquist bin is
+// its own partner, so it weighs its amplitude once, as GridSpectrum reads
+// it. On cos(2πi/8) + 0.5·(−1)^j the slow axis's (0, 3) line is 0.5 against
+// the unit fast-axis carrier.
+func TestGridSpectralTailNyquistWeighsOnce(t *testing.T) {
+	const n, N1, N2 = 1, 8, 6
+	x := make([]float64, N1*N2)
+	for j := 0; j < N2; j++ {
+		for i := 0; i < N1; i++ {
+			x[j*N1+i] = math.Cos(2*math.Pi*float64(i)/N1) + 0.5*math.Pow(-1, float64(j))
+		}
+	}
+	t1, t2 := GridSpectralTail(x, n, N1, N2, 1e-9)
+	if t1 > 1e-12 {
+		t.Errorf("tail1 = %g, want 0 (no fast-axis content beyond k1 = 1)", t1)
+	}
+	if math.Abs(t2-0.5) > 1e-12 {
+		t.Errorf("tail2 = %g, want 0.5 (the Nyquist line over the unit carrier)", t2)
+	}
+}
+
 func TestAdaptiveQPSSRefinesToTolerance(t *testing.T) {
 	sh := Shear{F1: 1e6, F2: 0.9e6, K: 1}
 	ckt, _, _ := twoToneRC(sh, 1, 1)

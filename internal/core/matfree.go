@@ -11,8 +11,8 @@ import (
 // computed exactly, element by element, from the per-point local Jacobians
 // (G = ∂f/∂x, C = ∂q/∂x) and the difference stencils — the same data one
 // grid evaluation leaves behind — fanned over the assembler's
-// byte-deterministic parallel chunking. The preconditioner is a block-Jacobi
-// factorisation over slow-axis lines, the blocks the MPDE's fast/slow
+// byte-deterministic parallel chunking. The preconditioner is a forward
+// sweep along t2 over slow-axis lines, the blocks the MPDE's fast/slow
 // time-scale separation makes dominant. Eval still forwards to the full
 // assembler, so damping trials and the GMRES→direct rescue path work
 // unchanged.
@@ -93,30 +93,15 @@ func (s *mfSystem) Apply(v, y []float64) {
 	//mpde:alloc-ok one worker closure per apply, amortised over the whole grid
 	a.parallel(N1*N2, func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
-			vp, up := v[p*n:(p+1)*n], cv[p*n:(p+1)*n]
-			c := a.cs[p]
-			for li := range up {
-				sum := 0.0
-				for k := c.RowPtr[li]; k < c.RowPtr[li+1]; k++ {
-					sum += c.Val[k] * vp[c.ColIdx[k]]
-				}
-				up[li] = sum
-			}
+			a.cs[p].MulVec(v[p*n:(p+1)*n], cv[p*n:(p+1)*n])
 		}
 	})
 	//mpde:alloc-ok one worker closure per apply, amortised over the whole grid
 	a.parallel(N1*N2, func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			i, j := p%N1, p/N1
-			vp, yp := v[p*n:(p+1)*n], y[p*n:(p+1)*n]
-			g := a.gs[p]
-			for li := range yp {
-				sum := 0.0
-				for k := g.RowPtr[li]; k < g.RowPtr[li+1]; k++ {
-					sum += g.Val[k] * vp[g.ColIdx[k]]
-				}
-				yp[li] = 0 + 1*sum // the sum into a zeroed row, as stamped
-			}
+			yp := y[p*n : (p+1)*n]
+			a.gs[p].MulVec(v[p*n:(p+1)*n], yp) // a sum from +0 is never −0: the stamped 0 + 1·sum
 			for sIdx, coef := range a.d1c {
 				pp := j*N1 + mod(i+a.d1off[sIdx], N1)
 				for li, u := range cv[pp*n : (pp+1)*n] {
@@ -133,7 +118,7 @@ func (s *mfSystem) Apply(v, y []float64) {
 	})
 }
 
-// BuildPreconditioner (re)factors the block-line preconditioner from the
+// BuildPreconditioner (re)factors the line-sweep preconditioner from the
 // local Jacobians the last Linearize left in the assembler.
 func (s *mfSystem) BuildPreconditioner() (la.Preconditioner, error) {
 	if s.prec == nil {
@@ -145,16 +130,16 @@ func (s *mfSystem) BuildPreconditioner() (la.Preconditioner, error) {
 	return s.prec, nil
 }
 
-// linePrecond is block-Jacobi over slow-axis lines: block j is the exact
-// (N1·n)×(N1·n) diagonal block of the MPDE Jacobian for line j — the G
-// stamps, the in-line d2 diagonal term and the fast-axis d1 stencil C
-// terms — dropping only the slow-axis coupling to other lines, whose
-// relative strength scales like h1/h2 ≪ 1 on the sheared grid. One block
-// stencil describes every line, line j as its group j, so all N2 blocks
-// share one sparsity pattern (the union over every grid point's local
-// stamps) and a BatchLU factors one representative line symbolically and
-// refactors the rest numerics-only. Lines are independent slots: the
-// builds and the solves both fan them over the assembly pool.
+// linePrecond is the MPDE Jacobian's block lower triangle in slow-axis line
+// order, less the periodic wrap. Diagonal block j is the exact (N1·n)×(N1·n)
+// block for line j — the G stamps, the in-line d2 diagonal term and the
+// fast-axis d1 stencil C terms; the d2 terms below it are read from the
+// per-point C blocks in place. One block stencil describes every line, line
+// j as its group j, so all N2 blocks share one sparsity pattern (the union
+// over every grid point's local stamps) and a BatchLU factors one
+// representative line symbolically and refactors the rest numerics-only.
+// The builds fan the lines over the assembly pool; the apply is a
+// sequential sweep.
 type linePrecond struct {
 	asm *assembler
 	ln  int // block dimension N1·n
@@ -172,11 +157,11 @@ type linePrecond struct {
 	refactored, fallbacks int
 }
 
-// lineWorker is one pool worker's private state for replaying, factoring
-// and solving lines.
+// lineWorker is one pool worker's private state for replaying and
+// factoring lines; worker 0's scratch also serves the sweep.
 type lineWorker struct {
 	m    la.CSR    // line values over the shared line pattern
-	work []float64 // LU scratch for this worker's slot refactors and solves
+	work []float64 // LU scratch for this worker's slot refactors
 
 	// The worker's share of the last build.
 	refactored, fallbacks int
@@ -275,19 +260,31 @@ func (p *linePrecond) factorLines() error {
 	return err
 }
 
-// Precondition applies z = M⁻¹·r line by line, the N2 line solves fanned
-// over the assembly pool; each line's unknowns are contiguous in the
-// (j·N1+i)·n+k layout, so the block solves work on disjoint slices.
+// Precondition applies z = M⁻¹·r as one forward sweep along t2, the
+// linearised backward-Euler march: line j's right-hand side first subtracts
+// the d2 terms d2c[s]·C·z of the lines already solved, then its slot solves
+// it in place. The sweep is sequential, on worker 0's scratch.
 //
 //mpde:hotpath
-//mpde:deterministic-parallel
 func (p *linePrecond) Precondition(r, z []float64) {
-	ln := p.ln
-	//mpde:alloc-ok one worker closure per apply, amortised over the N2 line solves
-	p.asm.parallel(p.asm.N2, func(w, lo, hi int) {
-		work := p.workers[w].work
-		for j := lo; j < hi; j++ {
-			p.batch.Solve(j, r[j*ln:(j+1)*ln], z[j*ln:(j+1)*ln], work)
+	a := p.asm
+	n, ln := a.n, p.ln
+	work := p.workers[0].work
+	for j := 0; j < a.N2; j++ {
+		zj := z[j*ln : (j+1)*ln]
+		copy(zj, r[j*ln:(j+1)*ln])
+		for s := 1; s < len(a.d2c); s++ {
+			jj := j + a.d2off[s]
+			if jj < 0 {
+				continue // a periodic wrap term, left to GMRES
+			}
+			for i, c := range a.cs[jj*a.N1 : (jj+1)*a.N1] {
+				c.MulVec(z[jj*ln+i*n:jj*ln+(i+1)*n], work[i*n:(i+1)*n])
+			}
+			for k, u := range work {
+				zj[k] -= a.d2c[s] * u
+			}
 		}
-	})
+		p.batch.Solve(j, zj, zj, work)
+	}
 }

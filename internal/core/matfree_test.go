@@ -169,3 +169,101 @@ func TestAdaptiveQPSSMatrixFree(t *testing.T) {
 		t.Fatal("refined rounds never used the matrix-free operator")
 	}
 }
+
+// linearizedMixer solves the regression mixer on an n1×n2 grid with the
+// given slow-axis difference order, then linearises a matrix-free system at
+// the solution and builds its line-sweep preconditioner.
+func linearizedMixer(t *testing.T, n1, n2 int, d2 DiffOrder, workers int) *mfSystem {
+	t.Helper()
+	sh := Shear{F1: 1e6, F2: 0.875e6, K: 1}
+	ckt := nonlinearMixer(sh)
+	opt := Options{N1: n1, N2: n2, Shear: sh, DiffT1: Order1, DiffT2: d2, AssemblyWorkers: workers}
+	sol, err := QPSS(context.Background(), ckt, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Newton.Fill()
+	s := newMFSystem(newAssembler(ckt, opt))
+	if _, _, err := s.Linearize(sol.X); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.BuildPreconditioner(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestLineSweepInvertsLowerBlockTriangle: the preconditioner is the exact
+// inverse of the grid Jacobian less its periodic wrap terms, the d2 terms
+// that couple line j to line j + d2off[s] < 0. So for y = J·v minus those
+// terms, Precondition(y) returns v, with either slow-axis order, and its
+// bytes do not depend on the worker count.
+func TestLineSweepInvertsLowerBlockTriangle(t *testing.T) {
+	const n1, n2 = 24, 16
+	for _, d2 := range []DiffOrder{Order1, Order2} {
+		var seq []float64
+		for _, workers := range []int{1, 2} {
+			s := linearizedMixer(t, n1, n2, d2, workers)
+			a := s.asm
+			n := a.n
+			v := make([]float64, s.Size())
+			vmax := 0.0
+			for k := range v {
+				v[k] = math.Sin(0.37*float64(k)) + 0.25*math.Cos(1.9*float64(k))
+				vmax = math.Max(vmax, math.Abs(v[k]))
+			}
+			y := make([]float64, s.Size())
+			s.Apply(v, y)
+			for p := 0; p < n1*n2; p++ {
+				i, j := p%n1, p/n1
+				for sIdx := 1; sIdx < len(a.d2c); sIdx++ {
+					if j+a.d2off[sIdx] >= 0 {
+						continue
+					}
+					pp := mod(j+a.d2off[sIdx], n2)*n1 + i
+					c := a.cs[pp]
+					for li := 0; li < n; li++ {
+						for k := c.RowPtr[li]; k < c.RowPtr[li+1]; k++ {
+							y[p*n+li] -= a.d2c[sIdx] * c.Val[k] * v[pp*n+c.ColIdx[k]]
+						}
+					}
+				}
+			}
+			z := make([]float64, s.Size())
+			s.prec.Precondition(y, z)
+			maxErr := 0.0
+			for k := range z {
+				maxErr = math.Max(maxErr, math.Abs(z[k]-v[k]))
+			}
+			if maxErr > 1e-9*vmax {
+				t.Errorf("DiffT2=%v, %d workers: max|M⁻¹(J−wrap)v − v| = %.3g, want ≤ %.3g", d2, workers, maxErr, 1e-9*vmax)
+			}
+			if seq == nil {
+				seq = z
+				continue
+			}
+			for k := range z {
+				if math.Float64bits(z[k]) != math.Float64bits(seq[k]) {
+					t.Fatalf("DiffT2=%v: %d workers: z[%d] = %v, 1 worker %v", d2, workers, k, z[k], seq[k])
+				}
+			}
+		}
+	}
+}
+
+// TestLinePrecondNoAllocs: the sweep runs on preallocated scratch, with no
+// worker closure, so a warm apply allocates nothing even with a pool.
+func TestLinePrecondNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds do not hold under the race detector")
+	}
+	s := linearizedMixer(t, 24, 16, Order1, 2)
+	r := make([]float64, s.Size())
+	for k := range r {
+		r[k] = math.Cos(0.11 * float64(k))
+	}
+	z := make([]float64, s.Size())
+	if allocs := testing.AllocsPerRun(20, func() { s.prec.Precondition(r, z) }); allocs != 0 {
+		t.Fatalf("a warm line-sweep apply allocates %v/op, want 0", allocs)
+	}
+}

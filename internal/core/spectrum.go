@@ -76,20 +76,18 @@ func (g GridSpectrum) bin(k1, k2 int) int {
 	return j*g.N1 + i
 }
 
-// folds reports whether bin p has a distinct conjugate partner to fold in:
-// every bin but the self-conjugate ones.
-func (g GridSpectrum) folds(p int) bool {
-	i, j := p%g.N1, p/g.N1
-	return (2*i)%g.N1 != 0 || (2*j)%g.N2 != 0
+// fold is the weight of bin (i, j) in its cosine line: 2 for a bin with a
+// distinct conjugate partner to fold in, 1 for a self-conjugate one.
+func (g GridSpectrum) fold(i, j int) float64 {
+	if i != 0 && 2*i != g.N1 || j != 0 && 2*j != g.N2 {
+		return 2
+	}
+	return 1
 }
 
 // amp is the cosine amplitude of bin p.
 func (g GridSpectrum) amp(p int) float64 {
-	a := cmplx.Abs(g.coef[p]) / float64(g.N1*g.N2)
-	if g.folds(p) {
-		a *= 2
-	}
-	return a
+	return g.fold(p%g.N1, p/g.N1) * cmplx.Abs(g.coef[p]) / float64(g.N1*g.N2)
 }
 
 // MixAmp returns the cosine amplitude of the (k1, k2) mix; (0, 0) is the DC
@@ -104,7 +102,7 @@ func (g GridSpectrum) MixAmp(k1, k2 int) float64 {
 func (g GridSpectrum) Phasor(k1, k2 int) complex128 {
 	p := g.bin(k1, k2)
 	c := g.coef[p] / complex(float64(g.N1*g.N2), 0)
-	if g.folds(p) {
+	if g.fold(p%g.N1, p/g.N1) == 2 {
 		c *= 2
 	}
 	return c
@@ -171,12 +169,13 @@ func (g GridSpectrum) Eval(th1, th2 float64) float64 {
 // takes the 2-D DFT of the unknown's multi-time surface and compares the
 // largest amplitude in the outer band of each axis (|k1| > N1/3, resp.
 // |k2| > N2/3 — the bins nearest Nyquist, which a converged-in-grid solution
-// leaves empty) against the unknown's largest AC amplitude. The returned
-// tails are the worst such ratios over all unknowns: a tail near or above 1
-// means the grid is aliasing, a tail below the solver tolerance means
-// further refinement cannot change the resolved mixes. absFloor is the
-// absolute amplitude below which outer-band content is considered numerical
-// noise and ignored.
+// leaves empty) against the unknown's largest AC amplitude. Each bin weighs
+// under GridSpectrum's conjugate-fold rule: a self-conjugate bin once, every
+// other bin twice. The returned tails are the worst such ratios over all
+// unknowns: a tail near or above 1 means the grid is aliasing, a tail below
+// the solver tolerance means further refinement cannot change the resolved
+// mixes. absFloor is the absolute amplitude below which outer-band content
+// is considered numerical noise and ignored.
 func GridSpectralTail(x []float64, n, N1, N2 int, absFloor float64) (tail1, tail2 float64) {
 	if n <= 0 || N1 <= 0 || N2 <= 0 || len(x) < N1*N2*n {
 		return 0, 0
@@ -184,6 +183,7 @@ func GridSpectralTail(x []float64, n, N1, N2 int, absFloor float64) (tail1, tail
 	// One plan and one plane serve every unknown.
 	plan := fft.NewPlan2D(N2, N1)
 	coef := make([]complex128, N1*N2)
+	g := GridSpectrum{N1: N1, N2: N2}
 	scratch := make([]complex128, plan.ScratchLen())
 	norm := 1 / float64(N1*N2)
 	for k := 0; k < n; k++ {
@@ -199,7 +199,7 @@ func GridSpectralTail(x []float64, n, N1, N2 int, absFloor float64) (tail1, tail
 				if k1 == 0 && k2 == 0 {
 					continue
 				}
-				a := 2 * cmplx.Abs(coef[j*N1+i]) * norm
+				a := g.fold(i, j) * cmplx.Abs(coef[j*N1+i]) * norm
 				if a > maxAC {
 					maxAC = a
 				}
