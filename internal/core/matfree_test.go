@@ -98,11 +98,11 @@ func TestQPSSMatrixFreeMixerNoFallbacks(t *testing.T) {
 }
 
 // TestQPSSMatrixFreeForcingTermMatchesDirect solves the stiff mixer with
-// the direct path and with matrix-free GMRES, whose Newton steps are only as
-// accurate as the Eisenstat–Walker forcing term asks, on three grids. The
-// grids must agree far inside the Newton tolerance (about 3e-6 here): a loose
-// GMRES step is shorter than the Newton step, so a solve that declared
-// convergence on one would stop early, around 4e-4 off the direct grid.
+// the direct path and with matrix-free GMRES, which solves every Newton step
+// to GMRESTol, on three grids. The grids must agree far inside the Newton
+// tolerance (about 3e-6 here): a GMRES step cut off at a looser tolerance is
+// shorter than the Newton step, so a solve that declared convergence on one
+// would stop early, around 4e-4 off the direct grid.
 func TestQPSSMatrixFreeForcingTermMatchesDirect(t *testing.T) {
 	sh := Shear{F1: 1e6, F2: 0.875e6, K: 1}
 	for _, g := range [][2]int{{24, 16}, {40, 30}, {64, 48}} {

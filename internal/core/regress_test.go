@@ -31,6 +31,9 @@ func nonlinearMixer(sh Shear) *circuit.Circuit {
 	return ckt
 }
 
+// NonlinearMixer exposes nonlinearMixer to the package's external tests.
+var NonlinearMixer = nonlinearMixer
+
 // TestQPSSHonorsCanceledContext: cancellation is context-first — a
 // canceled context must abort the solve before any assembly work, with
 // ctx.Err() surfaced.

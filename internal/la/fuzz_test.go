@@ -159,3 +159,77 @@ func FuzzSparseLU(f *testing.F) {
 		}
 	})
 }
+
+// diagPrec is the Jacobi preconditioner z = r/d, with 1 for a zero diagonal.
+type diagPrec []float64
+
+func (d diagPrec) Precondition(r, z []float64) {
+	for i := range r {
+		z[i] = r[i] / d[i]
+	}
+}
+
+// FuzzGMRES drives restarted GMRES with small nonsymmetric matrices from
+// decodeSparse; byte 1 also picks the tolerance, the restart length and
+// whether a diagonal preconditioner is used. GMRES must never panic, its x
+// must stay finite, and unless it returns an error the true relative
+// residual ‖b − A·x‖₂/‖b‖₂, recomputed here, must meet the tolerance.
+func FuzzGMRES(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0})
+	f.Add([]byte{1, 4, 0, 0, 3, 16})
+	// 2×2 with a zero diagonal: [[0 1] [1 0]], restart 1.
+	f.Add([]byte{2, 8, 0, 1, 1, 16, 1, 0, 1, 16})
+	// 3×3 nonsymmetric tridiagonal, preconditioned.
+	f.Add([]byte{3, 4, 0, 0, 4, 16, 1, 1, 4, 16, 2, 2, 4, 16, 0, 1, 255, 16, 1, 2, 7, 16, 2, 1, 200, 16})
+	// Structurally singular: an empty column.
+	f.Add([]byte{3, 1, 0, 0, 1, 16, 1, 0, 1, 16, 2, 2, 1, 16})
+	// Numerically singular: rank one, preconditioned.
+	f.Add([]byte{2, 6, 0, 0, 1, 16, 0, 1, 2, 16, 1, 0, 2, 16, 1, 1, 4, 16})
+	// Wide value range, restart 5.
+	f.Add([]byte{4, 27, 0, 0, 1, 0, 0, 3, 100, 32, 1, 1, 7, 20, 3, 0, 50, 30, 2, 2, 9, 10, 3, 3, 1, 16, 1, 2, 3, 16, 2, 1, 5, 16})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, _ := decodeSparse(data)
+		if a == nil || a.Rows == 0 {
+			return
+		}
+		n := a.Rows
+		opt := GMRESOptions{
+			Tol:     [...]float64{1e-10, 1e-6, 1e-2, 0.5}[data[1]%4],
+			Restart: [...]int{0, 1, 2, 5}[data[1]>>3%4],
+		}
+		if data[1]&4 != 0 {
+			d := make(diagPrec, n)
+			for i := range d {
+				d[i] = 1
+			}
+			for i, k := range a.DiagIndex() {
+				if k >= 0 && a.Val[k] != 0 {
+					d[i] = a.Val[k]
+				}
+			}
+			opt.M = d
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = float64(i%5) - 1.5
+		}
+		x := make([]float64, n)
+		res, err := GMRES(AsOperator(a), b, x, opt)
+		if !allFinite(x) {
+			t.Fatalf("non-finite x %v (err %v)", x, err)
+		}
+		if err != nil {
+			return
+		}
+		r := make([]float64, n)
+		a.MulVec(x, r)
+		for i := range r {
+			r[i] = b[i] - r[i]
+		}
+		if rel := Norm2(r) / Norm2(b); !(rel <= opt.Tol*(1+1e-6)) {
+			t.Fatalf("converged (reported %.3g) at true relative residual %.3g, tolerance %g", res.Residual, rel, opt.Tol)
+		}
+	})
+}

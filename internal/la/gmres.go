@@ -238,7 +238,17 @@ func (s *GMRESSolver) Solve(a Operator, b, x []float64, opt GMRESOptions) (res G
 			Axpy(y[i], v[i], w)
 		}
 		opt.M.Precondition(w, z)
-		Axpy(1, z, x)
+		// A singular Hessenberg (A·M⁻¹ rank-deficient on the Krylov space)
+		// or an overflowing correction fails the solve with x unchanged.
+		ok := true
+		for i, xi := range x {
+			z[i] += xi
+			ok = ok && finite(z[i])
+		}
+		if !ok { //mpde:coldpath a non-finite update never recovers
+			return nonFinite(totalIters, rel, "update")
+		}
+		copy(x, z)
 
 		a.Apply(x, r)
 		for i := range r {

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -217,33 +218,112 @@ func TestNewtonMatrixFree(t *testing.T) {
 	}
 }
 
-// TestForcingTerm pins the matrix-free Newton step's GMRES tolerance:
-// Eisenstat–Walker choice 2 with its safeguard, capped at 0.1 and floored at
-// GMRESTol, and the floor outright when a loose step passed the convergence
-// test.
-func TestForcingTerm(t *testing.T) {
-	const floor = 1e-10
-	cases := []struct {
-		name                string
-		etaPrev, r2, r2Prev float64
-		first, strict       bool
-		want                float64
-	}{
-		{"first step", 0, 5, 0, true, false, 0.1},
-		{"EW ratio", 0.1, 1, 4, false, false, 0.9 / 16},
-		{"safeguard", 0.5, 1e-3, 1, false, false, 0.1}, // 0.9·0.5² = 0.225 beats 9e-7
-		{"safeguard idle", 0.1, 1e-2, 1, false, false, 0.9e-4},
-		{"cap", 0.01, 3, 3, false, false, 0.1},
-		{"NaN ratio", 0.01, 0, 0, false, false, 0.1},
-		{"floor", 0.1, 1e-8, 1, false, false, floor},
-		{"strict", 0.1, 1, 4, false, true, floor},
-		{"strict first", 0, 5, 0, true, true, floor},
+// circleMFS presents coupledCircle's Jacobian as an operator and records
+// each Newton step's relative linear residual ‖J·dx + r‖₂/‖r‖₂. GMRES
+// applies the operator to the x it returns last, so the last vector applied
+// under a linearisation is that step's dx.
+type circleMFS struct {
+	FuncSystem
+	j      *la.CSR
+	r, dx  []float64
+	linRel []float64
+}
+
+func (s *circleMFS) Linearize(x []float64) ([]float64, la.Operator, error) {
+	s.finishStep()
+	r, j, err := s.F(x, true)
+	s.j, s.r = j, r
+	return r, s, err
+}
+func (s *circleMFS) BuildPreconditioner() (la.Preconditioner, error) { return nil, nil }
+func (s *circleMFS) Apply(x, y []float64) {
+	s.j.MulVec(x, y)
+	s.dx = append(s.dx[:0], x...)
+}
+
+// finishStep records the step solved at the last linearisation, if any.
+func (s *circleMFS) finishStep() {
+	if s.j == nil {
+		return
 	}
-	for _, c := range cases {
-		got := forcingTerm(c.etaPrev, c.r2, c.r2Prev, floor, c.first, c.strict)
-		if math.Abs(got-c.want) > 1e-15*c.want {
-			t.Errorf("%s: η = %v, want %v", c.name, got, c.want)
+	res := make([]float64, len(s.r))
+	s.j.MulVec(s.dx, res)
+	for i := range res {
+		res[i] += s.r[i]
+	}
+	s.linRel = append(s.linRel, la.Norm2(res)/la.Norm2(s.r))
+	s.j = nil
+}
+
+// TestNewtonMatrixFreeSolvesEveryStepToTol: the matrix-free path solves
+// every Newton step to GMRESTol, so it takes exactly as many Newton
+// iterations as the direct path from the same start.
+func TestNewtonMatrixFreeSolvesEveryStepToTol(t *testing.T) {
+	for _, x0 := range [][]float64{{2, 1}, {3, 0.5}, {-1, -3}} {
+		xd := append([]float64(nil), x0...)
+		direct, err := Solve(context.Background(), coupledCircle(), xd, NewOptions())
+		if err != nil {
+			t.Fatal(err)
 		}
+		sys := &circleMFS{FuncSystem: coupledCircle()}
+		xm := append([]float64(nil), x0...)
+		opt := NewOptions()
+		opt.Linear = MatrixFree
+		mf, err := Solve(context.Background(), sys, xm, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.finishStep()
+		if mf.NewtonIters != direct.NewtonIters {
+			t.Errorf("from %v: %d Newton iterations matrix-free, %d direct", x0, mf.NewtonIters, direct.NewtonIters)
+		}
+		if len(sys.linRel) != mf.NewtonIters || mf.GMRESFallbacks != 0 {
+			t.Fatalf("from %v: %d GMRES solves and %d fallbacks in %d iterations",
+				x0, len(sys.linRel), mf.GMRESFallbacks, mf.NewtonIters)
+		}
+		for k, rel := range sys.linRel {
+			if rel > opt.GMRESTol*(1+1e-6) {
+				t.Errorf("from %v: step %d solved to %.3g, want ≤ %g", x0, k+1, rel, opt.GMRESTol)
+			}
+		}
+		if math.Abs(xm[0]-xd[0]) > 1e-12 || math.Abs(xm[1]-xd[1]) > 1e-12 {
+			t.Errorf("from %v: matrix-free %v, direct %v", x0, xm, xd)
+		}
+	}
+}
+
+// failedBuildMFS is permMFS with a preconditioner build that always fails.
+type failedBuildMFS struct{ permMFS }
+
+func (s *failedBuildMFS) BuildPreconditioner() (la.Preconditioner, error) {
+	return nil, errors.New("build failed")
+}
+
+// TestNewtonFailedPreconditionerBuildRescues: a failed preconditioner build
+// sends its iteration straight to the direct rescue, with no GMRES run and
+// one counted fallback; a nil preconditioner with a nil error (permMFS)
+// still runs GMRES.
+func TestNewtonFailedPreconditionerBuildRescues(t *testing.T) {
+	opt := NewOptions()
+	opt.Linear = MatrixFree
+	x := []float64{0, 0, 0}
+	st, err := Solve(context.Background(), &failedBuildMFS{permMFS{r: make([]float64, 3)}}, x, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LinearIters != 0 || st.OperatorApplies != 0 || st.PrecondBuilds != 0 || st.GMRESFallbacks != st.NewtonIters {
+		t.Fatalf("failed builds: %d GMRES iterations, %d applies, %d builds, %d fallbacks in %d Newton iterations",
+			st.LinearIters, st.OperatorApplies, st.PrecondBuilds, st.GMRESFallbacks, st.NewtonIters)
+	}
+	if math.Abs(x[0]-3) > 1e-12 || math.Abs(x[1]-1) > 1e-12 || math.Abs(x[2]-2) > 1e-12 {
+		t.Fatalf("solution %v", x)
+	}
+	st, err = Solve(context.Background(), &permMFS{r: make([]float64, 3)}, []float64{0, 0, 0}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LinearIters == 0 || st.GMRESFallbacks != 0 {
+		t.Fatalf("nil preconditioner: %d GMRES iterations, %d fallbacks", st.LinearIters, st.GMRESFallbacks)
 	}
 }
 

@@ -106,7 +106,7 @@ type Options struct {
 	MaxHalve  int     // max residual-based step halvings per iteration (default 8)
 	Linear    LinearSolverKind
 	PivotTol  float64 // sparse LU threshold-pivoting tolerance (default 0.001)
-	GMRESTol  float64 // the floor of the matrix-free forcing term (default 1e-10)
+	GMRESTol  float64 // relative GMRES tolerance of every matrix-free step (default 1e-10)
 	GMRESIter int     // default 400
 	// Progress, when non-nil, is called at the top of every Newton
 	// iteration with the 1-based iteration count and the current residual
@@ -325,35 +325,6 @@ func (d *directFactor) factor(j *la.CSR, st *Stats, opt Options) error {
 	return nil
 }
 
-// etaMax is the matrix-free forcing term's cap, and its value on the first
-// Newton step.
-const etaMax = 0.1
-
-// forcingTerm returns the relative GMRES tolerance η for a matrix-free
-// Newton step: Eisenstat–Walker choice 2 (SIAM J. Sci. Comput. 17, 1996),
-// η = 0.9·(‖r‖₂/‖r_prev‖₂)², raised to 0.9·η_prev² when that exceeds
-// etaMax, capped at etaMax and never below floor (Options.GMRESTol). The
-// first step uses etaMax. strict asks for a full-accuracy step: a looser
-// one passed the convergence test, which must be confirmed on a step
-// solved to the floor.
-func forcingTerm(etaPrev, r2, r2Prev, floor float64, first, strict bool) float64 {
-	if strict {
-		return floor
-	}
-	eta := etaMax
-	if !first {
-		q := r2 / r2Prev
-		eta = 0.9 * q * q
-		if s := 0.9 * etaPrev * etaPrev; s > etaMax {
-			eta = math.Max(eta, s)
-		}
-		if !(eta < etaMax) { // also catches a NaN ratio
-			eta = etaMax
-		}
-	}
-	return math.Max(eta, floor)
-}
-
 // iterRecord builds one convergence record from the counter deltas between
 // the top of iteration it (base) and now (st).
 func iterRecord(st, base *Stats, it int, nrm, alpha float64) IterTrace {
@@ -469,6 +440,12 @@ func (w *Workspace) solveSpan(ctx context.Context, sys System, x []float64, opt 
 // records on (the caller owns the enclosing span), and timed the interval
 // clock.
 //
+// On the matrix-free path GMRES solves every Newton step to GMRESTol, so
+// the loop takes the direct path's steps and its convergence test needs no
+// confirming step. An iteration whose GMRES solve or preconditioner build
+// fails solves its step through the assembled Jacobian instead, counted in
+// Stats.GMRESFallbacks.
+//
 //mpde:hotpath
 func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Options, trace, timed bool) (Stats, error) {
 	opt.Fill()
@@ -525,11 +502,10 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 	rNorm, residCap := math.NaN(), 0.0
 
 	direct := &w.direct
+	// The matrix-free path's preconditioner for this iterate, and the error
+	// that failed its build.
 	var prec la.Preconditioner
-	// The inexact-Newton state of the matrix-free path: the forcing term η
-	// of the last step, ‖r‖₂ at the previous iterate, and whether the next
-	// step must be solved to the floor before convergence may be declared.
-	eta, r2Prev, strict := 0.0, 0.0, false
+	var perr error
 	// itBase snapshots the cumulative counters at the top of each iteration
 	// so trace records carry per-iteration deltas.
 	var itBase Stats
@@ -559,11 +535,8 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 			st.JacobianEvals++
 			copy(r, rr)
 			w.cop.op = op
-			if p, perr := mfs.BuildPreconditioner(); perr == nil {
-				prec = p
+			if prec, perr = mfs.BuildPreconditioner(); perr == nil {
 				st.PrecondBuilds++
-			} else {
-				prec = nil
 			}
 			st.FactorTime += clk.lap()
 		} else {
@@ -589,18 +562,19 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 			neg[i] = -r[i]
 		}
 		if opt.Linear == MatrixFree {
-			r2 := la.Norm2(r)
-			eta = forcingTerm(eta, r2, r2Prev, opt.GMRESTol, it == 0, strict)
-			r2Prev = r2
-			la.Fill(dx, 0)
-			w.cop.n = 0
-			res, gerr := gmres.Solve(&w.cop, neg, dx, la.GMRESOptions{
-				Tol: eta, MaxIter: opt.GMRESIter, M: prec})
-			st.OperatorApplies += w.cop.n
-			st.LinearIters += res.Iterations
+			// A failed preconditioner build skips GMRES: unpreconditioned,
+			// it would run to its iteration cap before the same rescue.
+			gerr := perr
+			if gerr == nil {
+				la.Fill(dx, 0)
+				w.cop.n = 0
+				var res la.GMRESResult
+				res, gerr = gmres.Solve(&w.cop, neg, dx, la.GMRESOptions{
+					Tol: opt.GMRESTol, MaxIter: opt.GMRESIter, M: prec})
+				st.OperatorApplies += w.cop.n
+				st.LinearIters += res.Iterations
+			}
 			if gerr != nil {
-				// The direct solve is exact: a full-accuracy step.
-				eta = opt.GMRESTol
 				// Assemble the true Jacobian once and solve directly rather
 				// than failing Newton.
 				st.GMRESFallbacks++
@@ -685,17 +659,9 @@ func (w *Workspace) solve(ctx context.Context, sys System, x []float64, opt Opti
 		if (st.StepNorm <= 1 && rNorm <= residCap) ||
 			(st.StepNorm <= 0.01 && alpha == 1) ||
 			rNorm <= 1e-6*residCap {
-			// A matrix-free step GMRES cut off above the floor is shorter
-			// than the Newton step, so its step norm passes too soon:
-			// decide on one more step solved to the floor.
-			if opt.Linear == MatrixFree && eta > opt.GMRESTol {
-				strict = true
-				continue
-			}
 			st.Converged = true
 			return st, nil
 		}
-		strict = false
 	}
 	st.Residual = rNorm
 	//mpde:coldpath non-convergence is the failure exit
