@@ -43,7 +43,7 @@ func NewGridSpectrum(x []float64, n, N1, N2, kPlus, kMinus int, f1, fd float64) 
 		}
 		plane[p] = complex(v, 0)
 	}
-	plan := fft.NewPlan2D(N2, N1)
+	plan := fft.Plan2DFor(N2, N1)
 	plan.Forward(plane, make([]complex128, plan.ScratchLen()))
 	return GridSpectrum{N1: N1, N2: N2, F1: f1, Fd: fd, coef: plane}
 }
@@ -181,7 +181,7 @@ func GridSpectralTail(x []float64, n, N1, N2 int, absFloor float64) (tail1, tail
 		return 0, 0
 	}
 	// One plan and one plane serve every unknown.
-	plan := fft.NewPlan2D(N2, N1)
+	plan := fft.Plan2DFor(N2, N1)
 	coef := make([]complex128, N1*N2)
 	g := GridSpectrum{N1: N1, N2: N2}
 	scratch := make([]complex128, plan.ScratchLen())

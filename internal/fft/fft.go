@@ -5,6 +5,8 @@
 // Bluestein chirp and the transform of its conjugate. Its transforms then
 // run in place in caller-owned scratch and allocate nothing. A Plan2D
 // pairs a row plan and a column plan for the row-column 2-D transform.
+// PlanFor and Plan2DFor share plans process-wide through a byte-bounded
+// table, so a length or shape seen before costs no tables at all.
 //
 // Conventions: Forward computes X[k] = Σ_n x[n]·exp(−2πi·kn/N) (no scaling);
 // Inverse divides by N so Inverse(Forward(x)) == x.

@@ -239,7 +239,7 @@ func newWorkspace(ckt *circuit.Circuit, opt Options, n int) *workspace {
 		w.src[p] = &la.CSR{}
 	}
 	w.gs, w.cs = w.src[:N1*N2], w.src[N1*N2:]
-	w.plan = fft.NewPlan2D(N2, N1)
+	w.plan = fft.Plan2DFor(N2, N1)
 	w.plane = make([]complex128, N1*N2)
 	w.scratch = make([]complex128, w.plan.ScratchLen())
 	// Difference rates: d/dt ≈ f1·N1·Δθ1 + f2·N2·Δθ2 on the unit torus.

@@ -229,7 +229,7 @@ func harmonics(ms []*la.CSR, n, N, K int) []*la.CDense {
 			}
 		}
 	}
-	plan := fft.NewPlan(N)
+	plan := fft.PlanFor(N)
 	spec := make([]complex128, N)
 	scratch := make([]complex128, plan.ScratchLen())
 	for k, ts := range pattern {

@@ -84,7 +84,7 @@ func NewSpectrum(x []float64, dt float64) Spectrum {
 	if n == 0 || dt <= 0 {
 		return Spectrum{}
 	}
-	plan := fft.NewPlan(n)
+	plan := fft.PlanFor(n)
 	spec := make([]complex128, n+plan.ScratchLen())
 	for i, v := range x {
 		spec[i] = complex(v, 0)

@@ -2,6 +2,7 @@ package rf
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -180,5 +181,49 @@ func TestMeasureIntermodErrors(t *testing.T) {
 	}
 	if _, err := MeasureIntermod(make([]float64, 64), 1, 0.1, 0.2, 1); err == nil {
 		t.Fatal("zero fundamental should error")
+	}
+}
+
+// TestNewSpectrumConcurrentUse computes spectra from concurrent goroutines,
+// as concurrent sweep jobs do: they share plans through the process-wide
+// FFT plan table, and every spectrum must match the serial one bit for bit.
+// Run it under -race.
+func TestNewSpectrumConcurrentUse(t *testing.T) {
+	lengths := []int{500, 2000, 1024}
+	record := func(n int) []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = math.Sin(2*math.Pi*7*float64(i)/float64(n)) + 0.25*math.Cos(2*math.Pi*31*float64(i)/float64(n))
+		}
+		return x
+	}
+	want := make([]Spectrum, len(lengths))
+	for i, n := range lengths {
+		want[i] = NewSpectrum(record(n), 1e-9)
+	}
+	const goroutines = 4
+	errs := make([]string, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 6; rep++ {
+				i := (g + rep) % len(lengths)
+				got := NewSpectrum(record(lengths[i]), 1e-9)
+				for k := range got.Amp {
+					if math.Float64bits(got.Amp[k]) != math.Float64bits(want[i].Amp[k]) {
+						errs[g] = "amplitude differs from the serial spectrum"
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, e := range errs {
+		if e != "" {
+			t.Fatalf("goroutine %d: %s", g, e)
+		}
 	}
 }

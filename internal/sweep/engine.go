@@ -1,10 +1,12 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,6 +39,11 @@ type groupKey struct {
 // aggregated result — on cancellation a partial one, with unstarted and
 // interrupted jobs marked StatusCanceled — together with ctx.Err().
 // Result.Jobs is ordered by Job.ID regardless of worker scheduling.
+//
+// Every job's target and parameters are built before the pool starts, and
+// each stage feeds its jobs longest-estimated-first (analysis.Work, ties in
+// ID order): the sweep's wall time is then close to its total work over
+// its workers, not the longest job started last.
 //
 //mpde:deterministic-parallel
 func Run(ctx context.Context, spec Spec) (*Result, error) {
@@ -80,6 +87,14 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	}
 	res := &Result{Name: spec.Name, Workers: workers}
 
+	preps := make([]prepared, len(jobs))
+	for _, j := range run {
+		if ctx.Err() != nil {
+			break // no job starts: each reports StatusCanceled
+		}
+		preps[j.ID] = spec.prepare(j, len(jobs))
+	}
+
 	// Warm-start staging: the first job of every seedable (method, N1, N2)
 	// group runs in stage one; the group's remaining jobs run in stage two
 	// with that leader's converged grid as initial guess. Seeding only
@@ -109,6 +124,14 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 			stage1[i] = j.ID
 		}
 	}
+	longestFirst := func(a, b int) int {
+		if c := cmp.Compare(preps[b].work, preps[a].work); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+	slices.SortFunc(stage1, longestFirst)
+	slices.SortFunc(stage2, longestFirst)
 
 	var seedMu sync.Mutex
 	seeds := map[groupKey][]float64{}
@@ -140,7 +163,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 							Done: int(doneCount.Load()), Total: len(run),
 						})
 					}
-					jr, raw := spec.runJob(ctx, jobs[id], seedFor(jobs[id]), len(jobs))
+					jr, raw := spec.runJob(ctx, jobs[id], &preps[id], seedFor(jobs[id]))
 					all[id] = jr
 					if storeSeeds && raw != nil && jr.Status == StatusOK {
 						seedMu.Lock()
@@ -243,14 +266,64 @@ func (s *Spec) tuning(nJobs int) analysis.Tuning {
 	}
 }
 
-// runJob executes one job under its per-job context through the analysis
-// registry and returns the result plus, for seedable methods, the converged
-// raw grid. nJobs is the spec's total job count (it gates intra-job
-// assembly parallelism).
-func (s *Spec) runJob(ctx context.Context, job Job, seed []float64, nJobs int) (jr JobResult, raw []float64) {
+// prepared is a job's target and typed parameters, built before the pool
+// starts, with the work estimate the pool orders jobs by. err, when set,
+// fails the job with that text once it starts.
+type prepared struct {
+	tgt      *Target
+	params   any
+	seedable bool
+	work     float64
+	err      string
+}
+
+// prepare builds job's target and derives its parameters through the
+// analysis registry; nJobs is the spec's total job count (it gates
+// intra-job assembly parallelism). A failing or panicking builder fails
+// only this job.
+func (s *Spec) prepare(job Job, nJobs int) (p prepared) {
+	defer func() {
+		if r := recover(); r != nil {
+			p = prepared{err: fmt.Sprintf("panic: %v", r)}
+		}
+	}()
+	tgt, err := s.Build(job.Point)
+	if err == nil && (tgt == nil || tgt.Ckt == nil) {
+		err = errors.New("sweep: builder returned no circuit")
+	}
+	if err == nil {
+		err = tgt.Shear.Validate()
+	}
+	if err != nil {
+		return prepared{err: err.Error()}
+	}
+	finalize(tgt.Ckt)
+
+	d, err := analysis.Get(string(job.Method))
+	if err == nil && d.SweepParams == nil {
+		err = errors.New("sweep: analysis " + string(job.Method) + " is not sweepable")
+	}
+	var params any
+	if err == nil {
+		params, err = d.SweepParams(analysis.BuildInput{Target: *tgt, Point: job.Point, Tune: s.tuning(nJobs)})
+	}
+	if err != nil {
+		return prepared{err: err.Error()}
+	}
+	return prepared{tgt: tgt, params: params, seedable: d.Seedable, work: analysis.Work(params)}
+}
+
+// runJob executes one prepared job under its per-job context through the
+// analysis registry and returns the result plus, for seedable methods, the
+// converged raw grid.
+func (s *Spec) runJob(ctx context.Context, job Job, prep *prepared, seed []float64) (jr JobResult, raw []float64) {
 	jr = JobResult{Job: job}
 	if err := ctx.Err(); err != nil {
 		jr.Status, jr.Err = StatusCanceled, err.Error()
+		return jr, nil
+	}
+	if prep.err != "" {
+		jr.Status, jr.Err = StatusFailed, prep.err
 		return jr, nil
 	}
 	jctx := ctx
@@ -273,8 +346,8 @@ func (s *Spec) runJob(ctx context.Context, job Job, seed []float64, nJobs int) (
 
 	t0 := time.Now()
 	defer func() { jr.Wall = time.Since(t0) }()
-	// A panicking builder or analysis (e.g. a probe index out of range)
-	// must fail its own job, not take down the whole sweep.
+	// A panicking analysis (e.g. a probe index out of range) must fail its
+	// own job, not take down the whole sweep.
 	defer func() {
 		if p := recover(); p != nil {
 			jr.Status = StatusFailed
@@ -283,40 +356,15 @@ func (s *Spec) runJob(ctx context.Context, job Job, seed []float64, nJobs int) (
 		}
 	}()
 
-	tgt, err := s.Build(job.Point)
-	if err == nil && (tgt == nil || tgt.Ckt == nil) {
-		err = errors.New("sweep: builder returned no circuit")
-	}
-	if err == nil {
-		err = tgt.Shear.Validate()
-	}
-	if err != nil {
-		jr.Status, jr.Err = StatusFailed, err.Error()
-		return jr, nil
-	}
-	finalize(tgt.Ckt)
-
-	d, err := analysis.Get(string(job.Method))
-	if err == nil && d.SweepParams == nil {
-		err = errors.New("sweep: analysis " + string(job.Method) + " is not sweepable")
-	}
-	var params any
-	if err == nil {
-		params, err = d.SweepParams(analysis.BuildInput{Target: *tgt, Point: job.Point, Tune: s.tuning(nJobs)})
-	}
-	if err != nil {
-		jr.Status, jr.Err = StatusFailed, err.Error()
-		return jr, nil
-	}
-
 	// Sweep points run 60 Newton iterations for every method (the
 	// runners' own defaults are the solver-wide 50, tuned for single
 	// solves; sweep points lean on the extra headroom).
 	newton := solver.Options{MaxIter: 60}
+	tgt := prep.tgt
 	res, err := analysis.Run(jctx, analysis.Request{
 		Method:  string(job.Method),
 		Circuit: tgt.Ckt,
-		Params:  params,
+		Params:  prep.params,
 		Newton:  newton,
 		Probes:  []analysis.Probe{tgt.Probe()},
 		Seed:    seed,
@@ -347,7 +395,7 @@ func (s *Spec) runJob(ctx context.Context, job Job, seed []float64, nJobs int) (
 		}
 	}
 	jr.Status = StatusOK
-	if d.Seedable {
+	if prep.seedable {
 		raw = res.Seed()
 	}
 	return jr, raw

@@ -14,6 +14,9 @@
 //     then grid order) no matter how the pool interleaves execution, and the
 //     timing-free CSV/JSON serialisations are byte-identical between a
 //     Workers=1 and a Workers=NumCPU run of the same Spec.
+//   - Longest job first: targets and parameters are built before the pool
+//     starts, and jobs start in descending analysis.Work estimate (ties in
+//     ID order), so the longest job never starts last behind short ones.
 //   - Per-job contexts: every job observes the parent context plus an
 //     optional per-job timeout. Cancellation is cooperative — the per-job
 //     context flows through analysis.Run down to the Newton iterations — so

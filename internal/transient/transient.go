@@ -62,7 +62,10 @@ const (
 // Result is a stored trajectory.
 type Result struct {
 	T []float64
-	X [][]float64 // X[k] is the state at T[k]
+	// X[k] is the state at T[k]. The rows are capped views into slabs
+	// shared by neighbouring rows: read or overwrite them in place, but do
+	// not append to them.
+	X [][]float64
 	// Steps counts accepted steps; Rejected counts steps retried smaller
 	// (LTE rejections and Newton failures).
 	Steps, Rejected int
@@ -140,10 +143,24 @@ func Run(ctx context.Context, ckt *circuit.Circuit, opt Options) (*Result, error
 		return nil, err
 	}
 
-	res := &Result{}
+	// The trajectory is recorded into slabs that are never copied: a
+	// fixed-step run's first slab holds its whole horizon, and every
+	// further slab holds chunk states, doubling slab by slab.
+	chunk, first := 256, 256
+	if opt.FixedStep {
+		first = int(min(math.Ceil(opt.TStop/opt.Step)+2, maxPoints+1))
+	}
+	res := &Result{T: make([]float64, 0, first), X: make([][]float64, 0, first)}
+	slab := make([]float64, 0, first*n)
 	record := func(t float64, xx []float64) {
+		if len(slab)+n > cap(slab) {
+			slab = make([]float64, 0, chunk*n)
+			chunk = min(2*chunk, maxPoints)
+		}
+		k := len(slab)
+		slab = append(slab, xx...)
 		res.T = append(res.T, t)
-		res.X = append(res.X, append([]float64(nil), xx...))
+		res.X = append(res.X, slab[k:k+n:k+n])
 	}
 	record(0, x)
 

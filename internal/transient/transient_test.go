@@ -360,3 +360,38 @@ func TestTracedIterationsMatchStats(t *testing.T) {
 		t.Fatalf("traced newton.solve iterations sum to %d, Stats.NewtonIters = %d", traced, res.Stats.NewtonIters)
 	}
 }
+
+// TestRunTrajectorySlabs checks the recorded trajectory of an adaptive
+// run that spans several slabs and of a fixed-step run recorded into one:
+// one row per time, every row a capped view of the circuit's unknowns, and
+// row k the state at T[k] (the source node holds the drive, 5·cos, there).
+func TestRunTrajectorySlabs(t *testing.T) {
+	ckt := circuit.New("sine-rc")
+	ckt.V("V1", "in", "0", device.Sine{Amp: 5, F1: 1e3, K1: 1})
+	ckt.R("R1", "in", "out", 1e3)
+	ckt.C("C1", "out", "0", 1e-6)
+	in, _ := ckt.NodeIndex("in")
+	for _, opt := range []Options{
+		{Method: TRAP, TStop: 20e-3, Step: 1e-6},
+		{Method: GEAR2, TStop: 2e-3, Step: 1e-6, FixedStep: true},
+	} {
+		res, err := Run(context.Background(), ckt, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.X) != len(res.T) || len(res.T) != res.Steps+1 {
+			t.Fatalf("%d rows, %d times, %d steps", len(res.X), len(res.T), res.Steps)
+		}
+		if !opt.FixedStep && len(res.T) <= 256 {
+			t.Fatalf("adaptive run stored %d points; the test needs more than one slab", len(res.T))
+		}
+		for k, x := range res.X {
+			if len(x) != ckt.Size() || cap(x) != len(x) {
+				t.Fatalf("row %d: len %d cap %d, want a capped view of %d unknowns", k, len(x), cap(x), ckt.Size())
+			}
+			if want := 5 * math.Cos(2*math.Pi*1e3*res.T[k]); math.Abs(x[in]-want) > 1e-6 {
+				t.Fatalf("row %d: v(in) = %v at t = %v, want %v", k, x[in], res.T[k], want)
+			}
+		}
+	}
+}
